@@ -7,6 +7,16 @@ and reductions. Data layout is (N, C, H, W) for feature maps and (N, K)
 for vectors. Everything runs on plain numpy arrays; convolutions lower to
 GEMM via im2col so BLAS does the heavy lifting.
 
+Lowering. Padding writes the input once into a pre-zeroed buffer; the
+input gradient of a strided conv writes the output gradient, zero-stuffed
+and padded, into one such buffer with a single strided assignment. The
+stride-2 4x4 transposed conv (the decoders' upconv) runs as four 2x2 convs,
+one per output phase, over windows of one padded input; the flipped kernel
+is laid out for all four phases with one copy per call. Re-laid-out kernels
+are not cached between calls: parameters change under them (``Adam``
+replaces the arrays, ``gradcheck_vjp`` writes into them in place), so a
+cache keyed on the array could hand back stale weights.
+
 Gradients accumulate into ``Tensor.grad``. The graph is built eagerly by
 the ops; ``backward`` walks it in reverse topological order, so two runs
 over the same graph produce bitwise-identical results.
@@ -135,7 +145,10 @@ def _im2col(xp, kh, kw, sh, sw):
 def _pad4(x, pt, pb, pl, pr):
     if pt == pb == pl == pr == 0:
         return x
-    return np.pad(x, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
+    N, C, H, W = x.shape
+    xp = np.zeros((N, C, pt + H + pb, pl + W + pr), dtype=x.dtype)
+    xp[:, :, pt:pt + H, pl:pl + W] = x
+    return xp
 
 
 # patch-matrix size (elements) above which convolutions run row-tiled;
@@ -201,14 +214,16 @@ def _conv_dx_polyphase_2x(dy, w, x_hw):
     O, C, _, _ = w.shape
     N, _, Ho, Wo = dy.shape
     H, W = x_hw
+    # phase (u, v) correlates with the flipped taps w[..., 1-u::2, 1-v::2];
+    # one copy lays them out as contiguous (u, v, C, O, 2, 2) kernels
+    wf = np.ascontiguousarray(w[:, :, ::-1, ::-1].reshape(O, C, 2, 2, 2, 2)
+                              .transpose(3, 5, 1, 0, 2, 4))
+    dyp = _pad4(dy, 1, 1, 1, 1)
     out = np.empty((N, C, H, W), dtype=dy.dtype)
     for u in (0, 1):
         for v in (0, 1):
-            sub = w[:, :, (1 - u)::2, (1 - v)::2]  # (O, C, 2, 2)
-            wf = np.ascontiguousarray(
-                sub[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-            dyp = _pad4(dy, 1 - u, u, 1 - v, v)
-            out[:, :, u::2, v::2] = _conv_fwd(dyp, wf, (1, 1), (0, 0))
+            window = dyp[:, :, u:u + Ho + 1, v:v + Wo + 1]
+            out[:, :, u::2, v::2] = _conv_fwd(window, wf[u, v], (1, 1), (0, 0))
     return out
 
 
@@ -225,19 +240,17 @@ def _conv_dx(dy, w, stride, padding, x_hw):
         return _conv_dx_polyphase_2x(dy, w, x_hw)
     Hd = (Ho - 1) * sh + 1
     Wd = (Wo - 1) * sw + 1
-    if (sh, sw) == (1, 1):
-        dyd = dy
-    else:
-        dyd = np.zeros((N, O, Hd, Wd), dtype=dy.dtype)
-        dyd[:, :, ::sh, ::sw] = dy
     pt = kh - 1 - ph
     pl = kw - 1 - pw
     pb = H + kh - 1 - pt - Hd
     pr = W + kw - 1 - pl - Wd
     if min(pt, pl, pb, pr) < 0:
         raise ValueError("padding exceeds kernel; unsupported configuration")
+    # zero-stuffed (stride > 1) and padded in one strided write
+    dyp = np.zeros((N, O, H + kh - 1, W + kw - 1), dtype=dy.dtype)
+    dyp[:, :, pt:pt + Hd:sh, pl:pl + Wd:sw] = dy
     wf = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-    return _conv_fwd(_pad4(dyd, pt, pb, pl, pr), wf, (1, 1), (0, 0))
+    return _conv_fwd(dyp, wf, (1, 1), (0, 0))
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
@@ -335,11 +348,12 @@ def activation(x: Tensor, kind: str) -> Tensor:
     if kind == "identity":
         return x
     if kind == "leaky_relu":
-        pos = x.data > 0
-        out = np.where(pos, x.data, LEAKY_SLOPE * x.data)
+        # equals where(x > 0, x, 0.1 x) bit for bit, -0.0, NaN, +-inf too
+        out = np.maximum(x.data, LEAKY_SLOPE * x.data)
 
         def vjp(g):
-            return (np.where(pos, g, np.asarray(LEAKY_SLOPE, x.dtype) * g),)
+            return (np.where(x.data > 0, g,
+                             np.asarray(LEAKY_SLOPE, x.dtype) * g),)
 
         return _op(out, (x,), vjp)
     if kind == "exp":

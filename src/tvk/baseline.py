@@ -272,6 +272,9 @@ def refine_motion(motion: CameraMotion, corr: Correspondences,
     The translation stays unit norm via 2D tangent-plane updates. Stops
     on gradient norm < 1e-10, step norm < 1e-12 or the iteration cap; if
     no improving step exists the input is returned with ``no_progress``.
+    Matches that triangulate behind either camera under the starting
+    motion are left out: their inverse depth has no valid start, and a
+    few of them can dominate the cost and pull the motion away.
     """
     active = corr if inliers is None else corr.subset(inliers)
     n = len(active)
@@ -280,11 +283,16 @@ def refine_motion(motion: CameraMotion, corr: Correspondences,
     m = motion.normalized()
     R = rotation_from_angle_axis(m.r)
     t = m.t.copy()
-    x1 = active.x1
-    x2 = active.x2
+    z1, z2 = _triangulate_points(R, t, active.x1, active.x2)
+    front = (z1 > 0) & (z2 > 0)
+    if front.sum() < 8:
+        raise EstimationError(
+            f"refinement needs at least 8 matches in front of both cameras, "
+            f"got {int(front.sum())} of {n}")
+    x1 = active.x1[front]
+    x2 = active.x2[front]
     a = x1.copy()
-    z1, _ = _triangulate_points(R, t, x1, x2)
-    xi = 1.0 / np.clip(z1, 1e-6, None)
+    xi = 1.0 / np.clip(z1[front], 1e-6, None)
 
     res, Q = _ba_residuals(R, t, a, xi, x1, x2)
     cost = float(np.sum(res ** 2))

@@ -108,10 +108,6 @@ class Prediction:
         return 1.0 / sxi
 
 
-def _kaiming_pairs(rng, shape, fan_in, dtype):
-    return ad.fanin_uniform(rng, shape, fan_in, dtype)
-
-
 class EncoderDecoder:
     """Encoder-decoder over 1D convolution pairs with skip connections."""
 
@@ -129,7 +125,7 @@ class EncoderDecoder:
         def conv_param(name, o, c, kh, kw):
             self.p[name + ".w"] = params.add(
                 f"{prefix}.{name}.w",
-                _kaiming_pairs(rng, (o, c, kh, kw), c * kh * kw, dt))
+                ad.fanin_uniform(rng, (o, c, kh, kw), c * kh * kw, dt))
             self.p[name + ".b"] = params.add(
                 f"{prefix}.{name}.b", np.zeros(o, dtype=dt))
 
@@ -138,7 +134,7 @@ class EncoderDecoder:
             # axis matches the op input, the second the op output
             self.p[name + ".w"] = params.add(
                 f"{prefix}.{name}.w",
-                _kaiming_pairs(rng, (c_in, c_out, k, k), c_in * k * k, dt))
+                ad.fanin_uniform(rng, (c_in, c_out, k, k), c_in * k * k, dt))
             self.p[name + ".b"] = params.add(
                 f"{prefix}.{name}.b", np.zeros(c_out, dtype=dt))
 
@@ -156,19 +152,13 @@ class EncoderDecoder:
         conv_param("head0", chans[0], chans[0], 3, 3)
         conv_param("head1", out_channels, chans[0], 3, 3)
         if motion_head:
-            c4 = chans[-1]
-            self.p["fc0.w"] = params.add(f"{prefix}.fc0.w",
-                                         _kaiming_pairs(rng, (c4, 64), c4, dt))
-            self.p["fc0.b"] = params.add(f"{prefix}.fc0.b",
-                                         np.zeros(64, dtype=dt))
-            self.p["fc1.w"] = params.add(f"{prefix}.fc1.w",
-                                         _kaiming_pairs(rng, (64, 32), 64, dt))
-            self.p["fc1.b"] = params.add(f"{prefix}.fc1.b",
-                                         np.zeros(32, dtype=dt))
-            self.p["fc2.w"] = params.add(f"{prefix}.fc2.w",
-                                         _kaiming_pairs(rng, (32, 7), 32, dt))
-            self.p["fc2.b"] = params.add(f"{prefix}.fc2.b",
-                                         np.zeros(7, dtype=dt))
+            for name, f_in, f_out in (("fc0", chans[-1], 64), ("fc1", 64, 32),
+                                      ("fc2", 32, 7)):
+                self.p[name + ".w"] = params.add(
+                    f"{prefix}.{name}.w",
+                    ad.fanin_uniform(rng, (f_in, f_out), f_in, dt))
+                self.p[name + ".b"] = params.add(
+                    f"{prefix}.{name}.b", np.zeros(f_out, dtype=dt))
 
     def parameter_names(self) -> list[str]:
         return [f"{self.prefix}.{k}" for k in self.p]
@@ -211,23 +201,11 @@ class EncoderDecoder:
             g = act(ad.fully_connected(g, self.p["fc0.w"], self.p["fc0.b"]))
             g = act(ad.fully_connected(g, self.p["fc1.w"], self.p["fc1.b"]))
             g = ad.fully_connected(g, self.p["fc2.w"], self.p["fc2.b"])
-            r = _slice_cols(g, 0, 3)
-            t = ad.l2_normalize_rows(_slice_cols(g, 3, 6))
-            s = ad.activation(_slice_cols(g, 6, 7), "exp")
+            r = ad.slice_channels(g, 0, 3)
+            t = ad.l2_normalize_rows(ad.slice_channels(g, 3, 6))
+            s = ad.activation(ad.slice_channels(g, 6, 7), "exp")
             motion = (r, t, s)
         return out, motion
-
-
-def _slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    out = x.data[:, start:stop]
-
-    def vjp(g):
-        gx = np.zeros_like(x.data)
-        gx[:, start:stop] = g
-        return (gx,)
-
-    return ad.Tensor(out, requires_grad=x.requires_grad, _parents=(x,),
-                     _vjp=vjp if x.requires_grad else None)
 
 
 class RefinementNet:
@@ -245,14 +223,15 @@ class RefinementNet:
         def conv_param(name, o, c, kh, kw):
             self.p[name + ".w"] = params.add(
                 f"{prefix}.{name}.w",
-                _kaiming_pairs(rng, (o, c, kh, kw), c * kh * kw, dt))
+                ad.fanin_uniform(rng, (o, c, kh, kw), c * kh * kw, dt))
             self.p[name + ".b"] = params.add(
                 f"{prefix}.{name}.b", np.zeros(o, dtype=dt))
 
         def upconv_param(name, c_in, c_out, kk):
             self.p[name + ".w"] = params.add(
                 f"{prefix}.{name}.w",
-                _kaiming_pairs(rng, (c_in, c_out, kk, kk), c_in * kk * kk, dt))
+                ad.fanin_uniform(rng, (c_in, c_out, kk, kk), c_in * kk * kk,
+                                 dt))
             self.p[name + ".b"] = params.add(
                 f"{prefix}.{name}.b", np.zeros(c_out, dtype=dt))
 

@@ -401,11 +401,7 @@ def save_checkpoint(path: str, model: TwoViewNet,
 
 def load_checkpoint(path: str) -> tuple[TwoViewNet, dict]:
     arrays, meta = container.load_arrays(path)
-    ncfg = meta.get("net_config", {})
-    for key in ("channels", "refine_channels"):
-        if key in ncfg:
-            ncfg[key] = tuple(ncfg[key])
-    model = TwoViewNet(NetConfig(**ncfg), seed=0)
+    model = TwoViewNet(NetConfig.from_dict(meta.get("net_config", {})), seed=0)
     model.load_state_dict(arrays)
     return model, meta
 

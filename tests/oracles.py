@@ -124,3 +124,62 @@ def rotation_angle_deg_bruteforce(Ra, Rb):
     # trace(Ra Rb^T) = 1 + 2 cos(angle)
     c = (np.trace(Ra @ Rb.T) - 1.0) / 2.0
     return float(np.degrees(np.arccos(np.clip(c, -1.0, 1.0))))
+
+
+# --- convolutions by direct summation ----------------------------------------
+# Layouts follow autodiff: maps (N, C, H, W), kernels (O, C, kh, kw). Each
+# output element is summed from its definition, one position at a time.
+
+def _zero_padded(x, top, bottom, left, right):
+    N, C, H, W = x.shape
+    xp = np.zeros((N, C, top + H + bottom, left + W + right))
+    xp[:, :, top:top + H, left:left + W] = x
+    return xp
+
+
+def conv_direct(x, w, stride, padding):
+    """out[n, o, y, x] = sum_{c, i, j} xpad[n, c, y*sh + i, x*sw + j] w[o, c, i, j]."""
+    (sh, sw), (ph, pw) = stride, padding
+    kh, kw = w.shape[2:]
+    xp = _zero_padded(x, ph, ph, pw, pw)
+    Ho = (xp.shape[2] - kh) // sh + 1
+    Wo = (xp.shape[3] - kw) // sw + 1
+    out = np.zeros((x.shape[0], w.shape[0], Ho, Wo))
+    for y in range(Ho):
+        for x_ in range(Wo):
+            patch = xp[:, :, y * sh:y * sh + kh, x_ * sw:x_ * sw + kw]
+            out[:, :, y, x_] = np.einsum("ncij,ocij->no", patch, w)
+    return out
+
+
+def upconv_direct(x, w, stride, padding, out_hw):
+    """Transposed conv: input (N, O, H, W) position (y, x) adds x[n, o, y, x]
+    w[o, c, i, j] to output (y*sh + i - ph, x*sw + j - pw); cropped to out_hw."""
+    (sh, sw), (ph, pw) = stride, padding
+    kh, kw = w.shape[2:]
+    N, _, H, W = x.shape
+    Hout, Wout = out_hw
+    full = np.zeros((N, w.shape[1], max((H - 1) * sh + kh, Hout + ph),
+                     max((W - 1) * sw + kw, Wout + pw)))
+    for y in range(H):
+        for x_ in range(W):
+            full[:, :, y * sh:y * sh + kh, x_ * sw:x_ * sw + kw] += np.einsum(
+                "no,ocij->ncij", x[:, :, y, x_], w)
+    return full[:, :, ph:ph + Hout, pw:pw + Wout]
+
+
+def conv_dw_direct(x, dy, stride, padding, kshape):
+    """dw[o, c, i, j] = sum_{n, y, x} dy[n, o, y, x] xpad[n, c, y*sh + i, x*sw + j].
+
+    With x the gradient at an upconv output and dy the upconv input, this is
+    the upconv kernel gradient (the same sum over the same index pairs).
+    """
+    (sh, sw), (ph, pw) = stride, padding
+    kh, kw = kshape[2:]
+    xp = _zero_padded(x, ph, ph, pw, pw)
+    dw = np.zeros(kshape)
+    for y in range(dy.shape[2]):
+        for x_ in range(dy.shape[3]):
+            patch = xp[:, :, y * sh:y * sh + kh, x_ * sw:x_ * sw + kw]
+            dw += np.einsum("no,ncij->ocij", dy[:, :, y, x_], patch)
+    return dw

@@ -4,6 +4,8 @@ import pytest
 from tvk import autodiff as ad
 from tvk.autodiff import Adam, ParameterStore, Tensor, backward, gradcheck_vjp
 
+from oracles import conv_direct, conv_dw_direct, upconv_direct
+
 
 RNG = np.random.default_rng
 
@@ -97,6 +99,60 @@ class TestUpconv:
         assert err < 1e-4
 
 
+# (op, input shape, kernel shape, stride, padding, out_hw): every conv and
+# upconv configuration of the networks; the odd out_hw takes the generic
+# upconv path, the even one the polyphase path
+KERNEL_CASES = {
+    "conv_1x7_s12": ("conv", (2, 3, 6, 16), (4, 3, 1, 7), (1, 2), (0, 3), None),
+    "conv_3x1_s21": ("conv", (2, 3, 8, 6), (4, 3, 3, 1), (2, 1), (1, 0), None),
+    "conv_3x3_s1": ("conv", (2, 3, 6, 7), (4, 3, 3, 3), (1, 1), (1, 1), None),
+    "upconv_polyphase": ("upconv", (2, 4, 3, 5), (4, 3, 4, 4), (2, 2), (1, 1),
+                         None),
+    "upconv_odd_out": ("upconv", (2, 4, 3, 4), (4, 3, 4, 4), (2, 2), (1, 1),
+                       (7, 8)),
+}
+
+
+class TestKernelReference:
+    @pytest.mark.parametrize("tiled", [False, True], ids=["whole", "tiled"])
+    @pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-12),
+                                            (np.float32, 1e-6)],
+                             ids=["f64", "f32"])
+    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+    def test_matches_direct_summation(self, case, dtype, rtol, tiled,
+                                      monkeypatch):
+        op, xshape, wshape, stride, padding, out_hw = KERNEL_CASES[case]
+        if tiled:  # one output row per tile in every case
+            monkeypatch.setattr(ad, "_TILE_LIMIT", 64)
+        rng = RNG(20)
+        x = rng.normal(size=xshape).astype(dtype)
+        w = rng.normal(size=wshape).astype(dtype)
+        xt = Tensor(x, requires_grad=True)
+        wt = Tensor(w, requires_grad=True)
+        if op == "conv":
+            y = ad.conv2d(xt, wt, stride=stride, padding=padding)
+        else:
+            y = ad.upconv2d(xt, wt, stride=stride, padding=padding,
+                            out_hw=out_hw)
+        g = rng.normal(size=y.shape).astype(dtype)
+        backward({y: g})
+
+        x64, w64, g64 = (a.astype(np.float64) for a in (x, w, g))
+        if op == "conv":
+            refs = (conv_direct(x64, w64, stride, padding),
+                    upconv_direct(g64, w64, stride, padding, xshape[2:]),
+                    conv_dw_direct(x64, g64, stride, padding, wshape))
+        else:
+            refs = (upconv_direct(x64, w64, stride, padding, y.shape[2:]),
+                    conv_direct(g64, w64, stride, padding),
+                    conv_dw_direct(g64, x64, stride, padding, wshape))
+        for label, got, ref in zip(("forward", "dx", "dw"),
+                                   (y.data, xt.grad, wt.grad), refs):
+            assert got.dtype == dtype and got.shape == ref.shape, label
+            err = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+            assert err <= rtol, f"{label}: max rel diff {err:.3g}"
+
+
 class TestFullyConnected:
     def test_identity(self):
         x = Tensor(RNG(10).normal(size=(3, 4)))
@@ -123,6 +179,15 @@ class TestActivations:
         x = Tensor(np.array([-1.0, 2.0]))
         out = ad.activation(x, "leaky_relu")
         assert np.allclose(out.data, [-0.1, 2.0])
+        # 0.1 x for x <= 0 or NaN, else x; compared bit for bit
+        special = [-1.0, 2.0, 0.0, -0.0, np.nan, np.inf, -np.inf]
+        for dtype in (np.float64, np.float32):
+            x = np.array(special, dtype=dtype)
+            out = ad.activation(Tensor(x), "leaky_relu").data
+            expected = np.array([-1.0 * dtype(0.1), 2.0, 0.0, -0.0, np.nan,
+                                 np.inf, -np.inf], dtype=dtype)
+            assert out.dtype == dtype
+            assert out.tobytes() == expected.tobytes()
 
     def test_exp_at_zero(self):
         assert ad.activation(Tensor(np.zeros(3)), "exp").data[0] == 1.0
