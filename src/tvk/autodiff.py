@@ -11,11 +11,20 @@ Lowering. Padding writes the input once into a pre-zeroed buffer; the
 input gradient of a strided conv writes the output gradient, zero-stuffed
 and padded, into one such buffer with a single strided assignment. The
 stride-2 4x4 transposed conv (the decoders' upconv) runs as four 2x2 convs,
-one per output phase, over windows of one padded input; the flipped kernel
-is laid out for all four phases with one copy per call. Re-laid-out kernels
-are not cached between calls: parameters change under them (``Adam``
-replaces the arrays, ``gradcheck_vjp`` writes into them in place), so a
-cache keyed on the array could hand back stale weights.
+one per output phase, over windows of one padded input; its flipped kernel
+is laid out for all four phases with one copy. Large patch matrices are
+built and multiplied in tiles of one sample's output rows that fit in L2,
+so a sample's GEMMs do not depend on the batch it is in.
+
+Kernel layouts are memoized on the weight ``Tensor``, for its current
+``data`` only: assigning ``data`` drops them. They are used only while that
+array is read-only and owns its memory, so it can neither change nor be
+changed through another array. ``ParameterStore.add``,
+``ParameterStore.load_state_dict`` and ``Adam.step`` leave parameter arrays
+read-only: an update replaces the array, and an in-place write raises
+``ValueError``. A writeable array (the tensors ``gradcheck_vjp`` builds) is
+laid out on every call. An array made writeable again must not be written
+and then made read-only again; assign a new array instead.
 
 Gradients accumulate into ``Tensor.grad``. The graph is built eagerly by
 the ops; ``backward`` walks it in reverse topological order, so two runs
@@ -38,7 +47,8 @@ __all__ = [
 class Tensor:
     """A value node: numpy data plus the recipe to push gradients back."""
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_vjp")
+    __slots__ = ("_data", "_layouts", "grad", "requires_grad", "name",
+                 "_parents", "_vjp")
 
     def __init__(self, data, requires_grad=False, name=None,
                  _parents=(), _vjp=None):
@@ -48,6 +58,15 @@ class Tensor:
         self.name = name
         self._parents = _parents
         self._vjp = _vjp  # fn(grad) -> tuple of parent grads (or None)
+
+    @property
+    def data(self) -> np.ndarray:
+        return self._data
+
+    @data.setter
+    def data(self, value):
+        self._data = value
+        self._layouts = None  # {layout fn: kernel} of this array, see _layout
 
     @property
     def shape(self):
@@ -151,15 +170,22 @@ def _pad4(x, pt, pb, pl, pr):
     return xp
 
 
-# patch-matrix size (elements) above which convolutions run row-tiled;
-# large im2col buffers are memory-bound, tiles stay cache-resident
-_TILE_LIMIT = 1 << 21
+# patch-matrix size (elements) above which convolutions run tiled, so that
+# one tile's patch matrix, 256 KiB in float32, sits in L2 (2 MiB per core
+# on the 2-vCPU Xeon the benchmark ran on) beside the kernel and the output
+# tile. Chosen by a sweep over 1<<14 .. 1<<21 on the predict and train
+# benchmark workloads, recorded in CHANGES.md; one value serves every shape.
+_TILE_LIMIT = 1 << 16
 
 
-def _row_tiles(Ho, per_row):
+def _tiles(N, Ho, per_row):
+    """(sample, first row, end row) of tiles of at most _TILE_LIMIT patch
+    elements, or of one output row. A tile never spans samples, so each
+    GEMM gets as many columns at batch 8 as at batch 1."""
     rows = max(1, _TILE_LIMIT // max(per_row, 1))
-    for r0 in range(0, Ho, rows):
-        yield r0, min(r0 + rows, Ho)
+    for n in range(N):
+        for r0 in range(0, Ho, rows):
+            yield slice(n, n + 1), r0, min(r0 + rows, Ho)
 
 
 def _conv_fwd(x, w, stride, padding):
@@ -171,15 +197,15 @@ def _conv_fwd(x, w, stride, padding):
     Ho = (xp.shape[2] - kh) // sh + 1
     Wo = (xp.shape[3] - kw) // sw + 1
     w2 = w.reshape(O, C * kh * kw)
-    per_row = N * C * kh * kw * Wo
-    if per_row * Ho <= _TILE_LIMIT:
+    per_row = C * kh * kw * Wo
+    if N * per_row * Ho <= _TILE_LIMIT:
         cols, _, _ = _im2col(xp, kh, kw, sh, sw)
         return np.matmul(w2, cols).reshape(N, O, Ho, Wo)
     out = np.empty((N, O, Ho, Wo), dtype=np.result_type(x, w))
-    for r0, r1 in _row_tiles(Ho, per_row):
-        xs = xp[:, :, r0 * sh:(r1 - 1) * sh + kh]
+    for n, r0, r1 in _tiles(N, Ho, per_row):
+        xs = xp[n, :, r0 * sh:(r1 - 1) * sh + kh]
         cols, hh, _ = _im2col(xs, kh, kw, sh, sw)
-        out[:, :, r0:r1] = np.matmul(w2, cols).reshape(N, O, hh, Wo)
+        out[n, :, r0:r1] = np.matmul(w2, cols).reshape(1, O, hh, Wo)
     return out
 
 
@@ -190,36 +216,66 @@ def _conv_dw(x, dy, stride, padding, kshape):
     xp = _pad4(x, ph, ph, pw, pw)
     N = xp.shape[0]
     Ho, Wo = dy.shape[2], dy.shape[3]
-    per_row = N * C * kh * kw * Wo
-    if per_row * Ho <= _TILE_LIMIT:
+    per_row = C * kh * kw * Wo
+    if N * per_row * Ho <= _TILE_LIMIT:
         cols, _, _ = _im2col(xp, kh, kw, sh, sw)
         dyf = dy.reshape(N, O, Ho * Wo)
         dw = np.matmul(dyf, cols.transpose(0, 2, 1)).sum(axis=0)
         return dw.reshape(O, C, kh, kw)
     dw = np.zeros((O, C * kh * kw), dtype=np.result_type(x, dy))
-    for r0, r1 in _row_tiles(Ho, per_row):
-        xs = xp[:, :, r0 * sh:(r1 - 1) * sh + kh]
+    for n, r0, r1 in _tiles(N, Ho, per_row):
+        xs = xp[n, :, r0 * sh:(r1 - 1) * sh + kh]
         cols, hh, _ = _im2col(xs, kh, kw, sh, sw)
-        dyf = dy[:, :, r0:r1].reshape(N, O, hh * Wo)
-        dw += np.matmul(dyf, cols.transpose(0, 2, 1)).sum(axis=0)
+        dyf = dy[n, :, r0:r1].reshape(1, O, hh * Wo)
+        dw += np.matmul(dyf, cols.transpose(0, 2, 1))[0]
     return dw.reshape(O, C, kh, kw)
 
 
-def _conv_dx_polyphase_2x(dy, w, x_hw):
-    """Stride-2, 4x4, pad-1 transposed conv via per-phase 2x2 convs.
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
-    Avoids the zero-stuffed intermediate (3/4 of it is zeros), which
-    matters at full resolution; exactly equivalent to the generic path.
+
+def _layout(w: Tensor, make) -> np.ndarray:
+    """``make(w.data)``, memoized on ``w`` if ``w.data`` is read-only and
+    owns its memory; any other array is laid out on every call."""
+    a = w.data
+    if a.flags.writeable or not a.flags.owndata:
+        return make(a)
+    if w._layouts is None:
+        w._layouts = {}
+    if make not in w._layouts:
+        w._layouts[make] = _readonly(make(a))
+    return w._layouts[make]
+
+
+def _phase_kernels(w):
+    """(O, C, 4, 4) -> the flipped 2x2 kernels of the four output phases.
+
+    Phase (u, v) correlates with the flipped taps w[..., 1-u::2, 1-v::2];
+    one copy lays them out as contiguous (u, v, C, O, 2, 2) kernels.
     """
     O, C, _, _ = w.shape
+    return np.ascontiguousarray(w[:, :, ::-1, ::-1].reshape(O, C, 2, 2, 2, 2)
+                                .transpose(3, 5, 1, 0, 2, 4))
+
+
+def _flipped(w):
+    """(O, C, kh, kw) -> (C, O, kh, kw), flipped in both spatial axes."""
+    return np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+
+
+def _conv_dx_polyphase_2x(dy, wf, x_hw):
+    """Stride-2, 4x4, pad-1 transposed conv via per-phase 2x2 convs.
+
+    ``wf`` is ``_phase_kernels`` of the kernel. Avoids the zero-stuffed
+    intermediate (3/4 of it is zeros), which matters at full resolution;
+    exactly equivalent to the generic path.
+    """
     N, _, Ho, Wo = dy.shape
     H, W = x_hw
-    # phase (u, v) correlates with the flipped taps w[..., 1-u::2, 1-v::2];
-    # one copy lays them out as contiguous (u, v, C, O, 2, 2) kernels
-    wf = np.ascontiguousarray(w[:, :, ::-1, ::-1].reshape(O, C, 2, 2, 2, 2)
-                              .transpose(3, 5, 1, 0, 2, 4))
     dyp = _pad4(dy, 1, 1, 1, 1)
-    out = np.empty((N, C, H, W), dtype=dy.dtype)
+    out = np.empty((N, wf.shape[2], H, W), dtype=dy.dtype)
     for u in (0, 1):
         for v in (0, 1):
             window = dyp[:, :, u:u + Ho + 1, v:v + Wo + 1]
@@ -227,17 +283,17 @@ def _conv_dx_polyphase_2x(dy, w, x_hw):
     return out
 
 
-def _conv_dx(dy, w, stride, padding, x_hw):
+def _conv_dx(dy, w: Tensor, stride, padding, x_hw):
     """Gradient w.r.t. the conv input; also the upconv forward kernel."""
     sh, sw = stride
     ph, pw = padding
-    O, C, kh, kw = w.shape
+    O, C, kh, kw = w.data.shape
     N = dy.shape[0]
     Ho, Wo = dy.shape[2], dy.shape[3]
     H, W = x_hw
     if ((sh, sw) == (2, 2) and (kh, kw) == (4, 4) and (ph, pw) == (1, 1)
             and H == 2 * Ho and W == 2 * Wo):
-        return _conv_dx_polyphase_2x(dy, w, x_hw)
+        return _conv_dx_polyphase_2x(dy, _layout(w, _phase_kernels), x_hw)
     Hd = (Ho - 1) * sh + 1
     Wd = (Wo - 1) * sw + 1
     pt = kh - 1 - ph
@@ -249,8 +305,7 @@ def _conv_dx(dy, w, stride, padding, x_hw):
     # zero-stuffed (stride > 1) and padded in one strided write
     dyp = np.zeros((N, O, H + kh - 1, W + kw - 1), dtype=dy.dtype)
     dyp[:, :, pt:pt + Hd:sh, pl:pl + Wd:sw] = dy
-    wf = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-    return _conv_fwd(dyp, wf, (1, 1), (0, 0))
+    return _conv_fwd(dyp, _layout(w, _flipped), (1, 1), (0, 0))
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
@@ -269,7 +324,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     parents = (x, w) if b is None else (x, w, b)
 
     def vjp(g):
-        gx = _conv_dx(g, w.data, stride, padding, x_hw) if x.requires_grad else None
+        gx = _conv_dx(g, w, stride, padding, x_hw) if x.requires_grad else None
         gw = _conv_dw(x.data, g, stride, padding, kshape) if w.requires_grad else None
         if b is None:
             return gx, gw
@@ -302,7 +357,7 @@ def upconv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
         Wout = (x.data.shape[3] - 1) * sw + kw - 2 * pw
     else:
         Hout, Wout = out_hw
-    out = _conv_dx(x.data, w.data, stride, padding, (Hout, Wout))
+    out = _conv_dx(x.data, w, stride, padding, (Hout, Wout))
     if b is not None:
         out += b.data[None, :, None, None]
     kshape = w.data.shape
@@ -521,7 +576,7 @@ class ParameterStore:
     def add(self, name: str, data: np.ndarray) -> Tensor:
         if name in self._params:
             raise ValueError(f"duplicate parameter name {name!r}")
-        t = Tensor(data, requires_grad=True, name=name)
+        t = Tensor(_readonly(np.array(data)), requires_grad=True, name=name)
         self._params[name] = t
         return t
 
@@ -557,7 +612,7 @@ class ParameterStore:
             arr = np.asarray(state[name], dtype=t.data.dtype)
             if arr.shape != t.data.shape:
                 raise ValueError(f"parameter {name!r}: shape mismatch")
-            t.data = arr.copy()
+            t.data = _readonly(arr.copy())
 
 
 class Adam:
@@ -600,7 +655,7 @@ class Adam:
             if self.weight_decay:
                 step = step + (self.lr * self.weight_decay
                                * p.data).astype(p.data.dtype)
-            p.data = p.data - step
+            p.data = _readonly(p.data - step)
 
     def state_dict(self) -> dict[str, np.ndarray]:
         out = {"adam.t": np.array(self.t, dtype=np.int64)}

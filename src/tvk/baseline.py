@@ -2,9 +2,10 @@
 
 Robust essential-matrix estimation (normalized 8-point inside RANSAC),
 motion recovery by cheirality, Levenberg-Marquardt refinement of the
-reprojection error, and dense depth by triangulating a flow field. Serves
-as the comparison baseline for the learned model, and as an oracle when
-fed ground-truth flow and motion.
+reprojection error. Dense depth by triangulating a flow field with a known
+motion is ``geometry.depth_from_flow_motion``. Serves as the comparison
+baseline for the learned model, and as an oracle when fed ground-truth
+flow and motion.
 
 Correspondences are in normalized camera coordinates (intrinsics removed).
 """
@@ -19,9 +20,7 @@ from .geometry import (
     CameraMotion,
     FlowField,
     Intrinsics,
-    InverseDepthMap,
     angle_axis_from_rotation,
-    depth_from_flow_motion,
     rotation_from_angle_axis,
 )
 
@@ -360,12 +359,6 @@ def refine_motion(motion: CameraMotion, corr: Correspondences,
         return RefineResult(motion, initial_cost, initial_cost, iters, True)
     refined = CameraMotion(angle_axis_from_rotation(R), t)
     return RefineResult(refined, initial_cost, cost, iters, False)
-
-
-def baseline_depth(flow: FlowField, motion: CameraMotion, K: Intrinsics
-                   ) -> tuple[InverseDepthMap, np.ndarray]:
-    """Dense depth by triangulating a flow field with a known motion."""
-    return depth_from_flow_motion(flow, motion, K)
 
 
 def sample_correspondences(flow: FlowField, mask: np.ndarray, n: int,

@@ -152,6 +152,17 @@ class TestKernelReference:
             err = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
             assert err <= rtol, f"{label}: max rel diff {err:.3g}"
 
+    def test_tiles_never_span_samples(self):
+        # 24 samples take the tiled path; each sample's GEMMs are those of a
+        # batch of one, so the forward is bitwise batch invariant
+        rng = RNG(22)
+        x = rng.normal(size=(24, 64, 12, 16)).astype(np.float32)
+        w = Tensor(rng.normal(size=(32, 64, 3, 3)).astype(np.float32))
+        batch = ad.conv2d(Tensor(x), w, padding=1).data
+        alone = [ad.conv2d(Tensor(x[n:n + 1]), w, padding=1).data
+                 for n in range(24)]
+        assert batch.tobytes() == np.concatenate(alone).tobytes()
+
 
 class TestFullyConnected:
     def test_identity(self):
@@ -320,7 +331,7 @@ class TestParameterStore:
         ps.add("a", np.arange(3.0))
         ps.add("b", np.ones((2, 2)))
         state = ps.state_dict()
-        ps["a"].data[:] = 0
+        ps["a"].data = np.zeros(3)
         ps.load_state_dict(state)
         assert np.allclose(ps["a"].data, [0, 1, 2])
 
@@ -406,6 +417,72 @@ class TestAdam:
         opt2.load_state_dict(state)
         assert opt2.t == 1
         assert np.allclose(opt2.m["p"], opt.m["p"])
+
+
+class TestLayoutMemo:
+    """Kernel layouts memoized on a parameter follow each of its updates."""
+
+    @staticmethod
+    def store():
+        rng = RNG(30)
+        ps = ParameterStore()
+        ps.add("up", rng.normal(size=(4, 3, 4, 4)).astype(np.float32))
+        ps.add("conv", rng.normal(size=(4, 3, 1, 7)).astype(np.float32))
+        return ps
+
+    @staticmethod
+    def upconv_and_conv_dx(up, conv):
+        # the upconv forward uses the polyphase layout, the conv input
+        # gradient the flipped transpose
+        rng = RNG(31)
+        x = Tensor(rng.normal(size=(2, 4, 3, 5)).astype(np.float32))
+        y = Tensor(rng.normal(size=(2, 3, 6, 16)).astype(np.float32),
+                   requires_grad=True)
+        out = ad.upconv2d(x, up, stride=2, padding=1)
+        c = ad.conv2d(y, conv, stride=(1, 2), padding=(0, 3))
+        backward({c: rng.normal(size=c.shape).astype(np.float32)})
+        return out.data, y.grad
+
+    def assert_matches_fresh_copies(self, ps):
+        got = self.upconv_and_conv_dx(ps["up"], ps["conv"])
+        ref = self.upconv_and_conv_dx(Tensor(ps["up"].data.copy()),
+                                      Tensor(ps["conv"].data.copy()))
+        for a, b in zip(got, ref):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_after_adam_step(self):
+        ps = self.store()
+        self.assert_matches_fresh_copies(ps)  # warms the memo
+        opt = Adam(ps, lr=0.1)
+        for p in ps.values():
+            p.grad = np.ones_like(p.data)
+        opt.step()
+        self.assert_matches_fresh_copies(ps)
+
+    def test_after_load_state_dict(self):
+        ps = self.store()
+        self.assert_matches_fresh_copies(ps)
+        ps.load_state_dict({name: -p.data for name, p in ps.items()})
+        self.assert_matches_fresh_copies(ps)
+
+    def test_laid_out_once_per_array(self):
+        up = self.store()["up"]
+        first = ad._layout(up, ad._phase_kernels)
+        assert ad._layout(up, ad._phase_kernels) is first
+        loose = Tensor(up.data.copy())  # writeable: laid out on every call
+        assert (ad._layout(loose, ad._phase_kernels)
+                is not ad._layout(loose, ad._phase_kernels))
+
+    def test_in_place_write_raises(self):
+        ps = self.store()
+        with pytest.raises(ValueError):
+            ps["up"].data[0] = 0
+        Adam(ps).step()
+        with pytest.raises(ValueError):
+            ps["up"].data[0] = 0
+        ps.load_state_dict(ps.state_dict())
+        with pytest.raises(ValueError):
+            ps["conv"].data += 1
 
 
 class TestDeterminism:

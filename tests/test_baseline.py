@@ -5,7 +5,6 @@ from tvk.baseline import (
     AmbiguousDecompositionError,
     Correspondences,
     EstimationError,
-    baseline_depth,
     decompose_essential,
     eight_point,
     estimate_motion_from_flow,
@@ -20,6 +19,7 @@ from tvk.geometry import (
     FlowField,
     Intrinsics,
     InverseDepthMap,
+    depth_from_flow_motion,
     flow_from_depth_motion,
     rotation_from_angle_axis,
 )
@@ -333,7 +333,7 @@ class TestBaselineDepth:
     def test_gt_flow_gt_motion_l1_inv(self):
         rng = np.random.default_rng(15)
         xi, m, flow, valid = gt_scene(rng)
-        depth, dvalid = baseline_depth(flow, m, K_BASE)
+        depth, dvalid = depth_from_flow_motion(flow, m, K_BASE)
         both = valid & dvalid & (xi > 0)
         z = 1.0 / depth.xi[both]
         z_gt = 1.0 / xi[both]
@@ -342,7 +342,7 @@ class TestBaselineDepth:
     def test_rotation_only_raises(self):
         flow = FlowField(np.zeros((K_BASE.height, K_BASE.width, 2)))
         with pytest.raises(DegenerateMotionError):
-            baseline_depth(flow, CameraMotion([0, 0.1, 0], [0, 0, 0]), K_BASE)
+            depth_from_flow_motion(flow, CameraMotion([0, 0.1, 0], [0, 0, 0]), K_BASE)
 
     def test_noise_degrades_monotonically(self):
         rng = np.random.default_rng(16)
@@ -351,7 +351,7 @@ class TestBaselineDepth:
         for sigma in (0.0, 1e-4, 1e-3):
             noisy = FlowField(flow.w + rng.normal(scale=sigma + 1e-12,
                                                   size=flow.w.shape))
-            depth, dvalid = baseline_depth(noisy, m, K_BASE)
+            depth, dvalid = depth_from_flow_motion(noisy, m, K_BASE)
             both = valid & dvalid & (xi > 0)
             errs.append(l1_inv(1.0 / depth.xi[both], 1.0 / xi[both]))
         assert errs[0] < errs[1] < errs[2]

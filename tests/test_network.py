@@ -1,9 +1,19 @@
 import numpy as np
 
 from tvk.autodiff import backward
+from tvk.geometry import Intrinsics
 from tvk.network import NetConfig, TwoViewNet
 
 TINY = NetConfig(width=16, height=16, channels=(2, 4), dtype="float64")
+K_TINY = Intrinsics(fx=0.89, fy=1.19, cx=0.5, cy=0.5, width=16, height=16)
+
+
+def predict_tiny(model):
+    rng = np.random.default_rng(5)
+    f = TINY.refine_factor
+    img1, img2 = rng.uniform(size=(2, 16, 16, 3))
+    full = rng.uniform(size=(16 * f, 16 * f, 3))
+    return model.predict([img1], [img2], K_TINY, img1_full=[full])[0]
 
 
 class TestMotionHead:
@@ -27,3 +37,19 @@ class TestMotionHead:
                 assert np.isclose(grad[6], out["s"].data.sum(), rtol=1e-12)
         assert np.allclose(np.linalg.norm(out["t"].data, axis=1), 1.0)
         assert np.all(out["s"].data > 0)
+
+
+class TestLayoutMemo:
+    def test_warm_predict_equals_freshly_loaded(self):
+        model = TwoViewNet(TINY, seed=1)
+        predict_tiny(model)
+        warm = predict_tiny(model)  # every kernel layout from the memo
+        loaded = TwoViewNet(TINY, seed=2)
+        predict_tiny(loaded)  # memo filled from the seed-2 weights
+        loaded.load_state_dict(model.state_dict())
+        fresh = predict_tiny(loaded)
+        for field in ("flow", "flow_confidence", "xi", "normals", "r", "t",
+                      "s", "refined_xi"):
+            a = np.asarray(getattr(warm, field))
+            b = np.asarray(getattr(fresh, field))
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field

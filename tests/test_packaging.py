@@ -1,0 +1,28 @@
+import importlib
+import os
+
+import pytest
+
+tomllib = pytest.importorskip("tomllib")
+
+PYPROJECT = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "pyproject.toml")
+
+
+def declared_entry_points():
+    with open(PYPROJECT, "rb") as f:
+        project = tomllib.load(f)["project"]
+    groups = {"scripts": project.get("scripts", {}),
+              "gui-scripts": project.get("gui-scripts", {}),
+              **project.get("entry-points", {})}
+    return [(f"{group}.{name}", target) for group, entries in groups.items()
+            for name, target in entries.items()]
+
+
+def test_every_entry_point_resolves_to_a_callable():
+    for name, target in declared_entry_points():
+        module, _, attr = target.partition(":")
+        obj = importlib.import_module(module.strip())
+        for part in filter(None, attr.strip().split(".")):
+            obj = getattr(obj, part)
+        assert callable(obj), name
