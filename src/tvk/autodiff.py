@@ -2,10 +2,11 @@
 
 Just enough operator vocabulary for the networks in this package:
 convolutions (including 1D pairs and stride 2), transposed convolutions,
-fully connected layers, a few activations, channel concat/slice, resizing
-and reductions. Data layout is (N, C, H, W) for feature maps and (N, K)
-for vectors. Everything runs on plain numpy arrays; convolutions lower to
-GEMM via im2col so BLAS does the heavy lifting.
+fully connected layers, a few activations, channel concat/slice, global
+average pooling and row normalization. Data layout is (N, C, H, W) for
+feature maps and (N, K) for vectors. Everything runs on plain numpy
+arrays; convolutions lower to GEMM via im2col so BLAS does the heavy
+lifting.
 
 Lowering. Padding writes the input once into a pre-zeroed buffer; the
 input gradient of a strided conv writes the output gradient, zero-stuffed
@@ -36,11 +37,9 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "Tensor", "ParameterStore", "Adam", "backward", "constant",
-    "conv2d", "upconv2d", "fully_connected", "activation",
-    "concat_channels", "slice_channels", "nearest_up", "bilinear_resize",
-    "global_avg_pool", "reshape", "l2_normalize_rows", "add", "sub",
-    "mul", "affine", "sum_all", "fanin_uniform", "gradcheck_vjp",
+    "Tensor", "ParameterStore", "Adam", "backward", "conv2d", "upconv2d",
+    "fully_connected", "activation", "concat_channels", "slice_channels",
+    "global_avg_pool", "l2_normalize_rows", "fanin_uniform", "gradcheck_vjp",
 ]
 
 
@@ -100,10 +99,6 @@ class Tensor:
     def __repr__(self):
         tag = f" name={self.name}" if self.name else ""
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{tag})"
-
-
-def constant(data) -> Tensor:
-    return Tensor(data)
 
 
 def _op(data, parents, vjp) -> Tensor:
@@ -445,45 +440,6 @@ def slice_channels(x: Tensor, start: int, stop: int) -> Tensor:
     return _op(out, (x,), vjp)
 
 
-def nearest_up(x: Tensor, factor: int) -> Tensor:
-    """Nearest-neighbor upsampling by an integer factor."""
-    f = int(factor)
-    out = np.repeat(np.repeat(x.data, f, axis=2), f, axis=3)
-
-    def vjp(g):
-        N, C, H, W = x.data.shape
-        return (g.reshape(N, C, H, f, W, f).sum(axis=(3, 5)),)
-
-    return _op(out, (x,), vjp)
-
-
-def _linear_resize_matrix(n_out: int, n_in: int, dtype) -> np.ndarray:
-    """Row-stochastic interpolation matrix, pixel-center aligned."""
-    L = np.zeros((n_out, n_in), dtype=dtype)
-    src = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
-    src = np.clip(src, 0, n_in - 1)
-    i0 = np.floor(src).astype(int)
-    i1 = np.minimum(i0 + 1, n_in - 1)
-    a = src - i0
-    for r in range(n_out):
-        L[r, i0[r]] += 1 - a[r]
-        L[r, i1[r]] += a[r]
-    return L
-
-
-def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
-    """Separable bilinear resize of (N,C,H,W); up or down."""
-    N, C, H, W = x.data.shape
-    Lh = _linear_resize_matrix(out_h, H, x.data.dtype)
-    Lw = _linear_resize_matrix(out_w, W, x.data.dtype)
-    out = np.matmul(np.matmul(Lh, x.data), Lw.T)
-
-    def vjp(g):
-        return (np.matmul(np.matmul(Lh.T, g), Lw),)
-
-    return _op(out, (x,), vjp)
-
-
 def global_avg_pool(x: Tensor) -> Tensor:
     """(N,C,H,W) -> (N,C) mean over space."""
     N, C, H, W = x.data.shape
@@ -493,45 +449,6 @@ def global_avg_pool(x: Tensor) -> Tensor:
         scale = np.asarray(1.0 / (H * W), dtype=x.dtype)
         return (np.broadcast_to((g * scale)[:, :, None, None],
                                 x.data.shape).copy(),)
-
-    return _op(out, (x,), vjp)
-
-
-def reshape(x: Tensor, shape) -> Tensor:
-    out = x.data.reshape(shape)
-
-    def vjp(g):
-        return (g.reshape(x.data.shape),)
-
-    return _op(out, (x,), vjp)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ValueError("add requires matching shapes")
-    return _op(a.data + b.data, (a, b), lambda g: (g, g))
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ValueError("sub requires matching shapes")
-    return _op(a.data - b.data, (a, b), lambda g: (g, -g))
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ValueError("mul requires matching shapes")
-    return _op(a.data * b.data, (a, b),
-               lambda g: (g * b.data, g * a.data))
-
-
-def affine(x: Tensor, scale: float, shift: float) -> Tensor:
-    """y = scale * x + shift with constant coefficients."""
-    s = np.asarray(scale, dtype=x.dtype)
-    out = s * x.data + np.asarray(shift, dtype=x.dtype)
-
-    def vjp(g):
-        return (g * s,)
 
     return _op(out, (x,), vjp)
 
@@ -547,15 +464,6 @@ def l2_normalize_rows(x: Tensor, eps: float = 1e-12) -> Tensor:
         return ((g - y * dot) / n,)
 
     return _op(y, (x,), vjp)
-
-
-def sum_all(x: Tensor) -> Tensor:
-    out = np.asarray(x.data.sum()).reshape(())
-
-    def vjp(g):
-        return (np.broadcast_to(np.asarray(g, x.dtype), x.data.shape).copy(),)
-
-    return _op(out, (x,), vjp)
 
 
 # --- parameters and the optimizer -----------------------------------------

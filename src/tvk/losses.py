@@ -4,6 +4,11 @@ All losses are sums over valid pixels (not means); the trainer divides by
 batch size. Subgradients of |.| and of the L2 norm at their kinks are
 defined as 0, which keeps every gradient bounded. Reductions use plain
 numpy sums so the summation order is fixed and training is reproducible.
+
+``total_loss`` is the one entry point of training: a weighted sum of the
+enabled terms and their gradients per prediction. The scale-invariant
+gradient loss is built on ``scale_invariant_gradient``; its backward
+reuses those normalized differences rather than computing them again.
 """
 
 from __future__ import annotations
@@ -202,24 +207,12 @@ def grad_loss(f, f_gt, spacings=DEFAULT_SPACINGS, mask=None) -> LossValue:
     total = 0.0
     df = np.zeros_like(f)
     for h in usable:
-        rho = np.zeros(f.shape + (2,))
-        pair_ok = []
+        g = scale_invariant_gradient(f, h)
+        pair = np.zeros(g.shape, dtype=bool)  # both ends of the pair valid
         for axis, comp in ((1, 0), (0, 1)):
-            if h >= f.shape[-2 + axis]:
-                pair_ok.append(None)
-                continue
             head, tail = _shift_slices(axis, h)
-            both = m[head] & m[tail]
-            pair_ok.append(both)
-            denom = np.abs(f[head]) + np.abs(f[tail])
-            okp = both & (denom >= EPS_DENOM)
-            gp = np.where(okp, (f[tail] - f[head])
-                          / np.where(okp, denom, 1.0), 0.0)
-            denom_gt = np.abs(f_gt[head]) + np.abs(f_gt[tail])
-            okg = both & (denom_gt >= EPS_DENOM)
-            gg = np.where(okg, (f_gt[tail] - f_gt[head])
-                          / np.where(okg, denom_gt, 1.0), 0.0)
-            rho[head + (comp,)] = gp - gg
+            pair[head + (comp,)] = m[head] & m[tail]
+        rho = np.where(pair, g - scale_invariant_gradient(f_gt, h), 0.0)
         n = np.linalg.norm(rho, axis=-1)
         total += float(np.sum(n))
         u = rho / np.where(n > 0, n, 1.0)[..., None]
@@ -231,12 +224,11 @@ def grad_loss(f, f_gt, spacings=DEFAULT_SPACINGS, mask=None) -> LossValue:
             head, tail = _shift_slices(axis, h)
             a = f[head]
             b = f[tail]
-            up = u[head + (comp,)]
-            active = pair_ok[comp if axis == 1 else 1]
             denom = np.abs(a) + np.abs(b)
-            ok = active & (denom >= EPS_DENOM)
+            ok = pair[head + (comp,)] & (denom >= EPS_DENOM)
             d = np.where(ok, denom, 1.0)
-            gval = np.where(ok, (b - a) / d, 0.0)
+            gval = g[head + (comp,)]
+            up = u[head + (comp,)]
             dgdb = np.where(ok, (1.0 - gval * np.sign(b)) / d, 0.0)
             dgda = np.where(ok, (-1.0 - gval * np.sign(a)) / d, 0.0)
             df[tail] += up * dgdb

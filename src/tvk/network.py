@@ -6,9 +6,10 @@ weight-shared iterative stage that refines those estimates (fed with
 geometric conversions of the previous prediction), and a refinement stage
 that upsamples the low-resolution depth to full resolution.
 
-Each stage is an encoder-decoder over 1D convolution pairs (a wide-kernel
-first level, stride 2 per level) with skip connections and stride-2
-transposed convolutions in the decoder. The depth/motion encoder-decoders
+Every stage, refinement included, is an ``EncoderDecoder`` over 1D
+convolution pairs (stride 2 per level; the low-resolution stages widen
+the first level's kernel) with skip connections and stride-2 transposed
+convolutions in the decoder. The depth/motion encoder-decoders
 carry an extra head (global average pool + 3 fully connected layers) that
 outputs the angle-axis rotation, a unit-norm translation and a positive
 depth scale factor.
@@ -112,12 +113,15 @@ class EncoderDecoder:
     """Encoder-decoder over 1D convolution pairs with skip connections."""
 
     def __init__(self, params: ParameterStore, prefix: str, in_channels: int,
-                 out_channels: int, cfg: NetConfig,
-                 rng: np.random.Generator, motion_head: bool):
+                 out_channels: int, channels: tuple[int, ...],
+                 first_kernel: int, cfg: NetConfig,
+                 rng: np.random.Generator, motion_head: bool = False):
         self.prefix = prefix
         self.cfg = cfg
         self.in_channels = in_channels
         self.out_channels = out_channels
+        self.channels = channels
+        self.first_kernel = first_kernel
         self.motion_head = motion_head
         self.p: dict[str, Tensor] = {}
         dt = cfg.np_dtype
@@ -138,10 +142,10 @@ class EncoderDecoder:
             self.p[name + ".b"] = params.add(
                 f"{prefix}.{name}.b", np.zeros(c_out, dtype=dt))
 
-        chans = cfg.channels
+        chans = channels
         c_prev = in_channels
         for i, c in enumerate(chans):
-            k = cfg.first_kernel if i == 0 else cfg.kernel
+            k = first_kernel if i == 0 else cfg.kernel
             conv_param(f"enc{i}.x", c, c_prev, 1, k)
             conv_param(f"enc{i}.y", c, c, k, 1)
             c_prev = c
@@ -173,8 +177,8 @@ class EncoderDecoder:
         act = lambda t: ad.activation(t, "leaky_relu")  # noqa: E731
         skips = []
         h = x
-        for i in range(len(cfg.channels)):
-            k = cfg.first_kernel if i == 0 else cfg.kernel
+        for i in range(len(self.channels)):
+            k = self.first_kernel if i == 0 else cfg.kernel
             h = act(ad.conv2d(h, self.p[f"enc{i}.x.w"], self.p[f"enc{i}.x.b"],
                               stride=(1, 2), padding=(0, k // 2)))
             h = act(ad.conv2d(h, self.p[f"enc{i}.y.w"], self.p[f"enc{i}.y.b"],
@@ -182,7 +186,7 @@ class EncoderDecoder:
             skips.append(h)
 
         bottleneck = h
-        for i in range(len(cfg.channels) - 1, 0, -1):
+        for i in range(len(self.channels) - 1, 0, -1):
             h = act(ad.upconv2d(h, self.p[f"up{i}.w"], self.p[f"up{i}.b"],
                                 stride=2, padding=1))
             h = ad.concat_channels([h, skips[i - 1]])
@@ -206,75 +210,6 @@ class EncoderDecoder:
             s = ad.activation(ad.slice_channels(g, 6, 7), "exp")
             motion = (r, t, s)
         return out, motion
-
-
-class RefinementNet:
-    """Small encoder-decoder upscaling depth to full resolution."""
-
-    def __init__(self, params: ParameterStore, prefix: str, cfg: NetConfig,
-                 rng: np.random.Generator):
-        self.prefix = prefix
-        self.cfg = cfg
-        self.in_channels = 7  # full-res image + upsampled depth and normals
-        self.p: dict[str, Tensor] = {}
-        dt = cfg.np_dtype
-        k = cfg.kernel
-
-        def conv_param(name, o, c, kh, kw):
-            self.p[name + ".w"] = params.add(
-                f"{prefix}.{name}.w",
-                ad.fanin_uniform(rng, (o, c, kh, kw), c * kh * kw, dt))
-            self.p[name + ".b"] = params.add(
-                f"{prefix}.{name}.b", np.zeros(o, dtype=dt))
-
-        def upconv_param(name, c_in, c_out, kk):
-            self.p[name + ".w"] = params.add(
-                f"{prefix}.{name}.w",
-                ad.fanin_uniform(rng, (c_in, c_out, kk, kk), c_in * kk * kk,
-                                 dt))
-            self.p[name + ".b"] = params.add(
-                f"{prefix}.{name}.b", np.zeros(c_out, dtype=dt))
-
-        chans = cfg.refine_channels
-        c_prev = self.in_channels
-        for i, c in enumerate(chans):
-            conv_param(f"enc{i}.x", c, c_prev, 1, k)
-            conv_param(f"enc{i}.y", c, c, k, 1)
-            c_prev = c
-        for i in range(len(chans) - 1, 0, -1):
-            upconv_param(f"up{i}", chans[i], chans[i - 1], 4)
-            conv_param(f"merge{i}", chans[i - 1], 2 * chans[i - 1], 3, 3)
-        upconv_param("up0", chans[0], chans[0], 4)
-        conv_param("head0", chans[0], chans[0], 3, 3)
-        conv_param("head1", 1, chans[0], 3, 3)
-
-    def parameter_names(self) -> list[str]:
-        return [f"{self.prefix}.{k}" for k in self.p]
-
-    def forward(self, x: Tensor) -> Tensor:
-        cfg = self.cfg
-        act = lambda t: ad.activation(t, "leaky_relu")  # noqa: E731
-        k = cfg.kernel
-        skips = []
-        h = x
-        for i in range(len(cfg.refine_channels)):
-            h = act(ad.conv2d(h, self.p[f"enc{i}.x.w"], self.p[f"enc{i}.x.b"],
-                              stride=(1, 2), padding=(0, k // 2)))
-            h = act(ad.conv2d(h, self.p[f"enc{i}.y.w"], self.p[f"enc{i}.y.b"],
-                              stride=(2, 1), padding=(k // 2, 0)))
-            skips.append(h)
-        for i in range(len(cfg.refine_channels) - 1, 0, -1):
-            h = act(ad.upconv2d(h, self.p[f"up{i}.w"], self.p[f"up{i}.b"],
-                                stride=2, padding=1))
-            h = ad.concat_channels([h, skips[i - 1]])
-            h = act(ad.conv2d(h, self.p[f"merge{i}.w"], self.p[f"merge{i}.b"],
-                              stride=1, padding=1))
-        h = act(ad.upconv2d(h, self.p["up0.w"], self.p["up0.b"],
-                            stride=2, padding=1))
-        h = act(ad.conv2d(h, self.p["head0.w"], self.p["head0.b"],
-                          stride=1, padding=1))
-        return ad.conv2d(h, self.p["head1.w"], self.p["head1.b"],
-                         stride=1, padding=1)
 
 
 # --- batched numpy helpers (constant inputs, no gradients) -----------------
@@ -317,15 +252,16 @@ class TwoViewNet:
         self.cfg = cfg
         self.params = ParameterStore()
         rng = np.random.Generator(np.random.Philox(key=seed))
-        self.boot_flow = EncoderDecoder(self.params, "boot_flow", 6, 4, cfg,
-                                        rng, motion_head=False)
-        self.boot_dm = EncoderDecoder(self.params, "boot_dm", 13, 4, cfg,
-                                      rng, motion_head=True)
-        self.iter_flow = EncoderDecoder(self.params, "iter_flow", 8, 4, cfg,
-                                        rng, motion_head=False)
-        self.iter_dm = EncoderDecoder(self.params, "iter_dm", 14, 4, cfg,
-                                      rng, motion_head=True)
-        self.refine = RefinementNet(self.params, "refine", cfg, rng)
+        low = (cfg.channels, cfg.first_kernel, cfg, rng)
+        self.boot_flow = EncoderDecoder(self.params, "boot_flow", 6, 4, *low)
+        self.boot_dm = EncoderDecoder(self.params, "boot_dm", 13, 4, *low,
+                                      motion_head=True)
+        self.iter_flow = EncoderDecoder(self.params, "iter_flow", 8, 4, *low)
+        self.iter_dm = EncoderDecoder(self.params, "iter_dm", 14, 4, *low,
+                                      motion_head=True)
+        # full-res image + upsampled depth and normals -> refined depth
+        self.refine = EncoderDecoder(self.params, "refine", 7, 1,
+                                     cfg.refine_channels, cfg.kernel, cfg, rng)
 
     # --- input assembly -----------------------------------------------
 
@@ -420,7 +356,8 @@ class TwoViewNet:
             low[n, 1:4] = p.normals.transpose(2, 0, 1).astype(dt)
         up = np.repeat(np.repeat(low, f, axis=2), f, axis=3)
         x = Tensor(np.concatenate([i1, up], axis=1))
-        return self.refine.forward(x)
+        out, _ = self.refine.forward(x)
+        return out
 
     @staticmethod
     def tensors_to_predictions(t: dict) -> list[Prediction]:

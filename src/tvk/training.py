@@ -11,9 +11,14 @@ pool; stored predictions enter as constants, so no gradient crosses
 iteration boundaries. Phase 3 trains the refinement stage with all other
 weights fixed.
 
-Losses bridge into the graph as seed gradients: the loss module computes
-values and analytic gradients from the detached outputs, and those
-gradients are injected into the corresponding output tensors.
+Losses bridge into the graph as seed gradients. Every phase evaluates
+its loss through ``_batch_loss``: ``losses.total_loss`` runs per sample on
+the detached outputs, under the phase's weights (flow terms only,
+depth-motion terms only, all terms in phase 2, depth and its gradient
+term on the refined depth in phase 3), and the batch-mean analytic
+gradients are injected into the output tensors that received one. The
+loss stays a per-sample loop: one batched pass over phase 3's
+full-resolution depth raised peak memory and took longer.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import numpy as np
 from . import container
 from .autodiff import Adam, backward
 from .geometry import Intrinsics
-from .losses import LossWeights, confidence_target, total_loss
+from .losses import LossWeights, total_loss
 from .metrics import (
     endpoint_error,
     l1_inv,
@@ -86,95 +91,63 @@ def intrinsics_from_meta(meta: dict) -> Intrinsics:
                       cfg.get("width", 64), cfg.get("height", 48))
 
 
-def _flow_hwc(t):
-    return t.transpose(1, 2, 0).astype(np.float64)
+# network output -> the name of its prediction in ``total_loss``
+_LOSS_NAMES = {"flow": "flow", "conf": "flow_confidence", "xi": "xi",
+               "normals": "normals", "r": "r", "t": "t", "s": "s"}
+_MAPS = ("flow", "conf", "normals")  # (N, C, H, W); (H, W, C) in the loss
 
 
-def _sample_losses(weights: LossWeights, tensors: dict, batch,
-                   spacings=(1, 2, 4, 8, 16)) -> tuple[float, dict]:
-    """Per-sample loss evaluation; returns (mean value, seed gradients)."""
-    flow = tensors["flow"].data
-    conf = tensors["conf"].data
-    xi = tensors["xi"].data
-    normals = tensors["normals"].data
-    r = tensors["r"].data
-    t = tensors["t"].data
-    s = tensors["s"].data
-    n = flow.shape[0]
-    dt = flow.dtype
+def _at(key: str, k: int):
+    """Index of sample k in output ``key``; xi and s keep a channel axis."""
+    return (k, 0) if key in ("xi", "s") else k
 
-    seeds = {
-        "flow": np.zeros_like(flow),
-        "conf": np.zeros_like(conf),
-        "xi": np.zeros_like(xi),
-        "normals": np.zeros_like(normals),
-        "r": np.zeros_like(r),
-        "t": np.zeros_like(t),
-        "s": np.zeros_like(s),
-    }
-    total_value = 0.0
-    for k, sample in enumerate(batch):
-        pred = {
-            "xi": xi[k, 0].astype(np.float64),
-            "s": float(s[k, 0]),
-            "normals": _flow_hwc(normals[k]),
-            "flow": _flow_hwc(flow[k]),
-            "flow_confidence": _flow_hwc(conf[k]),
-            "r": r[k].astype(np.float64),
-            "t": t[k].astype(np.float64),
-        }
-        gt = {
-            "xi": sample.xi,
-            "normals": sample.normals,
-            "flow": sample.flow,
-            "r": sample.r,
-            "t": sample.t,
-            "valid_depth": sample.valid_depth,
-            "valid_flow": sample.valid_flow,
-            "flow_confidence_target": confidence_target(pred["flow"],
-                                                        sample.flow),
-        }
+
+def _ground_truth(sample: SamplePair) -> dict:
+    return {"xi": sample.xi, "normals": sample.normals, "flow": sample.flow,
+            "r": sample.r, "t": sample.t, "valid_depth": sample.valid_depth,
+            "valid_flow": sample.valid_flow}
+
+
+def _batch_loss(weights: LossWeights, tensors: dict, gts: list[dict],
+                spacings) -> tuple[float, dict]:
+    """Mean per-sample ``total_loss`` of a batch and its seed gradients.
+
+    ``tensors`` holds batched graph outputs under the keys of
+    ``_LOSS_NAMES``; a missing ``s`` counts as 1. ``gts`` holds one
+    ground-truth dict per sample. Seeds are returned, in ``_LOSS_NAMES``
+    order, only for the outputs that received a gradient, so a flow-only
+    loss never backpropagates through the depth-motion net.
+    """
+    data = {k: tensors[k].data for k in _LOSS_NAMES if k in tensors}
+    acc: dict[str, np.ndarray] = {}
+    value = 0.0
+    for k, gt in enumerate(gts):
+        pred = {"s": 1.0}
+        for key, a in data.items():
+            a = a[_at(key, k)]
+            if key in _MAPS:
+                a = a.transpose(1, 2, 0)
+            a = a.astype(np.float64)
+            pred[_LOSS_NAMES[key]] = float(a) if key == "s" else a
         out = total_loss(pred, gt, weights, spacings=spacings)
-        total_value += out.value
-        g = out.grads
-        if "flow" in g:
-            seeds["flow"][k] += g["flow"].transpose(2, 0, 1).astype(dt)
-        if "flow_confidence" in g:
-            seeds["conf"][k] += g["flow_confidence"].transpose(2, 0, 1).astype(dt)
-        if "xi" in g:
-            seeds["xi"][k, 0] += g["xi"].astype(dt)
-        if "normals" in g:
-            seeds["normals"][k] += g["normals"].transpose(2, 0, 1).astype(dt)
-        if "r" in g:
-            seeds["r"][k] += g["r"].astype(dt)
-        if "t" in g:
-            seeds["t"][k] += g["t"].astype(dt)
-        if "s" in g:
-            seeds["s"][k, 0] += np.asarray(g["s"], dtype=dt)
-    scale = 1.0 / n  # losses are pixel sums; average over the batch only
-    for key in seeds:
-        seeds[key] *= scale
-    return total_value * scale, seeds
+        value += out.value
+        for key, a in data.items():
+            if _LOSS_NAMES[key] not in out.grads:
+                continue
+            g = np.asarray(out.grads[_LOSS_NAMES[key]])
+            if key in _MAPS:
+                g = g.transpose(2, 0, 1)
+            if key not in acc:
+                acc[key] = np.zeros_like(a)
+            acc[key][_at(key, k)] += g.astype(a.dtype)
+    scale = 1.0 / len(gts)  # losses are pixel sums; average over the batch
+    return value * scale, {k: acc[k] * scale for k in data if k in acc}
 
 
-def _flow_only(weights: LossWeights) -> LossWeights:
-    return replace(weights, depth=0.0, normal=0.0, rotation=0.0,
-                   translation=0.0, grad_depth=0.0)
-
-
-def _dm_only(weights: LossWeights) -> LossWeights:
-    return replace(weights, flow=0.0, flow_confidence=0.0, grad_flow=0.0)
-
-
-def _backward_flow(tensors: dict, seeds: dict) -> None:
-    backward({tensors["flow"]: seeds["flow"], tensors["conf"]: seeds["conf"]})
-
-
-def _backward_dm(tensors: dict, seeds: dict) -> None:
-    backward({tensors["xi"]: seeds["xi"],
-              tensors["normals"]: seeds["normals"],
-              tensors["r"]: seeds["r"], tensors["t"]: seeds["t"],
-              tensors["s"]: seeds["s"]})
+def _only(weights: LossWeights, *terms: str) -> LossWeights:
+    """``weights`` with every term but ``terms`` switched off."""
+    return replace(weights, **{k: 0.0 for k in weights.__dataclass_fields__
+                               if k not in terms})
 
 
 class Trainer:
@@ -219,11 +192,12 @@ class Trainer:
     def _weights_for(self, phase: str, step: int) -> LossWeights:
         w = self.config.weights()
         if phase.endswith("flow"):
-            w = _flow_only(w)
+            w = _only(w, "flow", "flow_confidence", "grad_flow")
             if step < self.config.grad_loss_start:
                 w = replace(w, grad_flow=0.0)
         elif phase.endswith("dm"):
-            w = _dm_only(w)
+            w = _only(w, "depth", "normal", "rotation", "translation",
+                      "grad_depth")
         return w
 
     # --- phases ------------------------------------------------------------
@@ -236,19 +210,15 @@ class Trainer:
         params = self.model.component_parameters(component)
         opt = Adam(params, lr=self.config.lr,
                    weight_decay=self.config.weight_decay)
-        flow_stage = component.endswith("flow")
         for step, (batch, _) in enumerate(
                 self._batches(self._PHASE_SEEDS[phase], steps)):
             opt.lr = self._lr_at(step, steps)
-            weights = self._weights_for(phase, step)
             tensors = forward(batch)
-            value, seeds = _sample_losses(weights, tensors, batch,
-                                          self.spacings)
+            value, seeds = _batch_loss(
+                self._weights_for(phase, step), tensors,
+                [_ground_truth(s) for s in batch], self.spacings)
             opt.zero_grad()
-            if flow_stage:
-                _backward_flow(tensors, seeds)
-            else:
-                _backward_dm(tensors, seeds)
+            backward({tensors[k]: g for k, g in seeds.items()})
             opt.step()
             if step % self.config.log_every == 0:
                 self._log(phase, step, value)
@@ -303,20 +273,11 @@ class Trainer:
             tensors = model.iterative_tensors([s.img1 for s in samples],
                                               [s.img2 for s in samples],
                                               prev, self.K)
-            w_flow = self._weights_for("p2_flow", step + cfg.grad_loss_start)
-            w_dm = self._weights_for("p2_dm", step)
-            v1, seeds_flow = _sample_losses(w_flow, tensors, samples,
-                                            self.spacings)
-            v2, seeds_dm = _sample_losses(w_dm, tensors, samples,
-                                          self.spacings)
+            value, seeds = _batch_loss(cfg.weights(), tensors,
+                                       [_ground_truth(s) for s in samples],
+                                       self.spacings)
             opt.zero_grad()
-            backward({tensors["flow"]: seeds_flow["flow"],
-                      tensors["conf"]: seeds_flow["conf"],
-                      tensors["xi"]: seeds_dm["xi"],
-                      tensors["normals"]: seeds_dm["normals"],
-                      tensors["r"]: seeds_dm["r"],
-                      tensors["t"]: seeds_dm["t"],
-                      tensors["s"]: seeds_dm["s"]})
+            backward({tensors[k]: g for k, g in seeds.items()})
             opt.step()
 
             new_preds = model.tensors_to_predictions(tensors)
@@ -324,7 +285,7 @@ class Trainer:
                 if age + 1 <= cfg.replay_passes:
                     pool.append((i, s, np_, age + 1))
             if step % cfg.log_every == 0:
-                self._log("p2_iterative", step, v1 + v2)
+                self._log("p2_iterative", step, value)
         self.save_checkpoint("phase2.tvk")
 
     def phase3(self):
@@ -338,34 +299,21 @@ class Trainer:
                 "(img1_full, xi_full) in the dataset")
         params = model.component_parameters("refine")
         opt = Adam(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
-        weights = self.config.weights()
+        weights = _only(cfg.weights(), "depth", "grad_depth")
         for step, (batch, _) in enumerate(self._batches(3, cfg.phase3_steps)):
             opt.lr = self._lr_at(step, cfg.phase3_steps)
             preds = model.predict([s.img1 for s in batch],
                                   [s.img2 for s in batch], self.K)
-            out = model.refine_tensors([s.img1_full for s in batch], preds)
-            xi_ref = out.data
-            seed = np.zeros_like(xi_ref)
-            value = 0.0
-            from .losses import depth_loss, grad_loss
-            for k, sample in enumerate(batch):
-                dl = depth_loss(xi_ref[k, 0].astype(np.float64), 1.0,
-                                sample.xi_full)
-                g = dl.grads["xi"]
-                v = dl.value
-                if weights.grad_depth > 0:
-                    gl = grad_loss(xi_ref[k, 0].astype(np.float64),
-                                   sample.xi_full, self.spacings)
-                    g = g + weights.grad_depth * gl.grads["f"]
-                    v += weights.grad_depth * gl.value
-                seed[k, 0] = g.astype(xi_ref.dtype)
-                value += v
-            seed /= len(batch)
+            tensors = {"xi": model.refine_tensors([s.img1_full for s in batch],
+                                                  preds)}
+            value, seeds = _batch_loss(weights, tensors,
+                                       [{"xi": s.xi_full} for s in batch],
+                                       self.spacings)
             opt.zero_grad()
-            backward({out: seed})
+            backward({tensors[k]: g for k, g in seeds.items()})
             opt.step()
             if step % cfg.log_every == 0:
-                self._log("p3_refine", step, value / len(batch))
+                self._log("p3_refine", step, value)
         self.save_checkpoint("final.tvk")
 
     def train(self):

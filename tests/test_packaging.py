@@ -1,7 +1,10 @@
 import importlib
+import inspect
 import os
 
 import pytest
+
+from tvk import autodiff
 
 tomllib = pytest.importorskip("tomllib")
 
@@ -26,3 +29,13 @@ def test_every_entry_point_resolves_to_a_callable():
         for part in filter(None, attr.strip().split(".")):
             obj = getattr(obj, part)
         assert callable(obj), name
+
+
+def test_autodiff_all_resolves_and_lists_every_public_function():
+    for name in autodiff.__all__:
+        assert hasattr(autodiff, name), name
+    public = {name for name, obj in vars(autodiff).items()
+              if inspect.isfunction(obj) and not name.startswith("_")
+              and obj.__module__ == autodiff.__name__}
+    unlisted = sorted(public - set(autodiff.__all__))
+    assert not unlisted, unlisted

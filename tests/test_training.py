@@ -1,12 +1,16 @@
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
+from tvk.autodiff import Tensor
 from tvk.container import save_arrays
 from tvk.geometry import Intrinsics
+from tvk.losses import LossWeights, total_loss
 from tvk.network import NetConfig, TwoViewNet
-from tvk.training import load_checkpoint, save_checkpoint
+from tvk.synthdata import SynthConfig, generate_dataset, load_dataset
+from tvk.training import (TrainConfig, Trainer, _batch_loss, load_checkpoint,
+                          save_checkpoint)
 
 TINY = NetConfig(width=16, height=16, channels=(2, 4))
 K_TINY = Intrinsics(fx=0.89, fy=1.19, cx=0.5, cy=0.5, width=16, height=16)
@@ -44,3 +48,139 @@ class TestCheckpoint:
         save_arrays(path, model.state_dict(), meta=meta)
         with pytest.raises(ValueError, match="depth_levels"):
             load_checkpoint(path)
+
+
+# --- the loss of every phase goes through one helper -----------------------
+
+ALL = LossWeights()
+FLOW_TERMS = dict(depth=0.0, normal=0.0, rotation=0.0, translation=0.0,
+                  grad_depth=0.0)
+PHASE_WEIGHTS = {
+    "p1_flow_warmup": (replace(ALL, grad_flow=0.0, **FLOW_TERMS),
+                       {"flow", "conf"}),
+    "p1_flow": (replace(ALL, **FLOW_TERMS), {"flow", "conf"}),
+    "p1_dm": (replace(ALL, flow=0.0, flow_confidence=0.0, grad_flow=0.0),
+              {"xi", "normals", "r", "t", "s"}),
+    "p2": (ALL, {"flow", "conf", "xi", "normals", "r", "t", "s"}),
+}
+SPACINGS = (1, 2, 4, 8)
+
+
+def unit_rows(rng, n):
+    v = rng.normal(size=(n, 3))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def batch_case(rng, n=3, H=16, W=16):
+    """Batched float64 network outputs and one masked ground truth each."""
+    out = {"flow": rng.normal(size=(n, 2, H, W)) * 0.1,
+           "conf": rng.uniform(0, 1, (n, 2, H, W)),
+           "xi": rng.uniform(0.2, 1.0, (n, 1, H, W)),
+           "normals": rng.normal(size=(n, 3, H, W)),
+           "r": rng.normal(size=(n, 3)) * 0.2,
+           "t": unit_rows(rng, n),
+           "s": rng.uniform(0.5, 2.0, (n, 1))}
+    t_gt = unit_rows(rng, n)
+    gts = [{"xi": rng.uniform(0.2, 1.0, (H, W)),
+            "normals": rng.normal(size=(H, W, 3)),
+            "flow": rng.normal(size=(H, W, 2)) * 0.1,
+            "r": rng.normal(size=3) * 0.2, "t": t_gt[k],
+            "valid_depth": rng.uniform(size=(H, W)) > 0.2,
+            "valid_flow": rng.uniform(size=(H, W)) > 0.2} for k in range(n)]
+    return out, gts
+
+
+def oracle(weights, out, gts, spacings):
+    """Mean of per-sample total_loss; each gradient put back in its slot."""
+    n = len(gts)
+    value, seeds = 0.0, {}
+    for k, gt in enumerate(gts):
+        pred = {name: np.moveaxis(out[key][k], 0, -1)
+                for key, name in (("flow", "flow"), ("normals", "normals"),
+                                  ("conf", "flow_confidence")) if key in out}
+        pred.update({key: out[key][k] for key in ("r", "t") if key in out})
+        pred["xi"] = out["xi"][k, 0]
+        pred["s"] = float(out["s"][k, 0]) if "s" in out else 1.0
+        res = total_loss(pred, gt, weights, spacings)
+        value += res.value / n
+        for name, g in res.grads.items():
+            key = "conf" if name == "flow_confidence" else name
+            if key not in out:
+                continue
+            g = np.asarray(g)
+            if g.ndim == 3:
+                g = np.moveaxis(g, -1, 0)
+            slot = seeds.setdefault(key, np.zeros_like(out[key]))
+            slot[k] += g.reshape(out[key][k].shape) / n
+    return value, seeds
+
+
+def assert_close(a, b):
+    scale = max(np.abs(b).max(), 1e-300)
+    assert np.abs(np.asarray(a) - b).max() <= 1e-12 * scale
+
+
+class TestBatchLoss:
+    @pytest.mark.parametrize("phase", sorted(PHASE_WEIGHTS))
+    def test_matches_per_sample_oracle(self, phase):
+        weights, seeded = PHASE_WEIGHTS[phase]
+        out, gts = batch_case(np.random.default_rng(5))
+        tensors = {k: Tensor(v) for k, v in out.items()}
+        value, seeds = _batch_loss(weights, tensors, gts, SPACINGS)
+        want_value, want_seeds = oracle(weights, out, gts, SPACINGS)
+        assert set(seeds) == seeded == set(want_seeds)
+        assert_close(value, want_value)
+        for key in seeded:
+            assert seeds[key].shape == out[key].shape
+            assert_close(seeds[key], want_seeds[key])
+
+    def test_refinement_depth_at_full_resolution(self):
+        rng = np.random.default_rng(6)
+        f = TINY.refine_factor
+        out = {"xi": rng.uniform(0.2, 1.0, (3, 1, 16 * f, 16 * f))}
+        gts = [{"xi": rng.uniform(0.2, 1.0, (16 * f, 16 * f))}
+               for _ in range(3)]
+        weights = LossWeights(normal=0.0, flow=0.0, flow_confidence=0.0,
+                              rotation=0.0, translation=0.0, grad_flow=0.0)
+        value, seeds = _batch_loss(weights, {"xi": Tensor(out["xi"])}, gts,
+                                   SPACINGS)
+        want_value, want_seeds = oracle(weights, out, gts, SPACINGS)
+        assert set(seeds) == {"xi"}
+        assert_close(value, want_value)
+        assert_close(seeds["xi"], want_seeds["xi"])
+
+
+# --- determinism: same seed and config, same files -------------------------
+
+@pytest.fixture(scope="module")
+def tiny_samples(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("data") / "tiny.tvk")
+    generate_dataset(path, 2, 4, SynthConfig(width=16, height=16))
+    samples, _ = load_dataset(path)
+    return samples
+
+
+def test_phase_weights(tiny_samples, tmp_path):
+    trainer = Trainer(TwoViewNet(TINY, seed=1), tiny_samples, K_TINY,
+                      TrainConfig(grad_loss_start=1), str(tmp_path))
+    assert trainer._weights_for("p1a_boot_flow", 0) == \
+        PHASE_WEIGHTS["p1_flow_warmup"][0]
+    assert trainer._weights_for("p1c_iter_flow", 1) == \
+        PHASE_WEIGHTS["p1_flow"][0]
+    assert trainer._weights_for("p1d_iter_dm", 0) == PHASE_WEIGHTS["p1_dm"][0]
+
+
+def test_seeded_training_writes_identical_files(tiny_samples, tmp_path):
+    config = TrainConfig(seed=4, batch_size=2, phase1_steps=2, phase2_steps=2,
+                         phase3_steps=2, grad_loss_start=1, log_every=1)
+    files = ("phase1.tvk", "phase2.tvk", "final.tvk", "loss_curves.csv")
+    runs = []
+    for run in ("a", "b"):
+        out_dir = tmp_path / run
+        Trainer(TwoViewNet(TINY, seed=4), tiny_samples, K_TINY, config,
+                str(out_dir)).train()
+        runs.append({name: (out_dir / name).read_bytes() for name in files})
+    assert runs[0] == runs[1]
+    rows = runs[0]["loss_curves.csv"].decode().splitlines()[1:]
+    assert len(rows) == 4 * 2 + 2 + 2
+    assert all(np.isfinite(float(row.split(",")[2])) for row in rows)
