@@ -15,7 +15,11 @@ stride-2 4x4 transposed conv (the decoders' upconv) runs as four 2x2 convs,
 one per output phase, over windows of one padded input; its flipped kernel
 is laid out for all four phases with one copy. Large patch matrices are
 built and multiplied in tiles of one sample's output rows that fit in L2,
-so a sample's GEMMs do not depend on the batch it is in.
+so a sample's GEMMs do not depend on the batch it is in. For the same
+reason ``fully_connected`` runs one GEMM per row: BLAS may block a
+multi-row product differently from a single row, and the motion head's
+rounding then depended on the batch (the depth proposal amplifies it).
+With both, a batch predicts bitwise what its samples predict one by one.
 
 Kernel layouts are memoized on the weight ``Tensor``, for its current
 ``data`` only: assigning ``data`` drops them. They are used only while that
@@ -144,16 +148,20 @@ def _pair(v):
     return (v, v) if np.isscalar(v) else tuple(v)
 
 
-def _im2col(xp, kh, kw, sh, sw):
-    """Padded input (N,C,Hp,Wp) -> patch matrix (N, C*kh*kw, Ho*Wo)."""
+def _patches(xp, kh, kw, sh, sw):
+    """Padded input (N,C,Hp,Wp) -> read-only patch view (N,C,kh,kw,Ho,Wo).
+
+    Reshaping the view, or a tile of its output rows, to a matrix with
+    C*kh*kw rows copies out the im2col patch matrix; one view serves every
+    tile of a call.
+    """
     N, C, Hp, Wp = xp.shape
     Ho = (Hp - kh) // sh + 1
     Wo = (Wp - kw) // sw + 1
     s0, s1, s2, s3 = xp.strides
-    view = np.lib.stride_tricks.as_strided(
+    return np.lib.stride_tricks.as_strided(
         xp, (N, C, kh, kw, Ho, Wo),
         (s0, s1, s2, s3, s2 * sh, s3 * sw), writeable=False)
-    return view.reshape(N, C * kh * kw, Ho * Wo), Ho, Wo
 
 
 def _pad4(x, pt, pb, pl, pr):
@@ -187,20 +195,17 @@ def _conv_fwd(x, w, stride, padding):
     sh, sw = stride
     ph, pw = padding
     O, C, kh, kw = w.shape
-    xp = _pad4(x, ph, ph, pw, pw)
-    N = xp.shape[0]
-    Ho = (xp.shape[2] - kh) // sh + 1
-    Wo = (xp.shape[3] - kw) // sw + 1
+    view = _patches(_pad4(x, ph, ph, pw, pw), kh, kw, sh, sw)
+    N, Ho, Wo = view.shape[0], view.shape[4], view.shape[5]
     w2 = w.reshape(O, C * kh * kw)
     per_row = C * kh * kw * Wo
     if N * per_row * Ho <= _TILE_LIMIT:
-        cols, _, _ = _im2col(xp, kh, kw, sh, sw)
+        cols = view.reshape(N, C * kh * kw, Ho * Wo)
         return np.matmul(w2, cols).reshape(N, O, Ho, Wo)
     out = np.empty((N, O, Ho, Wo), dtype=np.result_type(x, w))
     for n, r0, r1 in _tiles(N, Ho, per_row):
-        xs = xp[n, :, r0 * sh:(r1 - 1) * sh + kh]
-        cols, hh, _ = _im2col(xs, kh, kw, sh, sw)
-        out[n, :, r0:r1] = np.matmul(w2, cols).reshape(1, O, hh, Wo)
+        cols = view[n, ..., r0:r1, :].reshape(1, C * kh * kw, (r1 - r0) * Wo)
+        out[n, :, r0:r1] = np.matmul(w2, cols).reshape(1, O, r1 - r0, Wo)
     return out
 
 
@@ -208,20 +213,18 @@ def _conv_dw(x, dy, stride, padding, kshape):
     sh, sw = stride
     ph, pw = padding
     O, C, kh, kw = kshape
-    xp = _pad4(x, ph, ph, pw, pw)
-    N = xp.shape[0]
-    Ho, Wo = dy.shape[2], dy.shape[3]
+    N, _, Ho, Wo = dy.shape
+    view = _patches(_pad4(x, ph, ph, pw, pw), kh, kw, sh, sw)
     per_row = C * kh * kw * Wo
     if N * per_row * Ho <= _TILE_LIMIT:
-        cols, _, _ = _im2col(xp, kh, kw, sh, sw)
+        cols = view.reshape(N, C * kh * kw, Ho * Wo)
         dyf = dy.reshape(N, O, Ho * Wo)
         dw = np.matmul(dyf, cols.transpose(0, 2, 1)).sum(axis=0)
         return dw.reshape(O, C, kh, kw)
     dw = np.zeros((O, C * kh * kw), dtype=np.result_type(x, dy))
     for n, r0, r1 in _tiles(N, Ho, per_row):
-        xs = xp[n, :, r0 * sh:(r1 - 1) * sh + kh]
-        cols, hh, _ = _im2col(xs, kh, kw, sh, sw)
-        dyf = dy[n, :, r0:r1].reshape(1, O, hh * Wo)
+        cols = view[n, ..., r0:r1, :].reshape(1, C * kh * kw, (r1 - r0) * Wo)
+        dyf = dy[n, :, r0:r1].reshape(1, O, (r1 - r0) * Wo)
         dw += np.matmul(dyf, cols.transpose(0, 2, 1))[0]
     return dw.reshape(O, C, kh, kw)
 
@@ -374,7 +377,9 @@ def fully_connected(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     if x.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
         raise ValueError(
             f"fully_connected shape mismatch: {x.data.shape} @ {w.data.shape}")
-    out = x.data @ w.data
+    # one GEMM per row, so a row's result does not depend on the batch
+    out = np.concatenate([x.data[n:n + 1] @ w.data
+                          for n in range(x.data.shape[0])])
     if b is not None:
         out = out + b.data[None, :]
     parents = (x, w) if b is None else (x, w, b)

@@ -7,8 +7,9 @@ numpy sums so the summation order is fixed and training is reproducible.
 
 ``total_loss`` is the one entry point of training: a weighted sum of the
 enabled terms and their gradients per prediction. The scale-invariant
-gradient loss is built on ``scale_invariant_gradient``; its backward
-reuses those normalized differences rather than computing them again.
+gradient loss computes the normalized differences of
+``scale_invariant_gradient`` once per component, on the overlap slices of
+its axis, and its backward reuses them.
 """
 
 from __future__ import annotations
@@ -157,6 +158,18 @@ def _shift_slices(axis: int, h: int):
         (Ellipsis, slice(h, None), slice(None))
 
 
+def _normalized_diff(f, af, axis: int, h: int):
+    """(b - a) / (|a| + |b|) over the pairs (a, b) of f that lie h apart
+    along ``axis`` (1 = columns), at the head positions ``_shift_slices``
+    gives; ``af`` is |f|. Returns the quotient (0 where the denominator is
+    below EPS_DENOM), that validity mask and the safe denominator."""
+    head, tail = _shift_slices(axis, h)
+    denom = af[head] + af[tail]
+    ok = denom >= EPS_DENOM
+    d = np.where(ok, denom, 1.0)
+    return np.where(ok, (f[tail] - f[head]) / d, 0.0), ok, d
+
+
 def scale_invariant_gradient(f, h: int) -> np.ndarray:
     """Normalized discrete gradient with spacing h, shape (..., H, W, 2).
 
@@ -172,16 +185,12 @@ def scale_invariant_gradient(f, h: int) -> np.ndarray:
     if not (1 <= h < max(H, W)):
         raise ValueError(f"spacing {h} invalid for grid {H}x{W}")
     g = np.zeros(f.shape + (2,))
+    af = np.abs(f)
     for axis, comp in ((1, 0), (0, 1)):
         if h >= f.shape[-2 + axis]:
             continue  # that component stays 0 everywhere
-        head, tail = _shift_slices(axis, h)
-        a = f[head]
-        b = f[tail]
-        denom = np.abs(a) + np.abs(b)
-        ok = denom >= EPS_DENOM
-        val = np.where(ok, (b - a) / np.where(ok, denom, 1.0), 0.0)
-        g[head + (comp,)] = val
+        head, _ = _shift_slices(axis, h)
+        g[head + (comp,)] = _normalized_diff(f, af, axis, h)[0]
     return g
 
 
@@ -192,7 +201,8 @@ def grad_loss(f, f_gt, spacings=DEFAULT_SPACINGS, mask=None) -> LossValue:
     ground truth, which targets relative errors between nearby pixels.
     Spacings that do not fit the grid are dropped; an empty effective
     spacing set is an error. Leading batch dimensions are summed over
-    like pixels.
+    like pixels. Each component works on the overlap slices of its axis;
+    |f|, sign(f) and |f_gt| are computed once per call.
     """
     f = np.asarray(f, dtype=np.float64)
     f_gt = np.asarray(f_gt, dtype=np.float64)
@@ -204,35 +214,32 @@ def grad_loss(f, f_gt, spacings=DEFAULT_SPACINGS, mask=None) -> LossValue:
     if not usable:
         raise ValueError(f"no usable spacings for grid {H}x{W} from {spacings}")
 
+    af, sf, agt = np.abs(f), np.sign(f), np.abs(f_gt)
     total = 0.0
     df = np.zeros_like(f)
     for h in usable:
-        g = scale_invariant_gradient(f, h)
-        pair = np.zeros(g.shape, dtype=bool)  # both ends of the pair valid
-        for axis, comp in ((1, 0), (0, 1)):
-            head, tail = _shift_slices(axis, h)
-            pair[head + (comp,)] = m[head] & m[tail]
-        rho = np.where(pair, g - scale_invariant_gradient(f_gt, h), 0.0)
-        n = np.linalg.norm(rho, axis=-1)
-        total += float(np.sum(n))
-        u = rho / np.where(n > 0, n, 1.0)[..., None]
-
-        # back-propagate through g = (b - a) / (|a| + |b|) per component
-        for axis, comp in ((1, 0), (0, 1)):
+        parts = []
+        sq = np.zeros(f.shape)  # squared norm of the residual pair per pixel
+        for axis in (1, 0):  # component x, then y
             if h >= f.shape[-2 + axis]:
                 continue
             head, tail = _shift_slices(axis, h)
-            a = f[head]
-            b = f[tail]
-            denom = np.abs(a) + np.abs(b)
-            ok = pair[head + (comp,)] & (denom >= EPS_DENOM)
-            d = np.where(ok, denom, 1.0)
-            gval = g[head + (comp,)]
-            up = u[head + (comp,)]
-            dgdb = np.where(ok, (1.0 - gval * np.sign(b)) / d, 0.0)
-            dgda = np.where(ok, (-1.0 - gval * np.sign(a)) / d, 0.0)
-            df[tail] += up * dgdb
-            df[head] += up * dgda
+            q, ok, d = _normalized_diff(f, af, axis, h)
+            pair = m[head] & m[tail]  # both ends of the pair valid
+            r = np.where(pair, q - _normalized_diff(f_gt, agt, axis, h)[0], 0.0)
+            sq[head] += r * r
+            parts.append((head, tail, q, pair & ok, d, r))
+        n = np.sqrt(sq)
+        total += float(np.sum(n))
+        n_safe = np.where(n > 0, n, 1.0)
+
+        # back-propagate through q = (b - a) / (|a| + |b|) per component
+        for head, tail, q, ok, d, r in parts:
+            u = r / n_safe[head]
+            dqdb = np.where(ok, (1.0 - q * sf[tail]) / d, 0.0)
+            dqda = np.where(ok, (-1.0 - q * sf[head]) / d, 0.0)
+            df[tail] += u * dqdb
+            df[head] += u * dqda
     return LossValue(value=total, grads={"f": df})
 
 

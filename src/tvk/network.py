@@ -273,19 +273,23 @@ class TwoViewNet:
             i2 = np.zeros_like(i2)
         return i1, i2
 
-    def _flow_stage(self, ed: EncoderDecoder, parts: list[np.ndarray]):
-        x = Tensor(np.concatenate(parts, axis=1))
-        out, _ = ed.forward(x)
-        flow = ad.slice_channels(out, 0, 2)
-        conf = ad.slice_channels(out, 2, 4)
-        return flow, conf
+    def _flow_stage(self, ed: EncoderDecoder, parts: list[np.ndarray]) -> dict:
+        out, _ = ed.forward(Tensor(np.concatenate(parts, axis=1)))
+        return {"flow": ad.slice_channels(out, 0, 2),
+                "conf": ad.slice_channels(out, 2, 4)}
 
-    def _dm_stage(self, ed: EncoderDecoder, parts: list[np.ndarray]):
-        x = Tensor(np.concatenate(parts, axis=1))
-        out, motion = ed.forward(x)
-        xi = ad.slice_channels(out, 0, 1)
-        normals = ad.slice_channels(out, 1, 4)
-        return xi, normals, motion
+    def _dm_stage(self, ed: EncoderDecoder, img1, img2, flow_out: dict,
+                  *extra: np.ndarray) -> dict:
+        """``flow_out`` plus the outputs of the depth-motion net ``ed`` fed
+        with that flow stage's outputs, the images and ``extra``."""
+        i1, i2 = self._prep_images(img1, img2)
+        flow_np = flow_out["flow"].data
+        parts = [flow_np, self._conf_input(flow_out["conf"].data), i1, i2,
+                 warp_batch(i2, flow_np), *extra]
+        out, motion = ed.forward(Tensor(np.concatenate(parts, axis=1)))
+        return {**flow_out, "xi": ad.slice_channels(out, 0, 1),
+                "normals": ad.slice_channels(out, 1, 4),
+                "r": motion[0], "t": motion[1], "s": motion[2]}
 
     def _conf_input(self, conf_np: np.ndarray) -> np.ndarray:
         if self.cfg.use_flow_confidence_input:
@@ -293,17 +297,35 @@ class TwoViewNet:
         return np.zeros_like(conf_np)
 
     # --- forward passes -------------------------------------------------
+    # The flow-stage methods run the flow net alone (its outputs do not
+    # depend on the depth-motion net); the full stages extend their output.
+
+    def bootstrap_flow_tensors(self, img1, img2) -> dict:
+        """Graph outputs (flow, conf) of the bootstrap flow net alone."""
+        return self._flow_stage(self.boot_flow,
+                                list(self._prep_images(img1, img2)))
 
     def bootstrap_tensors(self, img1, img2):
         """Graph outputs of the bootstrap stage for a batch of samples."""
+        return self._dm_stage(self.boot_dm, img1, img2,
+                              self.bootstrap_flow_tensors(img1, img2))
+
+    def iterative_flow_tensors(self, img1, img2, prev: list[Prediction],
+                               K: Intrinsics) -> dict:
+        """Graph outputs (flow, conf) of the iterative flow net alone, and
+        its flow proposal rendered from the previous depth and motion."""
         i1, i2 = self._prep_images(img1, img2)
-        flow, conf = self._flow_stage(self.boot_flow, [i1, i2])
-        flow_np = flow.data
-        warped = warp_batch(i2, flow_np)
-        dm_parts = [flow_np, self._conf_input(conf.data), i1, i2, warped]
-        xi, normals, motion = self._dm_stage(self.boot_dm, dm_parts)
-        return {"flow": flow, "conf": conf, "xi": xi, "normals": normals,
-                "r": motion[0], "t": motion[1], "s": motion[2]}
+        dt = self.cfg.np_dtype
+        N, _, H, W = i1.shape
+        flow_prop = np.zeros((N, 2, H, W), dtype=dt)
+        for n, p in enumerate(prev):
+            prop, valid = flow_from_depth_motion(
+                p.inverse_depth(apply_scale=True), p.motion(), K)
+            w = np.where(valid[..., None], prop.w, 0.0)
+            flow_prop[n] = w.transpose(2, 0, 1).astype(dt)
+        out = self._flow_stage(self.iter_flow, [i1, i2, flow_prop])
+        out["flow_proposal"] = flow_prop
+        return out
 
     def iterative_tensors(self, img1, img2, prev: list[Prediction],
                           K: Intrinsics):
@@ -314,18 +336,10 @@ class TwoViewNet:
         proposal triangulated from the fresh flow with the previous
         motion. A degenerate previous motion falls back to zero proposals.
         """
-        i1, i2 = self._prep_images(img1, img2)
+        flow_out = self.iterative_flow_tensors(img1, img2, prev, K)
+        flow_np = flow_out["flow"].data
+        N, _, H, W = flow_np.shape
         dt = self.cfg.np_dtype
-        N, _, H, W = i1.shape
-        flow_prop = np.zeros((N, 2, H, W), dtype=dt)
-        for n, p in enumerate(prev):
-            prop, valid = flow_from_depth_motion(
-                p.inverse_depth(apply_scale=True), p.motion(), K)
-            w = np.where(valid[..., None], prop.w, 0.0)
-            flow_prop[n] = w.transpose(2, 0, 1).astype(dt)
-        flow, conf = self._flow_stage(self.iter_flow, [i1, i2, flow_prop])
-        flow_np = flow.data
-
         depth_prop = np.zeros((N, 1, H, W), dtype=dt)
         for n, p in enumerate(prev):
             try:
@@ -335,13 +349,9 @@ class TwoViewNet:
                 depth_prop[n, 0] = np.where(valid, dep.xi, 0.0).astype(dt)
             except DegenerateMotionError:
                 pass  # zero proposal
-        warped = warp_batch(i2, flow_np)
-        dm_parts = [flow_np, self._conf_input(conf.data), i1, i2, warped,
-                    depth_prop]
-        xi, normals, motion = self._dm_stage(self.iter_dm, dm_parts)
-        return {"flow": flow, "conf": conf, "xi": xi, "normals": normals,
-                "r": motion[0], "t": motion[1], "s": motion[2],
-                "flow_proposal": flow_prop, "depth_proposal": depth_prop}
+        out = self._dm_stage(self.iter_dm, img1, img2, flow_out, depth_prop)
+        out["depth_proposal"] = depth_prop
+        return out
 
     def refine_tensors(self, img1_full, predictions: list[Prediction]):
         """Graph output of the refinement stage (full-resolution depth)."""

@@ -19,6 +19,26 @@ term on the refined depth in phase 3), and the batch-mean analytic
 gradients are injected into the output tensors that received one. The
 loss stays a per-sample loop: one batched pass over phase 3's
 full-resolution depth raised peak memory and took longer.
+
+A frozen stage runs once per training sample, not once per visit, and a
+phase runs no stage it does not need. The flow-only phases (p1a, p1c) run
+only the flow net, through
+``TwoViewNet.bootstrap_flow_tensors`` / ``iterative_flow_tensors``. The
+predictions of frozen stages are memoized per training sample: the
+bootstrap output from p1c on, and the final low-resolution prediction
+(bootstrap plus ``iterations`` iterative steps) in phase 3. An entry holds
+the weight arrays of the stages that computed it and is valid while each
+of them ``is`` the current array; parameter arrays are read-only and
+every update replaces them, and since the entry keeps the old arrays
+alive their ids cannot be reused. A stale or missing entry is recomputed,
+all misses of a batch in one batch. Because every op is batch invariant
+(see ``autodiff``), an entry equals a fresh prediction of that sample, in
+any batch, bitwise, so training writes what recomputing would. An entry
+costs about 197 KB (a float64 ``Prediction`` at 64x48) against the 1.87
+MB a loaded training sample takes.
+
+A phase-1 phase whose loss weights are all zero (``use_flow_loss=False``
+leaves p1a and p1c nothing to train on) is skipped and logs nothing.
 """
 
 from __future__ import annotations
@@ -102,6 +122,10 @@ def _at(key: str, k: int):
     return (k, 0) if key in ("xi", "s") else k
 
 
+def _images(samples: list[SamplePair]) -> tuple[list, list]:
+    return [s.img1 for s in samples], [s.img2 for s in samples]
+
+
 def _ground_truth(sample: SamplePair) -> dict:
     return {"xi": sample.xi, "normals": sample.normals, "flow": sample.flow,
             "r": sample.r, "t": sample.t, "valid_depth": sample.valid_depth,
@@ -166,6 +190,9 @@ class Trainer:
         if not self.train_set:
             raise ValueError("dataset too small for the requested split")
         self.loss_log: list[dict] = []
+        # frozen stages -> {training-sample index: (weight arrays of those
+        # stages at compute time, Prediction)}
+        self._memo: dict[tuple, dict] = {}
         self.spacings = tuple(
             h for h in (1, 2, 4, 8, 16)
             if h < max(model.cfg.height, model.cfg.width))
@@ -200,20 +227,70 @@ class Trainer:
                       "grad_depth")
         return w
 
+    # --- frozen predictions, memoized per training sample ------------------
+
+    def _frozen(self, stages: tuple, idx, compute) -> list[Prediction]:
+        """Predictions of the frozen ``stages`` for training samples ``idx``,
+        from the memo (see the module docstring); stale and missing entries
+        are computed together by one ``compute(misses)`` call."""
+        arrays = [p.data for c in stages
+                  for p in self.model.component_parameters(c).values()]
+        memo = self._memo.setdefault(stages, {})
+
+        def fresh(i):
+            entry = memo.get(i)
+            return entry is not None and all(
+                a is b for a, b in zip(entry[0], arrays))
+
+        misses = [i for i in dict.fromkeys(int(i) for i in idx)
+                  if not fresh(i)]
+        if misses:
+            for i, pred in zip(misses, compute(misses)):
+                memo[i] = (arrays, pred)
+        return [memo[int(i)][1] for i in idx]
+
+    def _bootstrap(self, idx) -> list[Prediction]:
+        """``bootstrap_forward`` of training samples ``idx``, memoized."""
+        def compute(misses):
+            return self.model.bootstrap_forward(
+                *_images([self.train_set[i] for i in misses]))
+
+        return self._frozen(("boot_flow", "boot_dm"), idx, compute)
+
+    def _final(self, idx) -> list[Prediction]:
+        """Low-resolution ``predict`` of training samples ``idx``, memoized."""
+        def compute(misses):
+            imgs = _images([self.train_set[i] for i in misses])
+            preds = self._bootstrap(misses)
+            for _ in range(self.model.cfg.iterations):
+                preds = self.model.iterative_forward(*imgs, preds, self.K)
+            return preds
+
+        return self._frozen(("boot_flow", "boot_dm", "iter_flow", "iter_dm"),
+                            idx, compute)
+
     # --- phases ------------------------------------------------------------
 
     _PHASE_SEEDS = {"p1a_boot_flow": 11, "p1b_boot_dm": 12,
                     "p1c_iter_flow": 13, "p1d_iter_dm": 14}
 
     def _train_component(self, phase: str, component: str, forward, steps):
-        """Generic phase-1 loop: train one encoder-decoder, others fixed."""
+        """Generic phase-1 loop: train one encoder-decoder, others fixed.
+
+        ``forward(batch, idx)`` gives the graph outputs of a batch. A phase
+        whose loss weights are all zero (after the warm-up) is skipped: it
+        takes no steps and logs nothing.
+        """
+        if not any(asdict(self._weights_for(
+                phase, self.config.grad_loss_start)).values()):
+            return None
         params = self.model.component_parameters(component)
         opt = Adam(params, lr=self.config.lr,
                    weight_decay=self.config.weight_decay)
-        for step, (batch, _) in enumerate(
+        for step, (batch, idx) in enumerate(
                 self._batches(self._PHASE_SEEDS[phase], steps)):
             opt.lr = self._lr_at(step, steps)
-            tensors = forward(batch)
+            tensors = forward(batch, idx)
             value, seeds = _batch_loss(
                 self._weights_for(phase, step), tensors,
                 [_ground_truth(s) for s in batch], self.spacings)
@@ -228,24 +305,27 @@ class Trainer:
         model = self.model
         cfg = self.config
 
-        def boot_flow_fwd(batch):
-            return model.bootstrap_tensors([s.img1 for s in batch],
-                                           [s.img2 for s in batch])
+        def boot_flow_fwd(batch, _idx):
+            return model.bootstrap_flow_tensors(*_images(batch))
 
-        def iter_flow_fwd(batch):
-            prev = model.bootstrap_forward([s.img1 for s in batch],
-                                           [s.img2 for s in batch])
-            return model.iterative_tensors([s.img1 for s in batch],
-                                           [s.img2 for s in batch],
-                                           prev, self.K)
+        def boot_fwd(batch, _idx):
+            return model.bootstrap_tensors(*_images(batch))
+
+        def iter_flow_fwd(batch, idx):
+            return model.iterative_flow_tensors(*_images(batch),
+                                                self._bootstrap(idx), self.K)
+
+        def iter_fwd(batch, idx):
+            return model.iterative_tensors(*_images(batch),
+                                           self._bootstrap(idx), self.K)
 
         self._train_component("p1a_boot_flow", "boot_flow", boot_flow_fwd,
                               cfg.phase1_steps)
-        self._train_component("p1b_boot_dm", "boot_dm", boot_flow_fwd,
+        self._train_component("p1b_boot_dm", "boot_dm", boot_fwd,
                               cfg.phase1_steps)
         self._train_component("p1c_iter_flow", "iter_flow", iter_flow_fwd,
                               cfg.phase1_steps)
-        self._train_component("p1d_iter_dm", "iter_dm", iter_flow_fwd,
+        self._train_component("p1d_iter_dm", "iter_dm", iter_fwd,
                               cfg.phase1_steps)
         self.save_checkpoint("phase1.tvk")
 
@@ -261,18 +341,15 @@ class Trainer:
 
         for step, (batch, idx) in enumerate(self._batches(2, cfg.phase2_steps)):
             opt.lr = self._lr_at(step, cfg.phase2_steps)
-            boot = model.bootstrap_forward([s.img1 for s in batch],
-                                           [s.img2 for s in batch])
-            entries = [(int(i), s, p, 0) for i, s, p in zip(idx, batch, boot)]
+            entries = [(int(i), s, p, 0)
+                       for i, s, p in zip(idx, batch, self._bootstrap(idx))]
             n_replay = min(len(pool), max_replay)
             for _ in range(n_replay):
                 entries.append(pool.popleft())
 
             samples = [e[1] for e in entries]
             prev = [e[2] for e in entries]
-            tensors = model.iterative_tensors([s.img1 for s in samples],
-                                              [s.img2 for s in samples],
-                                              prev, self.K)
+            tensors = model.iterative_tensors(*_images(samples), prev, self.K)
             value, seeds = _batch_loss(cfg.weights(), tensors,
                                        [_ground_truth(s) for s in samples],
                                        self.spacings)
@@ -300,12 +377,10 @@ class Trainer:
         params = model.component_parameters("refine")
         opt = Adam(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
         weights = _only(cfg.weights(), "depth", "grad_depth")
-        for step, (batch, _) in enumerate(self._batches(3, cfg.phase3_steps)):
+        for step, (batch, idx) in enumerate(self._batches(3, cfg.phase3_steps)):
             opt.lr = self._lr_at(step, cfg.phase3_steps)
-            preds = model.predict([s.img1 for s in batch],
-                                  [s.img2 for s in batch], self.K)
             tensors = {"xi": model.refine_tensors([s.img1_full for s in batch],
-                                                  preds)}
+                                                  self._final(idx))}
             value, seeds = _batch_loss(weights, tensors,
                                        [{"xi": s.xi_full} for s in batch],
                                        self.spacings)

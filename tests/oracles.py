@@ -183,3 +183,68 @@ def conv_dw_direct(x, dy, stride, padding, kshape):
             patch = xp[:, :, y * sh:y * sh + kh, x_ * sw:x_ * sw + kw]
             dw += np.einsum("no,ncij->ocij", dy[:, :, y, x_], patch)
     return dw
+
+
+# --- the scale-invariant gradient loss as first written ----------------------
+# Interleaved (H, W, 2) gradients, recomputed in the backward; the package's
+# grad_loss must match it bitwise.
+
+def _shift_slices_reference(axis, h):
+    if axis == 1:
+        return (Ellipsis, slice(None), slice(None, -h)), \
+            (Ellipsis, slice(None), slice(h, None))
+    return (Ellipsis, slice(None, -h), slice(None)), \
+        (Ellipsis, slice(h, None), slice(None))
+
+
+def scale_invariant_gradient_reference(f, h, eps=1e-9):
+    f = np.asarray(f, dtype=np.float64)
+    g = np.zeros(f.shape + (2,))
+    for axis, comp in ((1, 0), (0, 1)):
+        if h >= f.shape[-2 + axis]:
+            continue
+        head, tail = _shift_slices_reference(axis, h)
+        a = f[head]
+        b = f[tail]
+        denom = np.abs(a) + np.abs(b)
+        ok = denom >= eps
+        val = np.where(ok, (b - a) / np.where(ok, denom, 1.0), 0.0)
+        g[head + (comp,)] = val
+    return g
+
+
+def grad_loss_reference(f, f_gt, spacings, mask=None, eps=1e-9):
+    """(value, gradient) of the multi-spacing scale-invariant gradient loss."""
+    f = np.asarray(f, dtype=np.float64)
+    f_gt = np.asarray(f_gt, dtype=np.float64)
+    H, W = f.shape[-2:]
+    m = np.ones(f.shape, dtype=bool) if mask is None else np.asarray(mask)
+    total = 0.0
+    df = np.zeros_like(f)
+    for h in [h for h in spacings if 1 <= h < max(H, W)]:
+        g = scale_invariant_gradient_reference(f, h, eps)
+        pair = np.zeros(g.shape, dtype=bool)
+        for axis, comp in ((1, 0), (0, 1)):
+            head, tail = _shift_slices_reference(axis, h)
+            pair[head + (comp,)] = m[head] & m[tail]
+        rho = np.where(pair, g - scale_invariant_gradient_reference(f_gt, h,
+                                                                    eps), 0.0)
+        n = np.linalg.norm(rho, axis=-1)
+        total += float(np.sum(n))
+        u = rho / np.where(n > 0, n, 1.0)[..., None]
+        for axis, comp in ((1, 0), (0, 1)):
+            if h >= f.shape[-2 + axis]:
+                continue
+            head, tail = _shift_slices_reference(axis, h)
+            a = f[head]
+            b = f[tail]
+            denom = np.abs(a) + np.abs(b)
+            ok = pair[head + (comp,)] & (denom >= eps)
+            d = np.where(ok, denom, 1.0)
+            gval = g[head + (comp,)]
+            up = u[head + (comp,)]
+            dgdb = np.where(ok, (1.0 - gval * np.sign(b)) / d, 0.0)
+            dgda = np.where(ok, (-1.0 - gval * np.sign(a)) / d, 0.0)
+            df[tail] += up * dgdb
+            df[head] += up * dgda
+    return total, df

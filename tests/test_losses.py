@@ -13,7 +13,7 @@ from tvk.losses import (
     total_loss,
 )
 
-from oracles import central_difference, rel_error
+from oracles import central_difference, grad_loss_reference, rel_error
 
 
 def fd_check(loss_fn, x0, analytic, rel_tol, step=1e-5, kink_dist=1e-7):
@@ -268,6 +268,31 @@ class TestGradLoss:
     def test_all_spacings_too_large(self):
         with pytest.raises(ValueError):
             grad_loss(np.ones((4, 4)), np.ones((4, 4)), spacings=(16,))
+
+    @pytest.mark.parametrize("shape", [(48, 64), (192, 256), (8, 48, 64),
+                                       (5, 7), (3, 40)])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_matches_reference_bitwise(self, shape, masked):
+        rng = np.random.default_rng(16)
+        f = rng.normal(size=shape)
+        f[rng.uniform(size=shape) < 0.1] = 0.0  # zero denominators too
+        f_gt = rng.uniform(0.0, 2.0, shape)
+        mask = rng.uniform(size=shape) > 0.2 if masked else None
+        spacings = (1, 2, 4, 8, 16)
+        out = grad_loss(f, f_gt, spacings, mask)
+        value, grad = grad_loss_reference(f, f_gt, spacings, mask)
+        assert out.value == value
+        assert out.grads["f"].tobytes() == grad.tobytes()
+
+    def test_matches_reference_on_a_strided_component(self):
+        rng = np.random.default_rng(17)
+        flow, flow_gt = rng.normal(size=(2, 12, 16, 2))
+        for comp in range(2):
+            out = grad_loss(flow[..., comp], flow_gt[..., comp], (1, 2, 4))
+            value, grad = grad_loss_reference(flow[..., comp],
+                                              flow_gt[..., comp], (1, 2, 4))
+            assert out.value == value
+            assert out.grads["f"].tobytes() == grad.tobytes()
 
     def test_mask_blocks_gradient(self):
         rng = np.random.default_rng(15)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 
 from tvk.autodiff import backward
@@ -53,3 +55,26 @@ class TestLayoutMemo:
             a = np.asarray(getattr(warm, field))
             b = np.asarray(getattr(fresh, field))
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+
+
+class TestBatchInvariance:
+    def test_batch_predicts_what_each_sample_predicts_alone(self):
+        # the motion head's fully connected layers run one GEMM per row; a
+        # multi-row GEMM rounded differently, and the depth proposal of the
+        # iterations amplified that
+        rng = np.random.default_rng(7)
+        img1, img2 = rng.uniform(size=(2, 4, 16, 16, 3))
+        for cfg in (TINY, replace(TINY, dtype="float32")):
+            model = TwoViewNet(cfg, seed=1)
+            batch = model.predict(list(img1), list(img2), K_TINY,
+                                  keep_history=True)
+            for n in range(4):
+                alone = model.predict([img1[n]], [img2[n]], K_TINY,
+                                      keep_history=True)
+                for it, (b, a) in enumerate(zip(batch, alone)):
+                    for field in ("flow", "flow_confidence", "xi", "normals",
+                                  "r", "t", "s"):
+                        x = np.asarray(getattr(b[n], field))
+                        y = np.asarray(getattr(a[0], field))
+                        assert x.tobytes() == y.tobytes(), (cfg.dtype, n, it,
+                                                            field)

@@ -184,3 +184,100 @@ def test_seeded_training_writes_identical_files(tiny_samples, tmp_path):
     rows = runs[0]["loss_curves.csv"].decode().splitlines()[1:]
     assert len(rows) == 4 * 2 + 2 + 2
     assert all(np.isfinite(float(row.split(",")[2])) for row in rows)
+
+
+# --- frozen predictions: memoized per sample, only what a phase needs -------
+
+def assert_same_prediction(a, b):
+    for field in FIELDS:
+        x, y = np.asarray(getattr(a, field)), np.asarray(getattr(b, field))
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), field
+
+
+def test_memo_entry_is_the_sample_alone_until_its_weights_change(
+        tiny_samples, tmp_path, monkeypatch):
+    model = TwoViewNet(TINY, seed=1)
+    trainer = Trainer(model, tiny_samples, K_TINY, TrainConfig(),
+                      str(tmp_path))
+    calls = []
+    forward = model.bootstrap_forward
+    monkeypatch.setattr(model, "bootstrap_forward", lambda img1, img2: (
+        calls.append(len(img1)) or forward(img1, img2)))
+
+    idx = np.array([2, 0, 2])
+    got = trainer._bootstrap(idx)
+    assert calls == [2]  # the misses, together and once each
+    for i, pred in zip(idx, got):
+        s = trainer.train_set[i]
+        assert_same_prediction(pred, forward([s.img1], [s.img2])[0])
+    assert trainer._bootstrap([0])[0] is got[1] and calls == [2]
+
+    final = trainer._final([1])[0]
+    assert calls == [2, 1]  # sample 1's bootstrap was not memoized yet
+    s = trainer.train_set[1]
+    assert_same_prediction(final, model.predict([s.img1], [s.img2], K_TINY)[0])
+
+    calls.clear()
+    bias = model.params["boot_dm.fc2.b"]
+    bias.data = bias.data + 1.0  # an update replaces the array
+    again = trainer._bootstrap([0])[0]
+    assert calls == [1] and again is not got[1]
+    s = trainer.train_set[0]
+    assert_same_prediction(again, forward([s.img1], [s.img2])[0])
+    assert again.s != got[1].s
+    assert trainer._final([1])[0] is not final  # its bootstrap changed too
+    assert calls == [1, 1]
+
+
+def test_flow_only_phases_never_run_their_depth_motion_net(
+        tiny_samples, tmp_path, monkeypatch):
+    model = TwoViewNet(TINY, seed=1)
+    trainer = Trainer(model, tiny_samples, K_TINY,
+                      TrainConfig(batch_size=2, phase1_steps=2,
+                                  grad_loss_start=1, log_every=1),
+                      str(tmp_path))
+    phases = []
+    train_component = trainer._train_component
+    monkeypatch.setattr(trainer, "_train_component", lambda phase, *a: (
+        phases.append(phase) or train_component(phase, *a)))
+    # the frozen bootstrap of p1c (memoized) does run boot_dm
+    for ed, flow_only in ((model.boot_dm, ("p1a_boot_flow",)),
+                          (model.iter_dm, ("p1a_boot_flow", "p1c_iter_flow"))):
+        def guarded(x, run=ed.forward, flow_only=flow_only):
+            assert phases[-1] not in flow_only
+            return run(x)
+        monkeypatch.setattr(ed, "forward", guarded)
+    trainer.phase1()
+    assert phases == ["p1a_boot_flow", "p1b_boot_dm", "p1c_iter_flow",
+                      "p1d_iter_dm"]
+    assert [row["phase"] for row in trainer.loss_log].count(
+        "p1c_iter_flow") == 2
+
+
+# --- every ablation row trains ----------------------------------------------
+
+@pytest.mark.parametrize("toggle", [
+    "use_grad_loss", "use_normals", "use_flow_loss", "use_confidence",
+    "single_image", "use_flow_confidence_input"])
+def test_ablation_row_trains_one_step(tiny_samples, tmp_path, toggle):
+    net, train = TINY, TrainConfig(batch_size=2, phase1_steps=1,
+                                   phase2_steps=1, phase3_steps=1,
+                                   grad_loss_start=0, log_every=1)
+    if toggle in train.__dataclass_fields__:
+        train = replace(train, **{toggle: False})
+    else:
+        net = replace(net, **{toggle: not getattr(net, toggle)})
+    trainer = Trainer(TwoViewNet(net, seed=1), tiny_samples, K_TINY, train,
+                      str(tmp_path))
+    trainer.train()
+    phases = [row["phase"] for row in trainer.loss_log]
+    # without the flow loss the flow-only phases have nothing to train on
+    skipped = ({"p1a_boot_flow", "p1c_iter_flow"}
+               if toggle == "use_flow_loss" else set())
+    assert phases == [p for p in ("p1a_boot_flow", "p1b_boot_dm",
+                                  "p1c_iter_flow", "p1d_iter_dm",
+                                  "p2_iterative", "p3_refine")
+                      if p not in skipped]
+    assert all(np.isfinite(float(row["loss"])) for row in trainer.loss_log)
+    for name in ("phase1.tvk", "phase2.tvk", "final.tvk", "loss_curves.csv"):
+        assert (tmp_path / name).exists()
