@@ -44,6 +44,7 @@ __all__ = [
     "Tensor", "ParameterStore", "Adam", "backward", "conv2d", "upconv2d",
     "fully_connected", "activation", "concat_channels", "slice_channels",
     "global_avg_pool", "l2_normalize_rows", "fanin_uniform", "gradcheck_vjp",
+    "immutable",
 ]
 
 
@@ -234,11 +235,18 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def immutable(a: np.ndarray) -> bool:
+    """True if ``a`` is read-only and owns its memory, so that it can neither
+    change nor be changed through another array (see the module docstring):
+    what is computed from it may be kept as long as ``a`` itself is."""
+    return not a.flags.writeable and a.flags.owndata
+
+
 def _layout(w: Tensor, make) -> np.ndarray:
-    """``make(w.data)``, memoized on ``w`` if ``w.data`` is read-only and
-    owns its memory; any other array is laid out on every call."""
+    """``make(w.data)``, memoized on ``w`` if ``w.data`` is ``immutable``;
+    any other array is laid out on every call."""
     a = w.data
-    if a.flags.writeable or not a.flags.owndata:
+    if not immutable(a):
         return make(a)
     if w._layouts is None:
         w._layouts = {}

@@ -278,11 +278,10 @@ class TwoViewNet:
         return {"flow": ad.slice_channels(out, 0, 2),
                 "conf": ad.slice_channels(out, 2, 4)}
 
-    def _dm_stage(self, ed: EncoderDecoder, img1, img2, flow_out: dict,
+    def _dm_stage(self, ed: EncoderDecoder, i1, i2, flow_out: dict,
                   *extra: np.ndarray) -> dict:
         """``flow_out`` plus the outputs of the depth-motion net ``ed`` fed
-        with that flow stage's outputs, the images and ``extra``."""
-        i1, i2 = self._prep_images(img1, img2)
+        with that flow stage's outputs, the prepared images and ``extra``."""
         flow_np = flow_out["flow"].data
         parts = [flow_np, self._conf_input(flow_out["conf"].data), i1, i2,
                  warp_batch(i2, flow_np), *extra]
@@ -298,7 +297,8 @@ class TwoViewNet:
 
     # --- forward passes -------------------------------------------------
     # The flow-stage methods run the flow net alone (its outputs do not
-    # depend on the depth-motion net); the full stages extend their output.
+    # depend on the depth-motion net); the full stages prepare the images
+    # once and extend the same flow-stage output.
 
     def bootstrap_flow_tensors(self, img1, img2) -> dict:
         """Graph outputs (flow, conf) of the bootstrap flow net alone."""
@@ -307,14 +307,17 @@ class TwoViewNet:
 
     def bootstrap_tensors(self, img1, img2):
         """Graph outputs of the bootstrap stage for a batch of samples."""
-        return self._dm_stage(self.boot_dm, img1, img2,
-                              self.bootstrap_flow_tensors(img1, img2))
+        i1, i2 = self._prep_images(img1, img2)
+        return self._dm_stage(self.boot_dm, i1, i2,
+                              self._flow_stage(self.boot_flow, [i1, i2]))
 
     def iterative_flow_tensors(self, img1, img2, prev: list[Prediction],
                                K: Intrinsics) -> dict:
         """Graph outputs (flow, conf) of the iterative flow net alone, and
         its flow proposal rendered from the previous depth and motion."""
-        i1, i2 = self._prep_images(img1, img2)
+        return self._iterative_flow(*self._prep_images(img1, img2), prev, K)
+
+    def _iterative_flow(self, i1, i2, prev, K) -> dict:
         dt = self.cfg.np_dtype
         N, _, H, W = i1.shape
         flow_prop = np.zeros((N, 2, H, W), dtype=dt)
@@ -336,7 +339,8 @@ class TwoViewNet:
         proposal triangulated from the fresh flow with the previous
         motion. A degenerate previous motion falls back to zero proposals.
         """
-        flow_out = self.iterative_flow_tensors(img1, img2, prev, K)
+        i1, i2 = self._prep_images(img1, img2)
+        flow_out = self._iterative_flow(i1, i2, prev, K)
         flow_np = flow_out["flow"].data
         N, _, H, W = flow_np.shape
         dt = self.cfg.np_dtype
@@ -349,7 +353,7 @@ class TwoViewNet:
                 depth_prop[n, 0] = np.where(valid, dep.xi, 0.0).astype(dt)
             except DegenerateMotionError:
                 pass  # zero proposal
-        out = self._dm_stage(self.iter_dm, img1, img2, flow_out, depth_prop)
+        out = self._dm_stage(self.iter_dm, i1, i2, flow_out, depth_prop)
         out["depth_proposal"] = depth_prop
         return out
 

@@ -26,16 +26,28 @@ only the flow net, through
 ``TwoViewNet.bootstrap_flow_tensors`` / ``iterative_flow_tensors``. The
 predictions of frozen stages are memoized per training sample: the
 bootstrap output from p1c on, and the final low-resolution prediction
-(bootstrap plus ``iterations`` iterative steps) in phase 3. An entry holds
-the weight arrays of the stages that computed it and is valid while each
-of them ``is`` the current array; parameter arrays are read-only and
-every update replaces them, and since the entry keeps the old arrays
-alive their ids cannot be reused. A stale or missing entry is recomputed,
-all misses of a batch in one batch. Because every op is batch invariant
-(see ``autodiff``), an entry equals a fresh prediction of that sample, in
-any batch, bitwise, so training writes what recomputing would. An entry
-costs about 197 KB (a float64 ``Prediction`` at 64x48) against the 1.87
-MB a loaded training sample takes.
+(bootstrap plus ``iterations`` iterative steps) in phase 3. The memo saves
+work only where a training-sample index repeats while its entry is valid:
+within a batch, or in a later step of p1c, p1d, phase 2 or phase 3 (the
+bootstrap entries) or of phase 3 (the final ones). Draws that do not
+repeat cost what recomputing costs.
+
+An entry holds the weight arrays of the stages that computed it and is
+valid while each of them ``is`` the current array and is
+``autodiff.immutable``; parameter arrays are read-only and every update
+replaces them, and since the entry keeps the old arrays alive their ids
+cannot be reused. An array that is writeable or a view (one assigned from
+outside) could change in place, so an entry made with one is recomputed
+on every use. A stale or missing entry is recomputed, all misses of a
+batch in one batch.
+Because every op is batch invariant (see ``autodiff``), an entry equals a
+fresh prediction of that sample, in any batch, bitwise, so training writes
+what recomputing would.
+
+The memo holds at most one bootstrap and one final entry per training
+sample, each about 197 KB (a float64 ``Prediction`` at 64x48): at most
+394 KB per training sample, against the 1.87 MB a loaded training sample
+takes. Phase 3 clears it when it ends.
 
 A phase-1 phase whose loss weights are all zero (``use_flow_loss=False``
 leaves p1a and p1c nothing to train on) is skipped and logs nothing.
@@ -51,7 +63,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import container
-from .autodiff import Adam, backward
+from .autodiff import Adam, backward, immutable
 from .geometry import Intrinsics
 from .losses import LossWeights, total_loss
 from .metrics import (
@@ -240,7 +252,7 @@ class Trainer:
         def fresh(i):
             entry = memo.get(i)
             return entry is not None and all(
-                a is b for a, b in zip(entry[0], arrays))
+                a is b and immutable(a) for a, b in zip(entry[0], arrays))
 
         misses = [i for i in dict.fromkeys(int(i) for i in idx)
                   if not fresh(i)]
@@ -389,6 +401,7 @@ class Trainer:
             opt.step()
             if step % cfg.log_every == 0:
                 self._log("p3_refine", step, value)
+        self._memo.clear()  # no later phase reads it
         self.save_checkpoint("final.tvk")
 
     def train(self):

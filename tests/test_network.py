@@ -78,3 +78,25 @@ class TestBatchInvariance:
                         y = np.asarray(getattr(a[0], field))
                         assert x.tobytes() == y.tobytes(), (cfg.dtype, n, it,
                                                             field)
+
+
+class TestStageMethods:
+    def test_full_stages_extend_the_flow_stage_and_prepare_images_once(
+            self, monkeypatch):
+        rng = np.random.default_rng(5)
+        img1, img2 = (list(a) for a in rng.uniform(size=(2, 2, 16, 16, 3)))
+        model = TwoViewNet(TINY, seed=1)
+        prev = model.bootstrap_forward(img1, img2)
+        calls = []
+        prep = model._prep_images
+        monkeypatch.setattr(model, "_prep_images", lambda a, b: (
+            calls.append(1) or prep(a, b)))
+        for flow, full in (
+                (model.bootstrap_flow_tensors(img1, img2),
+                 model.bootstrap_tensors(img1, img2)),
+                (model.iterative_flow_tensors(img1, img2, prev, K_TINY),
+                 model.iterative_tensors(img1, img2, prev, K_TINY))):
+            for key in ("flow", "conf"):
+                assert flow[key].data.tobytes() == full[key].data.tobytes()
+            assert "xi" not in flow and "xi" in full
+        assert len(calls) == 4  # once per call above

@@ -177,8 +177,10 @@ def test_seeded_training_writes_identical_files(tiny_samples, tmp_path):
     runs = []
     for run in ("a", "b"):
         out_dir = tmp_path / run
-        Trainer(TwoViewNet(TINY, seed=4), tiny_samples, K_TINY, config,
-                str(out_dir)).train()
+        trainer = Trainer(TwoViewNet(TINY, seed=4), tiny_samples, K_TINY,
+                          config, str(out_dir))
+        trainer.train()
+        assert not trainer._memo  # released when phase 3 ends
         runs.append({name: (out_dir / name).read_bytes() for name in files})
     assert runs[0] == runs[1]
     rows = runs[0]["loss_curves.csv"].decode().splitlines()[1:]
@@ -219,14 +221,40 @@ def test_memo_entry_is_the_sample_alone_until_its_weights_change(
 
     calls.clear()
     bias = model.params["boot_dm.fc2.b"]
-    bias.data = bias.data + 1.0  # an update replaces the array
+    new = bias.data + 1.0
+    new.setflags(write=False)
+    bias.data = new  # an update replaces the array with a read-only one
     again = trainer._bootstrap([0])[0]
     assert calls == [1] and again is not got[1]
     s = trainer.train_set[0]
     assert_same_prediction(again, forward([s.img1], [s.img2])[0])
     assert again.s != got[1].s
+    assert trainer._bootstrap([0])[0] is again and calls == [1]
     assert trainer._final([1])[0] is not final  # its bootstrap changed too
     assert calls == [1, 1]
+
+
+@pytest.mark.parametrize("kind", ["writeable", "read-only view"])
+def test_memo_entry_made_with_a_mutable_array_is_recomputed(
+        tiny_samples, tmp_path, kind):
+    model = TwoViewNet(TINY, seed=1)
+    trainer = Trainer(model, tiny_samples, K_TINY, TrainConfig(),
+                      str(tmp_path))
+    bias = model.params["boot_dm.fc2.b"]
+    base = bias.data.copy()  # assigned from outside: writeable
+    if kind == "writeable":
+        bias.data = base
+    else:
+        view = base.view()
+        view.setflags(write=False)
+        bias.data = view  # read-only, but changes with its writeable base
+    first = trainer._bootstrap([0])[0]
+    base += 1.0  # the same array, changed in place
+    again = trainer._bootstrap([0])[0]
+    s = trainer.train_set[0]
+    assert_same_prediction(
+        again, model.bootstrap_forward([s.img1], [s.img2])[0])
+    assert again.s != first.s
 
 
 def test_flow_only_phases_never_run_their_depth_motion_net(
