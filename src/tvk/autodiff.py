@@ -80,12 +80,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
-    def zero_grad(self):
-        self.grad = None
-
     def accumulate(self, g):
         if g is None:
             return
@@ -93,13 +87,6 @@ class Tensor:
             self.grad = np.array(g, dtype=self.data.dtype, copy=True)
         else:
             self.grad += g
-
-    def backward(self, seed=None):
-        if seed is None:
-            if self.data.size != 1:
-                raise ValueError("backward without a seed needs a scalar output")
-            seed = np.ones_like(self.data)
-        backward({self: seed})
 
     def __repr__(self):
         tag = f" name={self.name}" if self.name else ""
@@ -407,9 +394,7 @@ LEAKY_SLOPE = 0.1
 
 
 def activation(x: Tensor, kind: str) -> Tensor:
-    """kinds: 'leaky_relu' (slope 0.1), 'exp', 'identity'."""
-    if kind == "identity":
-        return x
+    """kinds: 'leaky_relu' (slope 0.1) and 'exp'."""
     if kind == "leaky_relu":
         # equals where(x > 0, x, 0.1 x) bit for bit, -0.0, NaN, +-inf too
         out = np.maximum(x.data, LEAKY_SLOPE * x.data)
@@ -503,15 +488,6 @@ class ParameterStore:
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
-
-    def names(self) -> list[str]:
-        return list(self._params)
 
     def items(self):
         return self._params.items()

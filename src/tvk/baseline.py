@@ -384,15 +384,10 @@ def sample_correspondences(flow: FlowField, mask: np.ndarray, n: int,
 
 
 def estimate_motion_from_flow(flow: FlowField, mask: np.ndarray,
-                              K: Intrinsics, n_samples: int = 400,
-                              seed: int = 0, threshold: float = 1e-4,
-                              max_iters: int = 500,
-                              refine: bool = True) -> CameraMotion:
-    """Full pipeline: sample matches, RANSAC 8-point, decompose, refine."""
-    corr = sample_correspondences(flow, mask, n_samples, seed, K)
-    E, inliers = ransac_essential(corr, threshold=threshold,
-                                  max_iters=max_iters, seed=seed)
+                              K: Intrinsics, seed: int = 0) -> CameraMotion:
+    """Full pipeline: 400 seeded matches, RANSAC 8-point at the defaults of
+    ``ransac_essential``, cheirality decomposition, then ``refine_motion``."""
+    corr = sample_correspondences(flow, mask, 400, seed, K)
+    E, inliers = ransac_essential(corr, seed=seed)
     motion = decompose_essential(E, corr.subset(inliers))
-    if refine:
-        motion = refine_motion(motion, corr, inliers).motion
-    return motion
+    return refine_motion(motion, corr, inliers).motion

@@ -230,14 +230,6 @@ class ContainerReader:
         for _ in range(self.n_records):
             yield {fs.name: self._read_chunk(fs) for fs in self.fields}
 
-    def read_record(self, index: int) -> dict[str, np.ndarray]:
-        """Random access; records have fixed size so offsets are computable."""
-        if not 0 <= index < self.n_records:
-            raise IndexError(index)
-        rec_size = sum(12 + fs.nbytes for fs in self.fields)
-        self._f.seek(self._body_start + index * rec_size)
-        return {fs.name: self._read_chunk(fs) for fs in self.fields}
-
 
 def read_all(path: str) -> tuple[list[dict[str, np.ndarray]], dict]:
     """Load every record into memory. Convenience for small files."""

@@ -1,4 +1,5 @@
-"""Camera model and conversions between depth, optical flow, normals and motion.
+"""Camera model, conversions between depth, optical flow and motion, and the
+bilinear warp.
 
 Conventions used throughout the package:
 
@@ -84,9 +85,6 @@ class CameraMotion:
     def identity() -> "CameraMotion":
         return CameraMotion(np.zeros(3), np.zeros(3))
 
-    def rotation_matrix(self) -> np.ndarray:
-        return rotation_from_angle_axis(self.r)
-
     def normalized(self) -> "CameraMotion":
         """Unit-norm translation, canonical rotation (|r| <= pi)."""
         n = float(np.linalg.norm(self.t))
@@ -105,7 +103,6 @@ class InverseDepthMap:
     """Per-pixel inverse depth; 0 encodes a point at infinity."""
 
     xi: np.ndarray
-    scale: float = 1.0
 
     def __post_init__(self):
         self.xi = np.asarray(self.xi, dtype=np.float64)
@@ -113,8 +110,6 @@ class InverseDepthMap:
             raise ValueError("inverse depth must be a 2D grid")
         if np.any(self.xi < 0):
             raise ValueError("inverse depth must be nonnegative")
-        if not self.scale > 0:
-            raise ValueError("scale must be positive")
 
 
 @dataclass
@@ -129,18 +124,6 @@ class FlowField:
             raise ValueError("flow must have shape (H, W, 2)")
         if not np.all(np.isfinite(self.w)):
             raise ValueError("flow must be finite")
-
-
-@dataclass
-class NormalMap:
-    """Per-pixel unit surface normals in camera coordinates, shape (H, W, 3)."""
-
-    n: np.ndarray
-
-    def __post_init__(self):
-        self.n = np.asarray(self.n, dtype=np.float64)
-        if self.n.ndim != 3 or self.n.shape[2] != 3:
-            raise ValueError("normals must have shape (H, W, 3)")
 
 
 def _check_finite(name: str, x: np.ndarray) -> None:
@@ -201,18 +184,6 @@ def angle_axis_from_rotation(R: np.ndarray) -> np.ndarray:
     return theta * axis
 
 
-def compose_motions(a: CameraMotion, b: CameraMotion) -> CameraMotion:
-    """Motion equivalent to applying ``a`` and then ``b``.
-
-    The returned translation is not renormalized; the rotation is canonical.
-    """
-    Ra = rotation_from_angle_axis(a.r)
-    Rb = rotation_from_angle_axis(b.r)
-    R = Rb @ Ra
-    t = Rb @ a.t + b.t
-    return CameraMotion(angle_axis_from_rotation(R), t)
-
-
 def pixel_rays(K: Intrinsics) -> np.ndarray:
     """Per-pixel viewing ray directions with z = 1, shape (H, W, 3)."""
     u = (np.arange(K.width, dtype=np.float64) + 0.5) / K.width
@@ -251,8 +222,9 @@ def flow_from_depth_motion(
     reprojected; xi = 0 pixels move with pure rotation (points at
     infinity). Returns the flow and a validity mask; a pixel is invalid
     if it lands behind the second camera or outside its field of view.
-    The ``scale`` member of ``depth`` is deliberately ignored: callers
-    pass inverse depth already expressed in the |t| = 1 frame.
+    ``depth`` must be expressed in the frame of ``motion.t``: for network
+    predictions that is ``Prediction.inverse_depth``, which applies the
+    predicted scale.
     """
     xi = depth.xi
     if xi.shape != (K.height, K.width):
@@ -331,85 +303,47 @@ def depth_from_flow_motion(
     return InverseDepthMap(xi), valid
 
 
-def warp_image(image2: np.ndarray, flow: FlowField) -> tuple[np.ndarray, np.ndarray]:
-    """Sample image2 at pixel + flow with bilinear interpolation.
+def warp_batch(img2: np.ndarray, flow: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Sample (N, C, H, W) images at pixel + flow with bilinear interpolation.
 
-    Samples falling outside the image are 0 and masked invalid. Accepts
-    (H, W) or (H, W, C) arrays; returns the warped array and the mask.
+    ``flow`` is (N, 2, H, W) in normalized units. Samples falling outside
+    the image are 0 and masked invalid. The sample positions are computed
+    in the images' dtype and the result is cast back to it. Returns the
+    warped images and the (N, H, W) mask.
     """
-    img = np.asarray(image2, dtype=np.float64)
-    squeeze = img.ndim == 2
-    if squeeze:
-        img = img[..., None]
-    H, W, C = img.shape
-    if flow.w.shape[:2] != (H, W):
-        raise ValueError("flow and image resolutions differ")
-
-    ys, xs = np.meshgrid(np.arange(H, dtype=np.float64),
-                         np.arange(W, dtype=np.float64), indexing="ij")
-    x = xs + flow.w[..., 0] * W
-    y = ys + flow.w[..., 1] * H
+    N, C, H, W = img2.shape
+    ys, xs = np.meshgrid(np.arange(H, dtype=img2.dtype),
+                         np.arange(W, dtype=img2.dtype), indexing="ij")
+    x = xs[None] + flow[:, 0] * W
+    y = ys[None] + flow[:, 1] * H
     valid = (x >= 0) & (x <= W - 1) & (y >= 0) & (y <= H - 1)
-
-    x0 = np.clip(np.floor(x).astype(np.int64), 0, W - 1)
-    y0 = np.clip(np.floor(y).astype(np.int64), 0, H - 1)
+    x0 = np.clip(np.floor(x), 0, W - 1).astype(np.int64)
+    y0 = np.clip(np.floor(y), 0, H - 1).astype(np.int64)
     x1 = np.minimum(x0 + 1, W - 1)
     y1 = np.minimum(y0 + 1, H - 1)
-    ax = np.clip(x - x0, 0.0, 1.0)[..., None]
-    ay = np.clip(y - y0, 0.0, 1.0)[..., None]
-    top = img[y0, x0] * (1 - ax) + img[y0, x1] * ax
-    bot = img[y1, x0] * (1 - ax) + img[y1, x1] * ax
-    out = top * (1 - ay) + bot * ay
-    out = np.where(valid[..., None], out, 0.0)
-    if squeeze:
-        out = out[..., 0]
-    return out, valid
+    ax = (np.clip(x - x0, 0, 1))[:, None]
+    ay = (np.clip(y - y0, 0, 1))[:, None]
+    ns = np.arange(N)[:, None, None, None]
+    cs = np.arange(C)[None, :, None, None]
+    g00 = img2[ns, cs, y0[:, None], x0[:, None]]
+    g01 = img2[ns, cs, y0[:, None], x1[:, None]]
+    g10 = img2[ns, cs, y1[:, None], x0[:, None]]
+    g11 = img2[ns, cs, y1[:, None], x1[:, None]]
+    out = ((g00 * (1 - ax) + g01 * ax) * (1 - ay)
+           + (g10 * (1 - ax) + g11 * ax) * ay)
+    return (out * valid[:, None]).astype(img2.dtype), valid
 
 
-def normals_from_depth(depth: InverseDepthMap, K: Intrinsics) -> NormalMap:
-    """Surface normals from central differences of unprojected points.
+def warp_image(image2: np.ndarray, flow: FlowField) -> tuple[np.ndarray, np.ndarray]:
+    """``warp_batch`` of one (H, W) or (H, W, C) image, in float64.
 
-    Border pixels use one-sided differences; pixels at infinity or with
-    degenerate neighborhoods get the camera-facing default (0, 0, -1).
+    Returns the warped array, in the layout of ``image2``, and the mask.
     """
-    xi = depth.xi
-    if xi.shape != (K.height, K.width):
-        raise ValueError("depth resolution does not match intrinsics")
-    H, W = xi.shape
-    rays = pixel_rays(K)
-    finite = xi > 0
-    with np.errstate(divide="ignore"):
-        z = np.where(finite, 1.0 / np.where(finite, xi, 1.0), 0.0)
-    P = rays * z[..., None]
-
-    def diff(axis: int) -> tuple[np.ndarray, np.ndarray]:
-        fwd = np.roll(P, -1, axis=axis)
-        bwd = np.roll(P, 1, axis=axis)
-        fok = np.roll(finite, -1, axis=axis)
-        bok = np.roll(finite, 1, axis=axis)
-        if axis == 0:
-            fok[-1, :] = False
-            bok[0, :] = False
-        else:
-            fok[:, -1] = False
-            bok[:, 0] = False
-        both = fok & bok
-        d = np.zeros_like(P)
-        d[both] = fwd[both] - bwd[both]
-        one_f = fok & ~bok
-        d[one_f] = fwd[one_f] - P[one_f]
-        one_b = bok & ~fok
-        d[one_b] = P[one_b] - bwd[one_b]
-        return d, (fok | bok)
-
-    tx, okx = diff(axis=1)
-    ty, oky = diff(axis=0)
-    n = np.cross(tx, ty)
-    norm = np.linalg.norm(n, axis=-1)
-    good = finite & okx & oky & (norm > 1e-15)
-    n = np.where(good[..., None], n / np.where(good, norm, 1.0)[..., None], 0.0)
-    # orient toward the camera: n . ray < 0
-    flip = np.einsum("hwk,hwk->hw", n, rays) > 0
-    n[flip] = -n[flip]
-    n[~good] = (0.0, 0.0, -1.0)
-    return NormalMap(n)
+    img = np.asarray(image2, dtype=np.float64)
+    chw = img[None] if img.ndim == 2 else img.transpose(2, 0, 1)
+    if flow.w.shape[:2] != chw.shape[1:]:
+        raise ValueError("flow and image resolutions differ")
+    out, valid = warp_batch(chw[None], flow.w.transpose(2, 0, 1)[None])
+    return (out[0, 0] if img.ndim == 2 else out[0].transpose(1, 2, 0)), \
+        valid[0]

@@ -250,9 +250,8 @@ def total_loss(pred: dict, gt: dict, weights: LossWeights,
     ``pred`` carries xi, s, normals (H,W,3), flow (H,W,2),
     flow_confidence (H,W,2), r, t. ``gt`` carries xi, normals, flow, r, t
     and optional masks ``valid_depth`` / ``valid_flow``. The confidence
-    target is derived from the current flow prediction unless a frozen
-    one is supplied as ``gt["flow_confidence_target"]``; either way it is
-    treated as a constant, so no gradient flows into the flow through it.
+    target is derived from the current flow prediction and treated as a
+    constant, so no gradient flows into the flow through it.
     A term with weight 0 is skipped entirely; all-zero weights are an
     error.
     """
@@ -285,9 +284,7 @@ def total_loss(pred: dict, gt: dict, weights: LossWeights,
         add(l2_pointwise_loss(pred["flow"], gt["flow"], vf), w.flow,
             {"pred": "flow"})
     if w.flow_confidence > 0:
-        c_hat = gt.get("flow_confidence_target")
-        if c_hat is None:
-            c_hat = confidence_target(pred["flow"], gt["flow"])
+        c_hat = confidence_target(pred["flow"], gt["flow"])
         add(confidence_loss(pred["flow_confidence"], c_hat, vf),
             w.flow_confidence, {"c": "flow_confidence"})
     if w.rotation > 0 or w.translation > 0:

@@ -117,18 +117,6 @@ def motion_angular_errors(pred: CameraMotion, gt: CameraMotion) -> MotionErrorRe
     return MotionErrorReport(rot_deg=rot_deg, trans_deg=trans_deg)
 
 
-def log_scale_align(z, z_gt, mask=None) -> float:
-    """Optimal global scale: exp(mean(log z_gt - log z)).
-
-    Rescaling z by the returned factor zeroes the mean log-depth error
-    and leaves sc_inv unchanged.
-    """
-    zv, gv = _masked(z, z_gt, mask)
-    if np.any(zv <= 0) or np.any(gv <= 0):
-        raise ValueError("depths must be positive on valid pixels")
-    return float(np.exp(np.mean(np.log(gv) - np.log(zv))))
-
-
 def csv_row(dataset: str, method: str, depth: DepthErrorReport | None,
             motion: MotionErrorReport | None, epe: float | None) -> dict:
     """One row of the shared report schema; missing parts stay empty."""

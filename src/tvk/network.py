@@ -31,6 +31,7 @@ from .geometry import (
     InverseDepthMap,
     depth_from_flow_motion,
     flow_from_depth_motion,
+    warp_batch,
 )
 
 XI_FLOOR = 1e-6  # floor for inverse depth when converting to metric depth
@@ -51,13 +52,16 @@ class NetConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
-        levels = len(self.channels)
-        if self.width % (2 ** levels) or self.height % (2 ** levels):
-            raise ValueError(
-                f"resolution {self.width}x{self.height} not divisible by "
-                f"2^{levels}")
+        for field, f in (("channels", 1),
+                         ("refine_channels", self.refine_factor)):
+            n = 2 ** len(getattr(self, field))
+            if (self.width * f) % n or (self.height * f) % n:
+                raise ValueError(f"{field}: resolution {self.width * f}x"
+                                 f"{self.height * f} not divisible by {n}")
         if self.first_kernel % 2 == 0 or self.kernel % 2 == 0:
             raise ValueError("1D filter lengths must be odd")
+        if self.dtype not in ("float32", "float64"):
+            raise ValueError(f"dtype {self.dtype!r} is not float32 or float64")
 
     @property
     def np_dtype(self):
@@ -97,11 +101,10 @@ class Prediction:
     def motion(self) -> CameraMotion:
         return CameraMotion(self.r, self.t)
 
-    def inverse_depth(self, apply_scale: bool = False) -> InverseDepthMap:
+    def inverse_depth(self) -> InverseDepthMap:
+        """Scaled inverse depth s * max(xi, 0), in the |t| = 1 frame."""
         xi = np.clip(self.xi.astype(np.float64), 0.0, None)
-        if apply_scale:
-            return InverseDepthMap(xi * self.s)
-        return InverseDepthMap(xi, scale=self.s)
+        return InverseDepthMap(xi * self.s)
 
     def metric_depth(self) -> np.ndarray:
         """z = 1 / (s * xi), floored to stay positive."""
@@ -220,31 +223,6 @@ def images_to_nchw(imgs: list[np.ndarray], dtype) -> np.ndarray:
     return np.ascontiguousarray(arr.transpose(0, 3, 1, 2)).astype(dtype)
 
 
-def warp_batch(img2: np.ndarray, flow: np.ndarray) -> np.ndarray:
-    """Bilinear warp of (N,C,H,W) images by (N,2,H,W) flow; zeros outside."""
-    N, C, H, W = img2.shape
-    ys, xs = np.meshgrid(np.arange(H, dtype=img2.dtype),
-                         np.arange(W, dtype=img2.dtype), indexing="ij")
-    x = xs[None] + flow[:, 0] * W
-    y = ys[None] + flow[:, 1] * H
-    valid = (x >= 0) & (x <= W - 1) & (y >= 0) & (y <= H - 1)
-    x0 = np.clip(np.floor(x), 0, W - 1).astype(np.int64)
-    y0 = np.clip(np.floor(y), 0, H - 1).astype(np.int64)
-    x1 = np.minimum(x0 + 1, W - 1)
-    y1 = np.minimum(y0 + 1, H - 1)
-    ax = (np.clip(x - x0, 0, 1))[:, None]
-    ay = (np.clip(y - y0, 0, 1))[:, None]
-    ns = np.arange(N)[:, None, None, None]
-    cs = np.arange(C)[None, :, None, None]
-    g00 = img2[ns, cs, y0[:, None], x0[:, None]]
-    g01 = img2[ns, cs, y0[:, None], x1[:, None]]
-    g10 = img2[ns, cs, y1[:, None], x0[:, None]]
-    g11 = img2[ns, cs, y1[:, None], x1[:, None]]
-    out = ((g00 * (1 - ax) + g01 * ax) * (1 - ay)
-           + (g10 * (1 - ax) + g11 * ax) * ay)
-    return (out * valid[:, None]).astype(img2.dtype)
-
-
 class TwoViewNet:
     """Bootstrap + weight-shared iterative + refinement networks."""
 
@@ -284,7 +262,7 @@ class TwoViewNet:
         with that flow stage's outputs, the prepared images and ``extra``."""
         flow_np = flow_out["flow"].data
         parts = [flow_np, self._conf_input(flow_out["conf"].data), i1, i2,
-                 warp_batch(i2, flow_np), *extra]
+                 warp_batch(i2, flow_np)[0], *extra]
         out, motion = ed.forward(Tensor(np.concatenate(parts, axis=1)))
         return {**flow_out, "xi": ad.slice_channels(out, 0, 1),
                 "normals": ad.slice_channels(out, 1, 4),
@@ -323,7 +301,7 @@ class TwoViewNet:
         flow_prop = np.zeros((N, 2, H, W), dtype=dt)
         for n, p in enumerate(prev):
             prop, valid = flow_from_depth_motion(
-                p.inverse_depth(apply_scale=True), p.motion(), K)
+                p.inverse_depth(), p.motion(), K)
             w = np.where(valid[..., None], prop.w, 0.0)
             flow_prop[n] = w.transpose(2, 0, 1).astype(dt)
         out = self._flow_stage(self.iter_flow, [i1, i2, flow_prop])

@@ -23,10 +23,11 @@ import numpy as np
 from . import container
 from .geometry import (
     CameraMotion,
+    FlowField,
     Intrinsics,
     InverseDepthMap,
     flow_from_depth_motion,
-    normals_from_depth,
+    pixel_rays,
     rotation_from_angle_axis,
     warp_image,
 )
@@ -66,20 +67,6 @@ class SynthConfig:
     def intrinsics(self) -> Intrinsics:
         return Intrinsics(self.fx, self.fy, self.cx, self.cy,
                           self.width, self.height)
-
-    @staticmethod
-    def from_dict(d: dict) -> "SynthConfig":
-        cfg = SynthConfig()
-        known = cfg.__dataclass_fields__
-        unknown = set(d) - set(known)
-        if unknown:
-            raise ValueError(f"unknown synth config keys: {sorted(unknown)}")
-        for k, v in d.items():
-            default = getattr(cfg, k)
-            if isinstance(default, tuple):
-                v = tuple(v)
-            setattr(cfg, k, v)
-        return cfg
 
 
 @dataclass
@@ -384,8 +371,6 @@ def _scene_ok(scene: SceneSpec, config: SynthConfig,
         if z1 < rad + 0.2 or z2 < rad + 0.2:
             return False
     # coverage: enough non-background pixels in the first view
-    from .geometry import pixel_rays
-
     dirs = pixel_rays(coarse)
     s, _, _ = _cast(np.zeros(3), dirs, scene, octaves=1,
                     want_color=False, want_normal=False)
@@ -410,8 +395,6 @@ def _scene_ok(scene: SceneSpec, config: SynthConfig,
 def render_pair(scene: SceneSpec, config: SynthConfig,
                 sample_id: int = 0) -> SamplePair:
     """Render both views and assemble ground truth in the |t| = 1 frame."""
-    from .geometry import pixel_rays
-
     K = config.intrinsics()
     octaves = config.texture_octaves
     R = rotation_from_angle_axis(scene.motion_r)
@@ -485,8 +468,6 @@ def render_pair(scene: SceneSpec, config: SynthConfig,
 
 def _occluded_in_second_view(s1, flow_w, R, t_raw, K: Intrinsics, s2):
     """True where a first-view pixel is hidden behind a nearer surface."""
-    from .geometry import pixel_rays
-
     H, W = s1.shape
     hit = np.isfinite(s1)
     p1 = pixel_rays(K) * np.where(hit, s1, 0.0)[..., None]
@@ -502,8 +483,6 @@ def _occluded_in_second_view(s1, flow_w, R, t_raw, K: Intrinsics, s2):
 
 def photoconsistency_score(pair: SamplePair) -> float:
     """Mean absolute color difference between img1 and flow-warped img2."""
-    from .geometry import FlowField
-
     warped, wvalid = warp_image(pair.img2.astype(np.float64),
                                 FlowField(pair.flow.astype(np.float64)))
     valid = pair.valid_flow.astype(bool) & wvalid
@@ -563,8 +542,7 @@ def record_to_sample(rec: dict[str, np.ndarray]) -> SamplePair:
 
 def generate_dataset(path: str, seed: int, n_samples: int,
                      config: SynthConfig | None = None,
-                     filter_threshold: float | None = None,
-                     progress=None) -> dict:
+                     filter_threshold: float | None = None) -> dict:
     """Write ``n_samples`` rendered pairs to ``path``; returns statistics."""
     config = config or SynthConfig()
     stats = {"accepted": 0, "rejected": 0}
@@ -581,8 +559,6 @@ def generate_dataset(path: str, seed: int, n_samples: int,
                     stats["rejected"] += 1
                     continue
             stats["accepted"] += 1
-            if progress is not None:
-                progress(stats["accepted"])
             yield sample_to_record(pair)
 
     meta = {
@@ -602,9 +578,3 @@ def load_dataset(path: str) -> tuple[list[SamplePair], dict]:
     """Read a full dataset into memory (samples are small at desk scale)."""
     records, meta = container.read_all(path)
     return [record_to_sample(r) for r in records], meta
-
-
-def iter_dataset(path: str) -> Iterator[SamplePair]:
-    with container.ContainerReader(path) as reader:
-        for rec in reader:
-            yield record_to_sample(rec)

@@ -103,14 +103,6 @@ class TrainConfig:
             grad=self.use_grad_loss, normals=self.use_normals,
             flow=self.use_flow_loss, confidence=self.use_confidence)
 
-    @staticmethod
-    def from_dict(d: dict) -> "TrainConfig":
-        cfg = TrainConfig()
-        unknown = set(d) - set(cfg.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown training config keys: {sorted(unknown)}")
-        return replace(cfg, **d)
-
 
 class MissingFieldError(ValueError):
     """Dataset lacks a ground-truth field required by the training phase."""
@@ -238,6 +230,13 @@ class Trainer:
             w = _only(w, "depth", "normal", "rotation", "translation",
                       "grad_depth")
         return w
+
+    def _require_full_fields(self):
+        if any(s.xi_full is None or s.img1_full is None
+               for s in self.train_set):
+            raise MissingFieldError(
+                "refinement training needs full-resolution fields "
+                "(img1_full, xi_full) in the dataset")
 
     # --- frozen predictions, memoized per training sample ------------------
 
@@ -381,11 +380,7 @@ class Trainer:
         """Refinement training; all other weights fixed."""
         model = self.model
         cfg = self.config
-        if any(s.xi_full is None or s.img1_full is None
-               for s in self.train_set):
-            raise MissingFieldError(
-                "refinement training needs full-resolution fields "
-                "(img1_full, xi_full) in the dataset")
+        self._require_full_fields()
         params = model.component_parameters("refine")
         opt = Adam(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
         weights = _only(cfg.weights(), "depth", "grad_depth")
@@ -405,6 +400,7 @@ class Trainer:
         self.save_checkpoint("final.tvk")
 
     def train(self):
+        self._require_full_fields()  # fail before phase 1 writes anything
         self.phase1()
         self.phase2()
         self.phase3()

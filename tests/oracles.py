@@ -7,6 +7,8 @@ second route.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 
@@ -66,6 +68,72 @@ def bilinear_sample_scalar(img, x, y):
     ax, ay = x - x0, y - y0
     return ((img[y0, x0] * (1 - ax) + img[y0, x1] * ax) * (1 - ay)
             + (img[y1, x0] * (1 - ax) + img[y1, x1] * ax) * ay)
+
+
+@dataclass
+class NormalMap:
+    """Per-pixel unit surface normals in camera coordinates, shape (H, W, 3)."""
+
+    n: np.ndarray
+
+    def __post_init__(self):
+        self.n = np.asarray(self.n, dtype=np.float64)
+        if self.n.ndim != 3 or self.n.shape[2] != 3:
+            raise ValueError("normals must have shape (H, W, 3)")
+
+
+def normals_from_depth(depth, K) -> NormalMap:
+    """Surface normals from central differences of unprojected points.
+
+    ``depth`` is a ``geometry.InverseDepthMap``. Border pixels use
+    one-sided differences; pixels at infinity or with degenerate
+    neighborhoods get the camera-facing default (0, 0, -1). Checks the
+    renderer's analytic normals by a second route.
+    """
+    xi = depth.xi
+    if xi.shape != (K.height, K.width):
+        raise ValueError("depth resolution does not match intrinsics")
+    u = (np.arange(K.width) + 0.5) / K.width
+    v = (np.arange(K.height) + 0.5) / K.height
+    rays = np.stack(np.broadcast_arrays((u[None, :] - K.cx) / K.fx,
+                                        (v[:, None] - K.cy) / K.fy, 1.0),
+                    axis=-1)
+    finite = xi > 0
+    with np.errstate(divide="ignore"):
+        z = np.where(finite, 1.0 / np.where(finite, xi, 1.0), 0.0)
+    P = rays * z[..., None]
+
+    def diff(axis: int) -> tuple[np.ndarray, np.ndarray]:
+        fwd = np.roll(P, -1, axis=axis)
+        bwd = np.roll(P, 1, axis=axis)
+        fok = np.roll(finite, -1, axis=axis)
+        bok = np.roll(finite, 1, axis=axis)
+        if axis == 0:
+            fok[-1, :] = False
+            bok[0, :] = False
+        else:
+            fok[:, -1] = False
+            bok[:, 0] = False
+        both = fok & bok
+        d = np.zeros_like(P)
+        d[both] = fwd[both] - bwd[both]
+        one_f = fok & ~bok
+        d[one_f] = fwd[one_f] - P[one_f]
+        one_b = bok & ~fok
+        d[one_b] = P[one_b] - bwd[one_b]
+        return d, (fok | bok)
+
+    tx, okx = diff(axis=1)
+    ty, oky = diff(axis=0)
+    n = np.cross(tx, ty)
+    norm = np.linalg.norm(n, axis=-1)
+    good = finite & okx & oky & (norm > 1e-15)
+    n = np.where(good[..., None], n / np.where(good, norm, 1.0)[..., None], 0.0)
+    # orient toward the camera: n . ray < 0
+    flip = np.einsum("hwk,hwk->hw", n, rays) > 0
+    n[flip] = -n[flip]
+    n[~good] = (0.0, 0.0, -1.0)
+    return NormalMap(n)
 
 
 def central_difference(f, x, step=1e-5):

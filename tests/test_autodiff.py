@@ -203,10 +203,6 @@ class TestActivations:
     def test_exp_at_zero(self):
         assert ad.activation(Tensor(np.zeros(3)), "exp").data[0] == 1.0
 
-    def test_identity_passthrough(self):
-        x = Tensor(np.array([1.0, -2.0]))
-        assert ad.activation(x, "identity") is x
-
     @pytest.mark.parametrize("kind", ["leaky_relu", "exp"])
     def test_gradcheck(self, kind):
         rng = RNG(12)
@@ -254,7 +250,7 @@ class TestBackward:
     def test_square_derivative(self):
         x = Tensor(np.array([[3.0]]), requires_grad=True)
         y = ad.fully_connected(x, x)  # x^2
-        y.backward(np.ones((1, 1)))
+        backward({y: np.ones((1, 1))})
         assert np.isclose(x.grad[0, 0], 6.0)
 
     def test_disconnected_parameter_grad(self):
@@ -268,7 +264,7 @@ class TestBackward:
         x = Tensor(np.array([[2.0]]), requires_grad=True)
         y = ad.concat_channels([ad.fully_connected(x, x),
                                 ad.fully_connected(x, x)])  # [x^2, x^2]
-        y.backward(np.ones((1, 2)))
+        backward({y: np.ones((1, 2))})
         assert np.isclose(x.grad[0, 0], 8.0)
 
     def test_multi_seed_backward(self):

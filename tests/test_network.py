@@ -1,6 +1,7 @@
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from tvk.autodiff import backward
 from tvk.geometry import Intrinsics
@@ -16,6 +17,20 @@ def predict_tiny(model):
     img1, img2 = rng.uniform(size=(2, 16, 16, 3))
     full = rng.uniform(size=(16 * f, 16 * f, 3))
     return model.predict([img1], [img2], K_TINY, img1_full=[full])[0]
+
+
+class TestNetConfig:
+    def test_unknown_dtype_is_rejected(self):
+        with pytest.raises(ValueError, match="dtype"):
+            NetConfig(dtype="flaot32")
+
+    def test_refinement_resolution_must_fit_its_levels(self):
+        # 20x20 at refine_factor 1 cannot be halved three times
+        with pytest.raises(ValueError, match="refine_channels"):
+            NetConfig(width=20, height=20, channels=(2,), refine_factor=1,
+                      refine_channels=(2, 4, 8))
+        NetConfig(width=20, height=20, channels=(2,), refine_factor=2,
+                  refine_channels=(2, 4, 8))  # 40x40 can
 
 
 class TestMotionHead:

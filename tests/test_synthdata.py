@@ -7,7 +7,6 @@ from tvk.geometry import (
     Intrinsics,
     InverseDepthMap,
     depth_from_flow_motion,
-    normals_from_depth,
 )
 from tvk.synthdata import (
     Primitive,
@@ -21,6 +20,8 @@ from tvk.synthdata import (
     render_pair,
     sample_to_record,
 )
+
+from oracles import normals_from_depth
 
 CFG_SMALL = SynthConfig(include_full=False)
 

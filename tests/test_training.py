@@ -7,9 +7,12 @@ from tvk.autodiff import Tensor
 from tvk.container import save_arrays
 from tvk.geometry import Intrinsics
 from tvk.losses import LossWeights, total_loss
-from tvk.network import NetConfig, TwoViewNet
+from tvk.network import XI_FLOOR, NetConfig, TwoViewNet
 from tvk.synthdata import SynthConfig, generate_dataset, load_dataset
-from tvk.training import (TrainConfig, Trainer, _batch_loss, load_checkpoint,
+from tvk.metrics import (endpoint_error, l1_inv, l1_rel,
+                         motion_angular_errors, sc_inv)
+from tvk.training import (MissingFieldError, TrainConfig, Trainer,
+                          _batch_loss, evaluate_iterations, load_checkpoint,
                           save_checkpoint)
 
 TINY = NetConfig(width=16, height=16, channels=(2, 4))
@@ -188,6 +191,21 @@ def test_seeded_training_writes_identical_files(tiny_samples, tmp_path):
     assert all(np.isfinite(float(row.split(",")[2])) for row in rows)
 
 
+def test_missing_full_resolution_fields_fail_before_phase1(tiny_samples,
+                                                           tmp_path):
+    low = [replace(s, img1_full=None, xi_full=None) for s in tiny_samples]
+    out_dir = tmp_path / "out"
+    trainer = Trainer(TwoViewNet(TINY, seed=1), low, K_TINY,
+                      TrainConfig(batch_size=2, phase1_steps=1,
+                                  phase2_steps=1, phase3_steps=1),
+                      str(out_dir))
+    with pytest.raises(MissingFieldError):
+        trainer.train()
+    assert list(out_dir.iterdir()) == [] and trainer.loss_log == []
+    with pytest.raises(MissingFieldError):
+        trainer.phase3()
+
+
 # --- frozen predictions: memoized per sample, only what a phase needs -------
 
 def assert_same_prediction(a, b):
@@ -309,3 +327,38 @@ def test_ablation_row_trains_one_step(tiny_samples, tmp_path, toggle):
     assert all(np.isfinite(float(row["loss"])) for row in trainer.loss_log)
     for name in ("phase1.tvk", "phase2.tvk", "final.tvk", "loss_curves.csv"):
         assert (tmp_path / name).exists()
+
+
+# --- evaluation --------------------------------------------------------------
+
+def per_sample_rows(model, samples, n_iters):
+    """evaluate_iterations recomputed one sample and one metric at a time."""
+    per_it = [[] for _ in range(n_iters + 1)]
+    for s in samples:
+        history = model.predict([s.img1], [s.img2], K_TINY, n_iters=n_iters,
+                                keep_history=True)
+        mask = s.valid_flow & s.valid_depth
+        assert mask.any()
+        z_gt = 1.0 / np.clip(s.xi, XI_FLOOR, None)
+        for it, (p,) in enumerate(history):
+            z = 1.0 / np.clip(p.xi * p.s, XI_FLOOR, None)
+            err = motion_angular_errors(p.motion().normalized(), s.motion())
+            per_it[it].append({
+                "l1_inv": l1_inv(z, z_gt, mask), "sc_inv": sc_inv(z, z_gt, mask),
+                "l1_rel": l1_rel(z, z_gt, mask),
+                "epe": endpoint_error(p.flow, s.flow, mask),
+                "rot_deg": err.rot_deg, "trans_deg": err.trans_deg})
+    return [{"iteration": it, **{k: float(np.mean([r[k] for r in rows]))
+                                 for k in rows[0]}}
+            for it, rows in enumerate(per_it)]
+
+
+def test_evaluate_iterations_matches_per_sample_metrics(tiny_samples):
+    model = TwoViewNet(replace(TINY, dtype="float64"), seed=2)
+    samples = tiny_samples[:3]
+    rows = evaluate_iterations(model, samples, K_TINY, n_iters=2)
+    assert [r["iteration"] for r in rows] == [0, 1, 2]
+    assert rows == per_sample_rows(model, samples, 2)
+    one = evaluate_iterations(model, samples, K_TINY, n_iters=2, batch_size=1)
+    assert [np.array(list(r.values())).tobytes() for r in one] == \
+        [np.array(list(r.values())).tobytes() for r in rows]
