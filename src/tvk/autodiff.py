@@ -32,8 +32,16 @@ laid out on every call. An array made writeable again must not be written
 and then made read-only again; assign a new array instead.
 
 Gradients accumulate into ``Tensor.grad``. The graph is built eagerly by
-the ops; ``backward`` walks it in reverse topological order, so two runs
-over the same graph produce bitwise-identical results.
+the ops: an op's output records its parents and its VJP closure whenever
+one of its inputs requires a gradient, and parameters always do.
+``backward`` walks the graph in reverse topological order, so two runs over
+the same graph produce bitwise-identical results; seeding a tensor that
+requires no gradient raises ``ValueError``.
+
+Inside ``with no_grad():`` the ops compute the same arrays but return
+leaves: no parents, no VJP, ``requires_grad`` false. Without the closures
+an activation is freed as soon as the next op has read it, instead of
+living until the whole graph is dropped; inference uses this mode.
 """
 
 from __future__ import annotations
@@ -44,7 +52,7 @@ __all__ = [
     "Tensor", "ParameterStore", "Adam", "backward", "conv2d", "upconv2d",
     "fully_connected", "activation", "concat_channels", "slice_channels",
     "global_avg_pool", "l2_normalize_rows", "fanin_uniform", "gradcheck_vjp",
-    "immutable",
+    "immutable", "no_grad",
 ]
 
 
@@ -93,14 +101,47 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{tag})"
 
 
+_no_grad_depth = 0  # open ``no_grad`` blocks; ops build a graph at 0
+
+
+class no_grad:
+    """Context manager under which ops build no graph (module docstring).
+
+    The mode is process-wide. Blocks nest; leaving one, by an exception
+    too, restores the mode that was active when it was entered.
+    """
+
+    def __enter__(self):
+        global _no_grad_depth
+        _no_grad_depth += 1
+        return self
+
+    def __exit__(self, *exc):
+        global _no_grad_depth
+        _no_grad_depth -= 1
+        return False
+
+
 def _op(data, parents, vjp) -> Tensor:
+    if _no_grad_depth:
+        return Tensor(data)
     req = any(p.requires_grad for p in parents)
     return Tensor(data, requires_grad=req, _parents=tuple(parents),
                   _vjp=vjp if req else None)
 
 
 def backward(seeds: dict) -> None:
-    """Reverse-mode accumulation from one or more seeded output nodes."""
+    """Reverse-mode accumulation from one or more seeded output nodes.
+
+    Every seeded tensor must require a gradient (be a graph output); one
+    that does not, such as an output built under ``no_grad``, raises
+    ``ValueError`` before any gradient is accumulated.
+    """
+    for t in seeds:
+        if not t.requires_grad:
+            what = repr(t.name) if t.name else f"of shape {t.data.shape}"
+            raise ValueError(f"backward: seed tensor {what} does not "
+                             "require grad, so nothing would be updated")
     # iterative post-order topological sort over the union of ancestors
     topo: list[Tensor] = []
     visited: set[int] = set()
@@ -110,7 +151,7 @@ def backward(seeds: dict) -> None:
         if processed:
             topo.append(node)
             continue
-        if id(node) in visited or not node.requires_grad:
+        if id(node) in visited:
             continue
         visited.add(id(node))
         stack.append((node, True))
@@ -119,8 +160,7 @@ def backward(seeds: dict) -> None:
                 stack.append((p, False))
 
     for t, seed in seeds.items():
-        if t.requires_grad:
-            t.accumulate(np.asarray(seed, dtype=t.data.dtype))
+        t.accumulate(np.asarray(seed, dtype=t.data.dtype))
 
     for node in reversed(topo):
         if node.grad is None or node._vjp is None:

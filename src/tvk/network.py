@@ -13,6 +13,12 @@ convolutions in the decoder. The depth/motion encoder-decoders
 carry an extra head (global average pool + 3 fully connected layers) that
 outputs the angle-axis rotation, a unit-norm translation and a positive
 depth scale factor.
+
+The ``*_tensors`` methods return graph outputs, for training and for
+gradient checks. The ``*_forward`` methods, and ``predict`` through them,
+run the same stages under ``autodiff.no_grad``: they return bitwise the
+same values but build no graph, so each activation is freed once the next
+layer has read it.
 """
 
 from __future__ import annotations
@@ -377,16 +383,20 @@ class TwoViewNet:
     # --- inference API ----------------------------------------------------
 
     def bootstrap_forward(self, img1, img2) -> list[Prediction]:
-        return self.tensors_to_predictions(self.bootstrap_tensors(img1, img2))
+        with ad.no_grad():
+            return self.tensors_to_predictions(
+                self.bootstrap_tensors(img1, img2))
 
     def iterative_forward(self, img1, img2, prev: list[Prediction],
                           K: Intrinsics) -> list[Prediction]:
-        return self.tensors_to_predictions(
-            self.iterative_tensors(img1, img2, prev, K))
+        with ad.no_grad():
+            return self.tensors_to_predictions(
+                self.iterative_tensors(img1, img2, prev, K))
 
     def refine_forward(self, img1_full,
                        predictions: list[Prediction]) -> list[np.ndarray]:
-        out = self.refine_tensors(img1_full, predictions).data
+        with ad.no_grad():
+            out = self.refine_tensors(img1_full, predictions).data
         return [out[n, 0].astype(np.float64) for n in range(out.shape[0])]
 
     def predict(self, img1, img2, K: Intrinsics, n_iters: int | None = None,

@@ -26,7 +26,9 @@ only the flow net, through
 ``TwoViewNet.bootstrap_flow_tensors`` / ``iterative_flow_tensors``. The
 predictions of frozen stages are memoized per training sample: the
 bootstrap output from p1c on, and the final low-resolution prediction
-(bootstrap plus ``iterations`` iterative steps) in phase 3. The memo saves
+(bootstrap plus ``iterations`` iterative steps) in phase 3. A miss is
+computed by ``TwoViewNet.bootstrap_forward`` / ``iterative_forward``, which
+build no graph (``autodiff.no_grad``). The memo saves
 work only where a training-sample index repeats while its entry is valid:
 within a batch, or in a later step of p1c, p1d, phase 2 or phase 3 (the
 bootstrap entries) or of phase 3 (the final ones). Draws that do not

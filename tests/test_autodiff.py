@@ -283,6 +283,51 @@ class TestBackward:
         assert w.grad is not None
 
 
+class TestNoGrad:
+    def _conv(self):
+        x = Tensor(RNG(0).normal(size=(1, 2, 4, 4)))
+        w = Tensor(RNG(1).normal(size=(3, 2, 3, 3)), requires_grad=True)
+        return ad.conv2d(x, w, padding=1)
+
+    def test_ops_return_leaves(self):
+        graph = self._conv()
+        with ad.no_grad():
+            leaf = self._conv()
+        assert graph.requires_grad and graph._parents and graph._vjp
+        assert not leaf.requires_grad
+        assert leaf._parents == () and leaf._vjp is None
+        assert leaf.data.tobytes() == graph.data.tobytes()
+
+    def test_mode_restored_after_nesting_and_exceptions(self):
+        with ad.no_grad():
+            with ad.no_grad():
+                assert not self._conv().requires_grad
+            assert not self._conv().requires_grad
+        assert self._conv().requires_grad
+        with pytest.raises(RuntimeError, match="inside"):
+            with ad.no_grad():
+                raise RuntimeError("inside")
+        assert self._conv().requires_grad
+
+    def test_backward_rejects_a_seed_that_requires_no_grad(self):
+        with ad.no_grad():
+            out = self._conv()
+        with pytest.raises(ValueError, match=r"shape \(1, 3, 4, 4\)"):
+            backward({out: np.ones_like(out.data)})
+        named = Tensor(np.ones(2), name="const")
+        with pytest.raises(ValueError, match="'const'"):
+            backward({named: np.ones(2)})
+
+    def test_rejected_backward_accumulates_nothing(self):
+        graph = self._conv()
+        with ad.no_grad():
+            leaf = self._conv()
+        with pytest.raises(ValueError):
+            backward({graph: np.ones_like(graph.data),
+                      leaf: np.ones_like(leaf.data)})
+        assert graph.grad is None and graph._parents[1].grad is None
+
+
 class TestParameterStore:
     def test_unique_names(self):
         ps = ParameterStore()

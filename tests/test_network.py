@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from tvk import autodiff as ad
 from tvk.autodiff import backward
 from tvk.geometry import Intrinsics
 from tvk.network import NetConfig, TwoViewNet
@@ -115,3 +116,66 @@ class TestStageMethods:
                 assert flow[key].data.tobytes() == full[key].data.tobytes()
             assert "xi" not in flow and "xi" in full
         assert len(calls) == 4  # once per call above
+
+
+FIELDS = ("flow", "flow_confidence", "xi", "normals", "r", "t", "s",
+          "refined_xi")
+
+
+def assert_same_predictions(got, want, where):
+    assert len(got) == len(want), where
+    for n, (g, w) in enumerate(zip(got, want)):
+        for field in FIELDS:
+            a, b = getattr(g, field), getattr(w, field)
+            if a is None or b is None:  # refined_xi of a low-res prediction
+                assert a is b, (where, n, field)
+                continue
+            a, b = np.asarray(a), np.asarray(b)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (
+                where, n, field)
+
+
+class TestInferenceMode:
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_forwards_equal_the_graph_chain_and_build_no_graph(
+            self, dtype, batch, monkeypatch):
+        rng = np.random.default_rng(11)
+        f = TINY.refine_factor
+        img1, img2 = (list(a) for a in rng.uniform(size=(2, batch, 16, 16, 3)))
+        full = list(rng.uniform(size=(batch, 16 * f, 16 * f, 3)))
+        model = TwoViewNet(replace(TINY, dtype=dtype), seed=1)
+        to_predictions = model.tensors_to_predictions
+
+        boot = model.bootstrap_tensors(img1, img2)
+        assert boot["xi"].requires_grad  # the graph path keeps its graph
+        chain = [to_predictions(boot)]
+        for _ in range(TINY.iterations):
+            chain.append(to_predictions(
+                model.iterative_tensors(img1, img2, chain[-1], K_TINY)))
+        refined = model.refine_tensors(full, chain[-1])
+        assert refined.requires_grad
+
+        made = []  # every op output from here on
+        op = ad._op
+        monkeypatch.setattr(ad, "_op", lambda *a: made.append(op(*a))
+                            or made[-1])
+        assert_same_predictions(model.bootstrap_forward(img1, img2),
+                                chain[0], "bootstrap")
+        for it in range(1, len(chain)):
+            assert_same_predictions(
+                model.iterative_forward(img1, img2, chain[it - 1], K_TINY),
+                chain[it], f"iteration {it}")
+        for n, (p, rx) in enumerate(zip(
+                chain[-1], model.refine_forward(full, chain[-1]))):
+            assert rx.tobytes() == refined.data[n, 0].astype(
+                np.float64).tobytes(), n
+            p.refined_xi = rx
+        history = model.predict(img1, img2, K_TINY, img1_full=full,
+                                keep_history=True)
+        for it, (got, want) in enumerate(zip(history, chain, strict=True)):
+            assert_same_predictions(got, want, f"predict iteration {it}")
+
+        assert made and not any(t.requires_grad or t._parents or t._vjp
+                                for t in made)
+        assert all(p.grad is None for p in model.params.values())

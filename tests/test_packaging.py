@@ -35,7 +35,9 @@ def test_autodiff_all_resolves_and_lists_every_public_function():
     for name in autodiff.__all__:
         assert hasattr(autodiff, name), name
     public = {name for name, obj in vars(autodiff).items()
-              if inspect.isfunction(obj) and not name.startswith("_")
+              if (inspect.isfunction(obj) or inspect.isclass(obj))
+              and not name.startswith("_")
               and obj.__module__ == autodiff.__name__}
+    assert {"Tensor", "ParameterStore", "Adam", "no_grad"} <= public
     unlisted = sorted(public - set(autodiff.__all__))
     assert not unlisted, unlisted

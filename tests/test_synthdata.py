@@ -210,20 +210,14 @@ class TestDatasetIO:
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
     def test_filter_reports_rejections(self, tmp_path):
-        # an absurdly low threshold rejects every candidate pair
+        # pair 0 of seed 2 scores 0.00552, above the threshold; pairs 1-3
+        # pass, so the rejected pair is skipped and generation goes on
         path = str(tmp_path / "f.tvk")
-        cfg = SynthConfig(include_full=False)
-        stats = {"rejected": 0}
-        try:
-            import itertools
-            # use a tiny run with an impossible threshold: generation would
-            # loop forever, so use a permissive threshold and check counts
-            stats = generate_dataset(path, seed=2, n_samples=3, config=cfg,
-                                     filter_threshold=0.02)
-        finally:
-            pass
-        assert stats["accepted"] == 3
-        assert stats["rejected"] >= 0
+        stats = generate_dataset(path, 2, 3, SynthConfig(include_full=False),
+                                 filter_threshold=0.0045)
+        assert stats == {"accepted": 3, "rejected": 1}
+        samples, _ = load_dataset(path)
+        assert [s.sample_id for s in samples] == [1, 2, 3]
 
     def test_record_conversion_preserves_quantized_images(self):
         scene = generate_scene(77, CFG_SMALL, index=0)
