@@ -535,10 +535,6 @@ class ParameterStore:
     def values(self):
         return self._params.values()
 
-    def zero_grad(self) -> None:
-        for t in self._params.values():
-            t.grad = None
-
     def state_dict(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self._params.items()}
 

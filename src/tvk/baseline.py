@@ -2,10 +2,14 @@
 
 Robust essential-matrix estimation (normalized 8-point inside RANSAC),
 motion recovery by cheirality, Levenberg-Marquardt refinement of the
-reprojection error. Dense depth by triangulating a flow field with a known
-motion is ``geometry.depth_from_flow_motion``. Serves as the comparison
-baseline for the learned model, and as an oracle when fed ground-truth
-flow and motion.
+reprojection error. RANSAC draws all its minimal samples first, then
+solves and scores them in fixed-size blocks (one stacked 8-point solve and
+one batched Sampson pass each); ``eight_point`` and ``sampson_distance``
+are batch-of-one calls of the same helpers, so the blocks give bitwise the
+results of scoring one hypothesis at a time. Dense depth by triangulating
+a flow field with a known motion is ``geometry.depth_from_flow_motion``.
+Serves as the comparison baseline for the learned model, and as an oracle
+when fed ground-truth flow and motion.
 
 Correspondences are in normalized camera coordinates (intrinsics removed).
 """
@@ -55,23 +59,69 @@ class Correspondences:
         return Correspondences(self.x1[idx], self.x2[idx])
 
 
+# Hypotheses scored together in ``ransac_essential``. Larger blocks cut
+# numpy call overhead further but hold more (block, n, 3) temporaries.
+_RANSAC_BLOCK = 50
+
+
 def _hartley_normalize(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Translate to the centroid and scale RMS distance to sqrt(2)."""
-    c = pts.mean(axis=0)
-    rms = np.sqrt(np.mean(np.sum((pts - c) ** 2, axis=1)))
-    s = np.sqrt(2.0) / max(rms, 1e-12)
-    T = np.array([[s, 0.0, -s * c[0]],
-                  [0.0, s, -s * c[1]],
-                  [0.0, 0.0, 1.0]])
-    return (pts - c) * s, T
+    """Per set of (m, n, 2) points: translate to the centroid and scale RMS
+    distance to sqrt(2). Returns the points and the (m, 3, 3) transforms."""
+    c = pts.mean(axis=1)
+    d = pts - c[:, None, :]
+    rms = np.sqrt(np.mean(np.sum(d ** 2, axis=2), axis=1))
+    s = np.sqrt(2.0) / np.maximum(rms, 1e-12)
+    T = np.zeros((pts.shape[0], 3, 3))
+    T[:, 0, 0] = T[:, 1, 1] = s
+    T[:, 0:2, 2] = -s[:, None] * c
+    T[:, 2, 2] = 1.0
+    return d * s[:, None, None], T
 
 
 def _essential_constraints(E: np.ndarray) -> np.ndarray:
-    """Project onto rank-2 with equal nonzero singular values."""
+    """Project (m, 3, 3) onto rank 2 with singular values (1, 1, 0)."""
     U, S, Vt = np.linalg.svd(E)
-    sigma = 0.5 * (S[0] + S[1])
-    E = U @ np.diag([sigma, sigma, 0.0]) @ Vt
-    return E / sigma  # singular values (1, 1, 0)
+    sigma = 0.5 * (S[:, 0] + S[:, 1])
+    D = np.zeros_like(E)
+    D[:, 0, 0] = D[:, 1, 1] = sigma
+    return U @ D @ Vt / sigma[:, None, None]
+
+
+def _eight_point(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """Normalized 8-point on m stacked match sets (m, n, 2), n >= 8.
+
+    Returns the essential matrices of the non-degenerate sets, (k, 3, 3),
+    in order. Degenerate sets are dropped before the rank-2 projection, so
+    no row divides by a vanishing singular value.
+    """
+    p1, T1 = _hartley_normalize(x1)
+    p2, T2 = _hartley_normalize(x2)
+    a1, b1 = p1[..., 0], p1[..., 1]
+    a2, b2 = p2[..., 0], p2[..., 1]
+    A = np.stack([a2 * a1, a2 * b1, a2, b2 * a1, b2 * b1, b2,
+                  a1, b1, np.ones_like(a1)], axis=-1)
+    # With 8 matches only the full Vt holds the null vector; with more, the
+    # thin SVD gives the same Vt without forming an (n, n) U.
+    _, s, Vt = np.linalg.svd(A, full_matrices=A.shape[1] == 8)
+    ok = ~(s[:, 7] < 1e-9 * s[:, 0])
+    En = Vt[ok, -1].reshape(-1, 3, 3)
+    E = T2[ok].transpose(0, 2, 1) @ En @ T1[ok]
+    return _essential_constraints(E)
+
+
+def _sampson(E: np.ndarray, x1h: np.ndarray, x2h: np.ndarray) -> np.ndarray:
+    """Squared Sampson distances (k, n) of homogeneous matches (n, 3) under
+    k essential matrices (k, 3, 3)."""
+    Ex1 = x1h @ E.transpose(0, 2, 1)
+    Etx2 = x2h @ E
+    num = np.sum(x2h * Ex1, axis=2) ** 2
+    den = (Ex1[..., 0] ** 2 + Ex1[..., 1] ** 2
+           + Etx2[..., 0] ** 2 + Etx2[..., 1] ** 2)
+    return num / np.maximum(den, 1e-30)
+
+
+def _homogeneous(x: np.ndarray) -> np.ndarray:
+    return np.hstack([x, np.ones((x.shape[0], 1))])
 
 
 def eight_point(corr: Correspondences) -> np.ndarray:
@@ -79,57 +129,61 @@ def eight_point(corr: Correspondences) -> np.ndarray:
     n = len(corr)
     if n < 8:
         raise EstimationError(f"need at least 8 correspondences, got {n}")
-    p1, T1 = _hartley_normalize(corr.x1)
-    p2, T2 = _hartley_normalize(corr.x2)
-    x1, y1 = p1[:, 0], p1[:, 1]
-    x2, y2 = p2[:, 0], p2[:, 1]
-    A = np.stack([x2 * x1, x2 * y1, x2, y2 * x1, y2 * y1, y2,
-                  x1, y1, np.ones(n)], axis=1)
-    _, s, Vt = np.linalg.svd(A)
-    if s[7] < 1e-9 * s[0]:
+    E = _eight_point(corr.x1[None], corr.x2[None])
+    if not len(E):
         raise EstimationError("degenerate configuration (rank-deficient system)")
-    En = Vt[-1].reshape(3, 3)
-    E = T2.T @ En @ T1
-    return _essential_constraints(E)
+    return E[0]
 
 
 def sampson_distance(E: np.ndarray, corr: Correspondences) -> np.ndarray:
     """First-order squared epipolar distance per match."""
-    ones = np.ones((len(corr), 1))
-    x1 = np.hstack([corr.x1, ones])
-    x2 = np.hstack([corr.x2, ones])
-    Ex1 = x1 @ E.T
-    Etx2 = x2 @ E
-    num = np.sum(x2 * Ex1, axis=1) ** 2
-    den = Ex1[:, 0] ** 2 + Ex1[:, 1] ** 2 + Etx2[:, 0] ** 2 + Etx2[:, 1] ** 2
-    return num / np.maximum(den, 1e-30)
+    return _sampson(E[None], _homogeneous(corr.x1), _homogeneous(corr.x2))[0]
 
 
 def ransac_essential(corr: Correspondences, threshold: float = 1e-4,
                      max_iters: int = 500, seed: int = 0
                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Robust essential matrix; returns (E, inlier mask). Deterministic."""
+    """Robust essential matrix; returns (E, inlier mask). Deterministic.
+
+    All ``max_iters`` minimal samples are drawn up front, in the order of
+    one ``rng.choice(n, 8, replace=False)`` per hypothesis, from a Philox
+    generator keyed by ``seed``. Hypotheses are then solved and scored in
+    blocks of ``_RANSAC_BLOCK``: one stacked 8-point solve and one batched
+    Sampson pass per block. A degenerate minimal sample is skipped but uses
+    up its draw. The hypothesis with the most inliers (squared Sampson
+    distance below ``threshold``) wins; among equal counts the lowest mean
+    inlier distance wins, and among equal means the earlier hypothesis.
+    The mean is taken only for hypotheses that can still win. The returned
+    E is the 8-point fit to the winner's inliers.
+    """
     n = len(corr)
     if n < 8:
         raise EstimationError(f"need at least 8 correspondences, got {n}")
     rng = np.random.Generator(np.random.Philox(key=seed))
+    draws = np.array([rng.choice(n, size=8, replace=False)
+                      for _ in range(max_iters)], dtype=np.intp).reshape(-1, 8)
+    x1h, x2h = _homogeneous(corr.x1), _homogeneous(corr.x2)
     best_mask = None
     best_count = -1
     best_score = np.inf
-    for _ in range(max_iters):
-        idx = rng.choice(n, size=8, replace=False)
-        try:
-            E = eight_point(corr.subset(idx))
-        except EstimationError:
+    for start in range(0, max_iters, _RANSAC_BLOCK):
+        idx = draws[start:start + _RANSAC_BLOCK]
+        E = _eight_point(corr.x1[idx], corr.x2[idx])
+        if not len(E):
             continue
-        d = sampson_distance(E, corr)
-        mask = d < threshold
-        count = int(mask.sum())
-        score = float(d[mask].mean()) if count else np.inf
-        if count > best_count or (count == best_count and score < best_score):
-            best_count = count
-            best_score = score
-            best_mask = mask
+        d = _sampson(E, x1h, x2h)
+        masks = d < threshold
+        counts = masks.sum(axis=1)
+        top = int(counts.max())
+        if top < best_count:
+            continue
+        # only the block's most-inlier hypotheses can still win
+        for k in np.flatnonzero(counts == top):
+            score = float(d[k][masks[k]].mean()) if top else np.inf
+            if top > best_count or score < best_score:
+                best_count = top
+                best_score = score
+                best_mask = masks[k].copy()
     if best_mask is None or best_count < 8:
         raise EstimationError("no model with at least 8 inliers")
     E = eight_point(corr.subset(best_mask))

@@ -81,10 +81,6 @@ class CameraMotion:
         if not (np.all(np.isfinite(self.r)) and np.all(np.isfinite(self.t))):
             raise ValueError("motion parameters must be finite")
 
-    @staticmethod
-    def identity() -> "CameraMotion":
-        return CameraMotion(np.zeros(3), np.zeros(3))
-
     def normalized(self) -> "CameraMotion":
         """Unit-norm translation, canonical rotation (|r| <= pi)."""
         n = float(np.linalg.norm(self.t))
@@ -92,10 +88,6 @@ class CameraMotion:
             raise DegenerateMotionError("translation norm below 1e-9")
         r = angle_axis_from_rotation(rotation_from_angle_axis(self.r))
         return CameraMotion(r, self.t / n)
-
-    def inverse(self) -> "CameraMotion":
-        R = rotation_from_angle_axis(self.r)
-        return CameraMotion(-self.r, -R.T @ self.t)
 
 
 @dataclass

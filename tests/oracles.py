@@ -36,6 +36,12 @@ def rotation_oracle(r):
     return rotation_from_quat(quat_from_angle_axis(r))
 
 
+def inverse_motion(r, t):
+    """(r, t) of the motion that undoes x -> R(r) x + t."""
+    r = np.asarray(r, dtype=np.float64)
+    return -r, -rotation_oracle(r).T @ np.asarray(t, dtype=np.float64)
+
+
 def project_point(p, K):
     """Scalar pinhole projection of one 3D point to normalized (u, v)."""
     return (K.fx * p[0] / p[2] + K.cx, K.fy * p[1] / p[2] + K.cy)
@@ -316,3 +322,91 @@ def grad_loss_reference(f, f_gt, spacings, mask=None, eps=1e-9):
             df[tail] += up * dgdb
             df[head] += up * dgda
     return total, df
+
+
+class DegenerateSample(ValueError):
+    """Raised by the 8-point oracle on a rank-deficient system."""
+
+
+def _hartley_normalize_loop(pts):
+    c = pts.mean(axis=0)
+    rms = np.sqrt(np.mean(np.sum((pts - c) ** 2, axis=1)))
+    s = np.sqrt(2.0) / max(rms, 1e-12)
+    T = np.array([[s, 0.0, -s * c[0]],
+                  [0.0, s, -s * c[1]],
+                  [0.0, 0.0, 1.0]])
+    return (pts - c) * s, T
+
+
+def eight_point_loop(x1, x2):
+    """Normalized 8-point method on one (n, 2) match set, n >= 8."""
+    n = x1.shape[0]
+    if n < 8:
+        raise ValueError(f"need at least 8 correspondences, got {n}")
+    p1, T1 = _hartley_normalize_loop(x1)
+    p2, T2 = _hartley_normalize_loop(x2)
+    u1, v1 = p1[:, 0], p1[:, 1]
+    u2, v2 = p2[:, 0], p2[:, 1]
+    A = np.stack([u2 * u1, u2 * v1, u2, v2 * u1, v2 * v1, v2,
+                  u1, v1, np.ones(n)], axis=1)
+    _, s, Vt = np.linalg.svd(A)
+    if s[7] < 1e-9 * s[0]:
+        raise DegenerateSample("rank-deficient system")
+    E = T2.T @ Vt[-1].reshape(3, 3) @ T1
+    U, S, Vt = np.linalg.svd(E)
+    sigma = 0.5 * (S[0] + S[1])
+    E = U @ np.diag([sigma, sigma, 0.0]) @ Vt
+    return E / sigma
+
+
+def sampson_distance_loop(E, x1, x2):
+    """First-order squared epipolar distance of each match under one E."""
+    ones = np.ones((x1.shape[0], 1))
+    x1 = np.hstack([x1, ones])
+    x2 = np.hstack([x2, ones])
+    Ex1 = x1 @ E.T
+    Etx2 = x2 @ E
+    num = np.sum(x2 * Ex1, axis=1) ** 2
+    den = Ex1[:, 0] ** 2 + Ex1[:, 1] ** 2 + Etx2[:, 0] ** 2 + Etx2[:, 1] ** 2
+    return num / np.maximum(den, 1e-30)
+
+
+def ransac_hypotheses_loop(x1, x2, threshold=1e-4, max_iters=500, seed=0):
+    """(inlier count, mean inlier distance, inlier mask) of each minimal
+    sample drawn one at a time, or None where the sample is degenerate."""
+    n = x1.shape[0]
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    out = []
+    for _ in range(max_iters):
+        idx = rng.choice(n, size=8, replace=False)
+        try:
+            E = eight_point_loop(x1[idx], x2[idx])
+        except DegenerateSample:
+            out.append(None)
+            continue
+        d = sampson_distance_loop(E, x1, x2)
+        mask = d < threshold
+        count = int(mask.sum())
+        out.append((count, float(d[mask].mean()) if count else np.inf, mask))
+    return out
+
+
+def ransac_essential_loop(x1, x2, threshold=1e-4, max_iters=500, seed=0):
+    """RANSAC that solves and scores one minimal sample at a time.
+
+    Returns (E, inlier mask), or None when no hypothesis reaches 8 inliers.
+    """
+    best_mask = None
+    best_count = -1
+    best_score = np.inf
+    for hyp in ransac_hypotheses_loop(x1, x2, threshold, max_iters, seed):
+        if hyp is None:
+            continue
+        count, score, mask = hyp
+        if count > best_count or (count == best_count and score < best_score):
+            best_count = count
+            best_score = score
+            best_mask = mask
+    if best_mask is None or best_count < 8:
+        return None
+    return eight_point_loop(x1[best_mask], x2[best_mask]), best_mask

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,14 @@ from tvk.geometry import (
 from tvk.metrics import l1_inv, motion_angular_errors
 from tvk.synthdata import SynthConfig, generate_scene, render_pair
 
-from oracles import rotation_oracle
+from oracles import (
+    eight_point_loop,
+    inverse_motion,
+    ransac_essential_loop,
+    ransac_hypotheses_loop,
+    rotation_oracle,
+    sampson_distance_loop,
+)
 
 
 def skew(v):
@@ -152,9 +161,99 @@ class TestRansac:
         assert counts[0] <= counts[1] <= counts[2]
 
     def test_too_few_points(self):
-        with pytest.raises(EstimationError):
-            ransac_essential(Correspondences(np.zeros((5, 2)),
-                                             np.zeros((5, 2))), seed=0)
+        for n in (0, 5, 7):
+            with pytest.raises(EstimationError, match="at least 8"):
+                ransac_essential(Correspondences(np.zeros((n, 2)),
+                                                 np.zeros((n, 2))), seed=0)
+
+
+class TestBlockScoring:
+    """The block-scored RANSAC equals the one-hypothesis-at-a-time loop in
+    tests/oracles.py bitwise: same draws, same E, same inlier mask."""
+
+    def assert_matches_loop(self, corr, **kw):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            E, mask = ransac_essential(corr, **kw)
+        E_ref, mask_ref = ransac_essential_loop(corr.x1, corr.x2, **kw)
+        assert np.array_equal(mask, mask_ref)
+        assert np.array_equal(E, E_ref)
+
+    @pytest.mark.parametrize("outliers,seed", [(0.0, 3), (0.3, 4)])
+    def test_seeded_matches_equal_loop(self, outliers, seed):
+        rng = np.random.default_rng(40 + seed)
+        corr, _ = make_matches(rng, 150, R_TEST, T_TEST, noise=5e-4,
+                               outliers=outliers)
+        self.assert_matches_loop(corr, seed=seed)
+
+    def test_degenerate_samples_skipped(self):
+        # 10 distinct matches plus 6 copies: most minimal samples repeat a
+        # match and are rank deficient, the rest are solved
+        rng = np.random.default_rng(30)
+        corr, _ = make_matches(rng, 10, R_TEST, T_TEST, noise=1e-4)
+        dup = rng.integers(0, 10, 6)
+        corr = Correspondences(np.vstack([corr.x1, corr.x1[dup]]),
+                               np.vstack([corr.x2, corr.x2[dup]]))
+        hyps = ransac_hypotheses_loop(corr.x1, corr.x2, max_iters=120,
+                                      seed=5)
+        assert 0 < sum(h is None for h in hyps) < len(hyps)
+        self.assert_matches_loop(corr, max_iters=120, seed=5)
+
+    def test_all_samples_degenerate_raises(self):
+        # points on a plane through both camera centres
+        rng = np.random.default_rng(4)
+        pts = np.stack([rng.uniform(-1, 1, 24), np.zeros(24),
+                        rng.uniform(2, 5, 24)], axis=1)
+        p2 = pts + np.array([1.0, 0.0, 0.0])
+        corr = Correspondences(pts[:, :2] / pts[:, 2:3],
+                               p2[:, :2] / p2[:, 2:3])
+        hyps = ransac_hypotheses_loop(corr.x1, corr.x2, max_iters=60)
+        assert all(h is None for h in hyps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EstimationError, match="8 inliers"):
+                ransac_essential(corr, max_iters=60)
+
+    @pytest.mark.parametrize("rng_seed,noise", [(38, 2e-3), (34, 5e-3)])
+    def test_inlier_count_ties_decided_by_score(self, rng_seed, noise):
+        # noise near the threshold: hypotheses 8 and 74 (one per block),
+        # or 63, 65 and 86 (one block), share the top inlier count with
+        # different inlier sets; the lowest mean distance wins, not the
+        # first and not the highest
+        rng = np.random.default_rng(rng_seed)
+        corr, _ = make_matches(rng, 60, R_TEST, T_TEST, noise=noise)
+        hyps = ransac_hypotheses_loop(corr.x1, corr.x2, max_iters=137,
+                                      seed=6)
+        top = max(h[0] for h in hyps if h)
+        tied = [i for i, h in enumerate(hyps) if h and h[0] == top]
+        winner = min(tied, key=lambda i: hyps[i][1])
+        loser = max(tied, key=lambda i: hyps[i][1])
+        masks = {i: hyps[i][2] for i in (tied[0], winner, loser)}
+        assert not np.array_equal(masks[winner], masks[tied[0]])
+        assert not np.array_equal(masks[winner], masks[loser])
+        _, mask = ransac_essential(corr, max_iters=137, seed=6)
+        assert np.array_equal(mask, masks[winner])
+        self.assert_matches_loop(corr, max_iters=137, seed=6)
+
+    @pytest.mark.parametrize("max_iters", [1, 49, 51, 137])
+    def test_partial_last_block(self, max_iters):
+        rng = np.random.default_rng(50)
+        corr, _ = make_matches(rng, 90, R_TEST, T_TEST, noise=3e-4,
+                               outliers=0.2)
+        self.assert_matches_loop(corr, max_iters=max_iters, seed=7)
+
+    def test_batch_of_one_equals_loop(self):
+        rng = np.random.default_rng(60)
+        for n in (8, 9, 17, 64, 233, 400):
+            corr, _ = make_matches(rng, n, rng.normal(size=3) * 0.1,
+                                   rng.normal(size=3), noise=1e-3,
+                                   outliers=0.2)
+            E = eight_point(corr)
+            assert np.array_equal(E, eight_point_loop(corr.x1, corr.x2))
+            E_any = rng.normal(size=(3, 3))
+            assert np.array_equal(sampson_distance(E_any, corr),
+                                  sampson_distance_loop(E_any, corr.x1,
+                                                        corr.x2))
 
 
 class TestDecompose:
@@ -185,7 +284,7 @@ class TestDecompose:
         rev = Correspondences(corr.x2, corr.x1)
         E = eight_point(rev)
         motion = decompose_essential(E, rev)
-        inv = CameraMotion(R_TEST, T_TEST).inverse().normalized()
+        inv = CameraMotion(*inverse_motion(R_TEST, T_TEST)).normalized()
         err = motion_angular_errors(motion.normalized(), inv)
         assert err.rot_deg < 0.1
         assert err.trans_deg < 0.1
@@ -391,3 +490,19 @@ class TestFullPipeline:
         err = motion_angular_errors(est.normalized(), m)
         assert err.rot_deg < 0.1
         assert err.trans_deg < 0.5
+
+    @pytest.mark.xfail(strict=True, reason="the 8-point estimate on this "
+                       "input is 84 degrees off in translation; open item")
+    def test_seeded_pair_with_all_inliers_recovers_translation(self):
+        # seed 18, pair 8: all 400 samples are RANSAC inliers and 142 of
+        # them triangulate behind a camera under the chosen decomposition
+        cfg = SynthConfig(include_full=False)
+        rng = np.random.default_rng(18)
+        for _ in range(9):  # one noise array per pair, in index order
+            noise = rng.normal(0.0, 5e-4, (cfg.height, cfg.width, 2))
+        s = render_pair(generate_scene(18, cfg, 8), cfg, 8)
+        flow = FlowField(s.flow.astype(np.float32) + noise)
+        est = estimate_motion_from_flow(flow, s.valid_flow, cfg.intrinsics(),
+                                        seed=8)
+        err = motion_angular_errors(est.normalized(), s.motion())
+        assert err.trans_deg <= 3.0

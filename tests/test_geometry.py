@@ -122,7 +122,7 @@ class TestFlowFromDepth:
         rng = np.random.default_rng(4)
         xi = rng.uniform(0.2, 1.0, size=(K_TEST.height, K_TEST.width))
         flow, valid = flow_from_depth_motion(
-            InverseDepthMap(xi), CameraMotion.identity(), K_TEST)
+            InverseDepthMap(xi), CameraMotion(np.zeros(3), np.zeros(3)), K_TEST)
         assert np.all(flow.w == 0.0)
         assert valid.all()
 

@@ -45,7 +45,8 @@ class TestMotionHead:
         for key, cols in (("r", slice(0, 3)), ("t", slice(3, 6)),
                           ("s", slice(6, 7))):
             out = model.bootstrap_tensors(list(img1), list(img2))
-            model.params.zero_grad()
+            for p in model.params.values():
+                p.grad = None
             backward({out[key]: np.ones_like(out[key].data)})
             grad = bias.grad
             assert np.all(np.delete(grad, np.arange(7)[cols]) == 0.0), key
