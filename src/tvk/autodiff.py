@@ -341,6 +341,28 @@ def _conv_dx(dy, w: Tensor, stride, padding, x_hw):
     return _conv_fwd(dyp, _layout(w, _flipped), (1, 1), (0, 0))
 
 
+def _linear(out, x: Tensor, w: Tensor, b: Tensor | None, dx, dw) -> Tensor:
+    """Node of a linear op: ``out`` (a fresh array: the bias ``b`` is added
+    in place, along axis 1).
+
+    Its VJP returns ``dx(g)``, ``dw(g)`` and the bias gradient, each only
+    for an input that requires a gradient.
+    """
+    if b is not None:
+        out += b.data.reshape((1, -1) + (1,) * (out.ndim - 2))
+    parents = (x, w) if b is None else (x, w, b)
+
+    def vjp(g):
+        grads = (dx(g) if x.requires_grad else None,
+                 dw(g) if w.requires_grad else None)
+        if b is None:
+            return grads
+        axes = (0,) + tuple(range(2, g.ndim))
+        return grads + (g.sum(axis=axes) if b.requires_grad else None,)
+
+    return _op(out, parents, vjp)
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
            stride=1, padding=0) -> Tensor:
     """Cross-correlation of (N,C,H,W) with kernels (O,C,kh,kw)."""
@@ -349,22 +371,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     if x.data.ndim != 4 or w.data.ndim != 4 or x.data.shape[1] != w.data.shape[1]:
         raise ValueError(
             f"conv2d shape mismatch: input {x.data.shape}, kernel {w.data.shape}")
-    out = _conv_fwd(x.data, w.data, stride, padding)
-    if b is not None:
-        out += b.data[None, :, None, None]
     x_hw = x.data.shape[2:]
     kshape = w.data.shape
-    parents = (x, w) if b is None else (x, w, b)
-
-    def vjp(g):
-        gx = _conv_dx(g, w, stride, padding, x_hw) if x.requires_grad else None
-        gw = _conv_dw(x.data, g, stride, padding, kshape) if w.requires_grad else None
-        if b is None:
-            return gx, gw
-        gb = g.sum(axis=(0, 2, 3)) if b.requires_grad else None
-        return gx, gw, gb
-
-    return _op(out, parents, vjp)
+    return _linear(
+        _conv_fwd(x.data, w.data, stride, padding), x, w, b,
+        lambda g: _conv_dx(g, w, stride, padding, x_hw),
+        lambda g: _conv_dw(x.data, g, stride, padding, kshape))
 
 
 def upconv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
@@ -384,27 +396,16 @@ def upconv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
             f"upconv2d shape mismatch: input {x.data.shape}, kernel {w.data.shape}")
     sh, sw = stride
     ph, pw = padding
-    O, C, kh, kw = w.data.shape
+    O, C, kh, kw = kshape = w.data.shape
     if out_hw is None:
         Hout = (x.data.shape[2] - 1) * sh + kh - 2 * ph
         Wout = (x.data.shape[3] - 1) * sw + kw - 2 * pw
     else:
         Hout, Wout = out_hw
-    out = _conv_dx(x.data, w, stride, padding, (Hout, Wout))
-    if b is not None:
-        out += b.data[None, :, None, None]
-    kshape = w.data.shape
-    parents = (x, w) if b is None else (x, w, b)
-
-    def vjp(g):
-        gx = _conv_fwd(g, w.data, stride, padding) if x.requires_grad else None
-        gw = _conv_dw(g, x.data, stride, padding, kshape) if w.requires_grad else None
-        if b is None:
-            return gx, gw
-        gb = g.sum(axis=(0, 2, 3)) if b.requires_grad else None
-        return gx, gw, gb
-
-    return _op(out, parents, vjp)
+    return _linear(
+        _conv_dx(x.data, w, stride, padding, (Hout, Wout)), x, w, b,
+        lambda g: _conv_fwd(g, w.data, stride, padding),
+        lambda g: _conv_dw(g, x.data, stride, padding, kshape))
 
 
 def fully_connected(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -415,19 +416,8 @@ def fully_connected(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     # one GEMM per row, so a row's result does not depend on the batch
     out = np.concatenate([x.data[n:n + 1] @ w.data
                           for n in range(x.data.shape[0])])
-    if b is not None:
-        out = out + b.data[None, :]
-    parents = (x, w) if b is None else (x, w, b)
-
-    def vjp(g):
-        gx = g @ w.data.T if x.requires_grad else None
-        gw = x.data.T @ g if w.requires_grad else None
-        if b is None:
-            return gx, gw
-        gb = g.sum(axis=0) if b.requires_grad else None
-        return gx, gw, gb
-
-    return _op(out, parents, vjp)
+    return _linear(out, x, w, b, lambda g: g @ w.data.T,
+                   lambda g: x.data.T @ g)
 
 
 LEAKY_SLOPE = 0.1

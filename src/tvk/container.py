@@ -63,6 +63,8 @@ class FieldSpec:
 
     @staticmethod
     def from_json(d: dict) -> "FieldSpec":
+        if d["dtype"] not in _ALLOWED_DTYPES:
+            raise ValueError(f"dtype {d['dtype']!r} not storable in TVK1")
         return FieldSpec(d["name"], d["dtype"], tuple(int(s) for s in d["shape"]))
 
     @property
@@ -191,8 +193,13 @@ class ContainerReader:
                     f"{path}: container version {header.get('version')!r}, "
                     f"reader supports {VERSION}"
                 )
-            self.fields = [FieldSpec.from_json(d) for d in header["fields"]]
-            self.n_records = int(header["n_records"])
+            try:  # the header has no checksum: a damaged schema fails here
+                self.fields = [FieldSpec.from_json(d) for d in header["fields"]]
+                self.n_records = int(header["n_records"])
+                if self.n_records < 0:
+                    raise ValueError(f"negative record count {self.n_records}")
+            except (KeyError, TypeError, ValueError) as e:
+                raise ContainerError(f"{path}: malformed header: {e!r}") from e
             self.meta = header.get("meta", {})
             self._body_start = self._f.tell()
         except BaseException:
@@ -245,4 +252,6 @@ def save_arrays(path: str, arrays: dict[str, np.ndarray], meta: dict | None = No
 def load_arrays(path: str) -> tuple[dict[str, np.ndarray], dict]:
     with ContainerReader(path) as r:
         records = list(r)
+        if len(records) != 1:
+            raise ContainerError(f"{path}: {len(records)} records, expected 1")
         return records[0], r.meta

@@ -14,7 +14,7 @@ its axis, and its backward reuses them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,19 +42,6 @@ class LossWeights:
         for name in self.__dataclass_fields__:
             if getattr(self, name) < 0:
                 raise ValueError(f"loss weight {name} must be nonnegative")
-
-    def for_ablation(self, grad=True, normals=True, flow=True, confidence=True):
-        """Toggle groups of terms the way the ablation table does."""
-        w = self
-        if not grad:
-            w = replace(w, grad_depth=0.0, grad_flow=0.0)
-        if not normals:
-            w = replace(w, normal=0.0)
-        if not flow:
-            w = replace(w, flow=0.0, flow_confidence=0.0, grad_flow=0.0)
-        if not confidence:
-            w = replace(w, flow_confidence=0.0)
-        return w
 
 
 @dataclass

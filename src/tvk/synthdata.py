@@ -14,7 +14,6 @@ the bytes of the emitted dataset file.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from typing import Iterator
 
@@ -93,15 +92,6 @@ class SceneSpec:
     background: Primitive  # infinite plane; size ignored
     motion_r: np.ndarray
     motion_t_raw: np.ndarray  # pre-normalization translation
-
-    def to_json(self) -> str:
-        def conv(o):
-            if isinstance(o, np.ndarray):
-                return o.tolist()
-            return o
-
-        d = asdict(self)
-        return json.dumps(d, default=conv, sort_keys=True)
 
 
 @dataclass
@@ -492,13 +482,6 @@ def photoconsistency_score(pair: SamplePair) -> float:
     return float(diff[valid].mean())
 
 
-def photoconsistency_filter(pair: SamplePair,
-                            threshold: float = 0.03) -> tuple[bool, float]:
-    """(keep, score): drop pairs whose warp disagreement exceeds threshold."""
-    score = photoconsistency_score(pair)
-    return score <= threshold, score
-
-
 # --- dataset I/O -------------------------------------------------------------
 
 def sample_to_record(pair: SamplePair) -> dict[str, np.ndarray]:
@@ -553,11 +536,11 @@ def generate_dataset(path: str, seed: int, n_samples: int,
             scene = generate_scene(seed, config, index=index)
             pair = render_pair(scene, config, sample_id=index)
             index += 1
-            if filter_threshold is not None:
-                keep, _ = photoconsistency_filter(pair, filter_threshold)
-                if not keep:
-                    stats["rejected"] += 1
-                    continue
+            # keep a pair whose warp disagreement is within the threshold
+            if (filter_threshold is not None
+                    and not photoconsistency_score(pair) <= filter_threshold):
+                stats["rejected"] += 1
+                continue
             stats["accepted"] += 1
             yield sample_to_record(pair)
 

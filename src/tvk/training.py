@@ -11,13 +11,20 @@ pool; stored predictions enter as constants, so no gradient crosses
 iteration boundaries. Phase 3 trains the refinement stage with all other
 weights fixed.
 
-Losses bridge into the graph as seed gradients. Every phase evaluates
-its loss through ``_batch_loss``: ``losses.total_loss`` runs per sample on
-the detached outputs, under the phase's weights (flow terms only,
-depth-motion terms only, all terms in phase 2, depth and its gradient
-term on the refined depth in phase 3), and the batch-mean analytic
-gradients are injected into the output tensors that received one. The
-loss stays a per-sample loop: one batched pass over phase 3's
+All six phases (p1a-p1d, p2, p3) run through one loop, ``Trainer._train``.
+Each step sets the learning rate, runs the phase's forward (its graph
+outputs and one ground truth per sample), evaluates ``_batch_loss``, runs
+``zero_grad``, ``backward`` and ``Adam.step``, and logs every ``log_every``
+steps through ``_log``; phase 2 also gets the step's outputs after the
+optimizer step, for its replay pool. ``_PHASES`` holds each phase's batch
+seed and loss terms. A non-finite output the loss reads (checked before the
+loss runs), loss value or trained parameter's gradient raises
+``NonFiniteError``, which names the phase, the step and the tensor.
+
+Losses bridge into the graph as seed gradients: ``_batch_loss`` runs
+``losses.total_loss`` per sample on the detached outputs and injects the
+batch-mean analytic gradients into the output tensors that received one.
+It stays a per-sample loop: one batched pass over phase 3's
 full-resolution depth raised peak memory and took longer.
 
 A frozen stage runs once per training sample, not once per visit, and a
@@ -78,6 +85,9 @@ from .metrics import (
 from .network import NetConfig, Prediction, TwoViewNet, XI_FLOOR
 from .synthdata import SamplePair
 
+_FLOW = ("flow", "flow_confidence", "grad_flow")
+_DEPTH_MOTION = ("depth", "normal", "rotation", "translation", "grad_depth")
+
 
 @dataclass
 class TrainConfig:
@@ -101,13 +111,25 @@ class TrainConfig:
     use_confidence: bool = True
 
     def weights(self) -> LossWeights:
-        return LossWeights().for_ablation(
-            grad=self.use_grad_loss, normals=self.use_normals,
-            flow=self.use_flow_loss, confidence=self.use_confidence)
+        """Default weights with the terms of the switched-off toggles at 0."""
+        off = ((self.use_grad_loss, ("grad_depth", "grad_flow")),
+               (self.use_normals, ("normal",)), (self.use_flow_loss, _FLOW),
+               (self.use_confidence, ("flow_confidence",)))
+        return LossWeights(**{term: 0.0 for on, terms in off if not on
+                              for term in terms})
 
 
 class MissingFieldError(ValueError):
     """Dataset lacks a ground-truth field required by the training phase."""
+
+
+class NonFiniteError(FloatingPointError):
+    """A training step produced a NaN or an infinity in ``tensor``: an
+    output key, ``"loss"`` or the name of a trained parameter's gradient."""
+
+    def __init__(self, phase: str, step: int, tensor: str):
+        super().__init__(f"{phase}, step {step}: {tensor} is not finite")
+        self.phase, self.step, self.tensor = phase, step, tensor
 
 
 def intrinsics_from_meta(meta: dict) -> Intrinsics:
@@ -121,6 +143,12 @@ def intrinsics_from_meta(meta: dict) -> Intrinsics:
 _LOSS_NAMES = {"flow": "flow", "conf": "flow_confidence", "xi": "xi",
                "normals": "normals", "r": "r", "t": "t", "s": "s"}
 _MAPS = ("flow", "conf", "normals")  # (N, C, H, W); (H, W, C) in the loss
+
+# phase -> (key of its batch draws, the loss terms it trains on)
+_PHASES = {"p1a_boot_flow": (11, _FLOW), "p1b_boot_dm": (12, _DEPTH_MOTION),
+           "p1c_iter_flow": (13, _FLOW), "p1d_iter_dm": (14, _DEPTH_MOTION),
+           "p2_iterative": (2, _FLOW + _DEPTH_MOTION),
+           "p3_refine": (3, ("depth", "grad_depth"))}
 
 
 def _at(key: str, k: int):
@@ -180,6 +208,12 @@ def _only(weights: LossWeights, *terms: str) -> LossWeights:
                                if k not in terms})
 
 
+def _require_finite(phase: str, step: int, arrays: dict) -> None:
+    for name, a in arrays.items():
+        if not np.isfinite(a).all():
+            raise NonFiniteError(phase, step, name)
+
+
 class Trainer:
     def __init__(self, model: TwoViewNet, samples: list[SamplePair],
                  K: Intrinsics, config: TrainConfig, out_dir: str):
@@ -223,14 +257,11 @@ class Trainer:
                               "loss": f"{value:.9g}"})
 
     def _weights_for(self, phase: str, step: int) -> LossWeights:
-        w = self.config.weights()
-        if phase.endswith("flow"):
-            w = _only(w, "flow", "flow_confidence", "grad_flow")
-            if step < self.config.grad_loss_start:
-                w = replace(w, grad_flow=0.0)
-        elif phase.endswith("dm"):
-            w = _only(w, "depth", "normal", "rotation", "translation",
-                      "grad_depth")
+        """The phase's terms of ``config.weights()``; phase 1 adds the flow
+        gradient term from step ``grad_loss_start`` on."""
+        w = _only(self.config.weights(), *_PHASES[phase][1])
+        if phase.startswith("p1") and step < self.config.grad_loss_start:
+            w = replace(w, grad_flow=0.0)
         return w
 
     def _require_full_fields(self):
@@ -284,11 +315,36 @@ class Trainer:
 
     # --- phases ------------------------------------------------------------
 
-    _PHASE_SEEDS = {"p1a_boot_flow": 11, "p1b_boot_dm": 12,
-                    "p1c_iter_flow": 13, "p1d_iter_dm": 14}
+    def _train(self, phase: str, params: dict, steps: int, forward,
+               after=None) -> Adam:
+        """The one training loop (module docstring): ``steps`` Adam steps of
+        ``params``. ``forward(batch, idx)`` returns the graph outputs and
+        one ground truth per sample; ``after(tensors)`` runs after each
+        optimizer step."""
+        cfg = self.config
+        opt = Adam(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
+        for step, (batch, idx) in enumerate(
+                self._batches(_PHASES[phase][0], steps)):
+            opt.lr = self._lr_at(step, steps)
+            tensors, gts = forward(batch, idx)
+            _require_finite(phase, step, {k: tensors[k].data
+                                          for k in _LOSS_NAMES if k in tensors})
+            value, seeds = _batch_loss(self._weights_for(phase, step),
+                                       tensors, gts, self.spacings)
+            _require_finite(phase, step, {"loss": value})
+            opt.zero_grad()
+            backward({tensors[k]: g for k, g in seeds.items()})
+            _require_finite(phase, step, {name: p.grad for name, p in
+                                          params.items() if p.grad is not None})
+            opt.step()
+            if after is not None:
+                after(tensors)
+            if step % cfg.log_every == 0:
+                self._log(phase, step, value)
+        return opt
 
     def _train_component(self, phase: str, component: str, forward, steps):
-        """Generic phase-1 loop: train one encoder-decoder, others fixed.
+        """One phase-1 phase: train one encoder-decoder, others fixed.
 
         ``forward(batch, idx)`` gives the graph outputs of a batch. A phase
         whose loss weights are all zero (after the warm-up) is skipped: it
@@ -297,107 +353,71 @@ class Trainer:
         if not any(asdict(self._weights_for(
                 phase, self.config.grad_loss_start)).values()):
             return None
-        params = self.model.component_parameters(component)
-        opt = Adam(params, lr=self.config.lr,
-                   weight_decay=self.config.weight_decay)
-        for step, (batch, idx) in enumerate(
-                self._batches(self._PHASE_SEEDS[phase], steps)):
-            opt.lr = self._lr_at(step, steps)
-            tensors = forward(batch, idx)
-            value, seeds = _batch_loss(
-                self._weights_for(phase, step), tensors,
-                [_ground_truth(s) for s in batch], self.spacings)
-            opt.zero_grad()
-            backward({tensors[k]: g for k, g in seeds.items()})
-            opt.step()
-            if step % self.config.log_every == 0:
-                self._log(phase, step, value)
-        return opt
+        return self._train(
+            phase, self.model.component_parameters(component), steps,
+            lambda batch, idx: (forward(batch, idx),
+                                [_ground_truth(s) for s in batch]))
 
     def phase1(self):
         model = self.model
-        cfg = self.config
 
-        def boot_flow_fwd(batch, _idx):
-            return model.bootstrap_flow_tensors(*_images(batch))
+        def boot(net):
+            return lambda batch, idx: net(*_images(batch))
 
-        def boot_fwd(batch, _idx):
-            return model.bootstrap_tensors(*_images(batch))
+        def iterative(net):
+            return lambda batch, idx: net(*_images(batch),
+                                          self._bootstrap(idx), self.K)
 
-        def iter_flow_fwd(batch, idx):
-            return model.iterative_flow_tensors(*_images(batch),
-                                                self._bootstrap(idx), self.K)
-
-        def iter_fwd(batch, idx):
-            return model.iterative_tensors(*_images(batch),
-                                           self._bootstrap(idx), self.K)
-
-        self._train_component("p1a_boot_flow", "boot_flow", boot_flow_fwd,
-                              cfg.phase1_steps)
-        self._train_component("p1b_boot_dm", "boot_dm", boot_fwd,
-                              cfg.phase1_steps)
-        self._train_component("p1c_iter_flow", "iter_flow", iter_flow_fwd,
-                              cfg.phase1_steps)
-        self._train_component("p1d_iter_dm", "iter_dm", iter_fwd,
-                              cfg.phase1_steps)
+        for phase, component, forward in (
+                ("p1a_boot_flow", "boot_flow",
+                 boot(model.bootstrap_flow_tensors)),
+                ("p1b_boot_dm", "boot_dm", boot(model.bootstrap_tensors)),
+                ("p1c_iter_flow", "iter_flow",
+                 iterative(model.iterative_flow_tensors)),
+                ("p1d_iter_dm", "iter_dm", iterative(model.iterative_tensors))):
+            self._train_component(phase, component, forward,
+                                  self.config.phase1_steps)
         self.save_checkpoint("phase1.tvk")
 
     def phase2(self):
         """Joint iterative training with the prediction replay pool."""
         model = self.model
         cfg = self.config
-        params = dict(model.component_parameters("iter_flow"))
-        params.update(model.component_parameters("iter_dm"))
-        opt = Adam(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
+        params = {**model.component_parameters("iter_flow"),
+                  **model.component_parameters("iter_dm")}
         pool: collections.deque = collections.deque()
-        max_replay = cfg.batch_size * cfg.replay_passes
+        entries: list[tuple] = []  # (index, sample, previous, age) of a step
 
-        for step, (batch, idx) in enumerate(self._batches(2, cfg.phase2_steps)):
-            opt.lr = self._lr_at(step, cfg.phase2_steps)
-            entries = [(int(i), s, p, 0)
-                       for i, s, p in zip(idx, batch, self._bootstrap(idx))]
-            n_replay = min(len(pool), max_replay)
-            for _ in range(n_replay):
+        def forward(batch, idx):
+            entries[:] = [(int(i), s, p, 0)
+                          for i, s, p in zip(idx, batch, self._bootstrap(idx))]
+            for _ in range(min(len(pool), cfg.batch_size * cfg.replay_passes)):
                 entries.append(pool.popleft())
-
             samples = [e[1] for e in entries]
-            prev = [e[2] for e in entries]
-            tensors = model.iterative_tensors(*_images(samples), prev, self.K)
-            value, seeds = _batch_loss(cfg.weights(), tensors,
-                                       [_ground_truth(s) for s in samples],
-                                       self.spacings)
-            opt.zero_grad()
-            backward({tensors[k]: g for k, g in seeds.items()})
-            opt.step()
+            return (model.iterative_tensors(*_images(samples),
+                                            [e[2] for e in entries], self.K),
+                    [_ground_truth(s) for s in samples])
 
-            new_preds = model.tensors_to_predictions(tensors)
-            for (i, s, _p, age), np_ in zip(entries, new_preds):
+        def replay(tensors):
+            for (i, s, _p, age), pred in zip(
+                    entries, model.tensors_to_predictions(tensors)):
                 if age + 1 <= cfg.replay_passes:
-                    pool.append((i, s, np_, age + 1))
-            if step % cfg.log_every == 0:
-                self._log("p2_iterative", step, value)
+                    pool.append((i, s, pred, age + 1))
+
+        self._train("p2_iterative", params, cfg.phase2_steps, forward, replay)
         self.save_checkpoint("phase2.tvk")
 
     def phase3(self):
         """Refinement training; all other weights fixed."""
-        model = self.model
-        cfg = self.config
         self._require_full_fields()
-        params = model.component_parameters("refine")
-        opt = Adam(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
-        weights = _only(cfg.weights(), "depth", "grad_depth")
-        for step, (batch, idx) in enumerate(self._batches(3, cfg.phase3_steps)):
-            opt.lr = self._lr_at(step, cfg.phase3_steps)
-            tensors = {"xi": model.refine_tensors([s.img1_full for s in batch],
-                                                  self._final(idx))}
-            value, seeds = _batch_loss(weights, tensors,
-                                       [{"xi": s.xi_full} for s in batch],
-                                       self.spacings)
-            opt.zero_grad()
-            backward({tensors[k]: g for k, g in seeds.items()})
-            opt.step()
-            if step % cfg.log_every == 0:
-                self._log("p3_refine", step, value)
+
+        def forward(batch, idx):
+            return ({"xi": self.model.refine_tensors(
+                        [s.img1_full for s in batch], self._final(idx))},
+                    [{"xi": s.xi_full} for s in batch])
+
+        self._train("p3_refine", self.model.component_parameters("refine"),
+                    self.config.phase3_steps, forward)
         self._memo.clear()  # no later phase reads it
         self.save_checkpoint("final.tvk")
 

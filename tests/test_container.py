@@ -11,6 +11,7 @@ import tvk
 from tvk.container import (
     BadMagicError,
     ChecksumError,
+    ContainerError,
     ContainerReader,
     TruncatedError,
     VersionError,
@@ -121,6 +122,39 @@ def test_schema_mismatch_rejected(tmp_path):
         write_container(str(tmp_path / "s.tvk"), recs)
     assert not os.path.exists(str(tmp_path / "s.tvk"))
     assert not os.path.exists(str(tmp_path / "s.tvk.tmp"))
+
+
+def test_every_truncation_and_bit_flip_loads_or_raises_container_error(
+        tmp_path):
+    """The header has no checksum, so a damaged one must fail as a
+    ``ContainerError`` too (schema keys, dtype, record count)."""
+    path = str(tmp_path / "small.tvk")
+    save_arrays(path, {"w": np.arange(6, dtype=np.float32).reshape(2, 3),
+                       "b": np.array([1, -2], dtype=np.int64)},
+                meta={"step": 7})
+    data = open(path, "rb").read()
+    truncated = [data[:n] for n in range(len(data))]
+    flipped = [data[:i] + bytes([data[i] ^ (1 << bit)]) + data[i + 1:]
+               for i in range(len(data)) for bit in range(8)]
+    loaded = []
+    for blob in truncated + flipped:
+        with open(path, "wb") as f:
+            f.write(blob)
+        try:
+            load_arrays(path)
+            loaded.append(blob)
+        except ContainerError:
+            pass
+    # a flip inside a name, the meta value or the JSON spacing still loads
+    assert 0 < len(loaded) < len(flipped) // 4
+    assert not set(loaded) & set(truncated)
+
+
+def test_load_arrays_needs_exactly_one_record(tmp_path):
+    path = str(tmp_path / "two.tvk")
+    write_container(path, make_records(2, np.random.default_rng(5)))
+    with pytest.raises(ContainerError, match="2 records, expected 1"):
+        load_arrays(path)
 
 
 def test_checkpoint_arrays(tmp_path):

@@ -14,6 +14,7 @@ from tvk.losses import (
     scale_invariant_gradient,
     total_loss,
 )
+from tvk.training import TrainConfig
 
 from oracles import central_difference, grad_loss_reference, rel_error
 
@@ -366,7 +367,8 @@ class TestTotalLoss:
             (True, True, True),
         ]
         for grad, normals, flow in rows:
-            w = LossWeights().for_ablation(grad=grad, normals=normals, flow=flow)
+            w = TrainConfig(use_grad_loss=grad, use_normals=normals,
+                            use_flow_loss=flow).weights()
             out = total_loss(pred, gt, w, spacings=(1, 2, 4))
             assert np.isfinite(out.value) and out.value >= 0
 

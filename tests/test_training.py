@@ -11,9 +11,10 @@ from tvk.network import XI_FLOOR, NetConfig, TwoViewNet
 from tvk.synthdata import SynthConfig, generate_dataset, load_dataset
 from tvk.metrics import (endpoint_error, l1_inv, l1_rel,
                          motion_angular_errors, sc_inv)
-from tvk.training import (MissingFieldError, TrainConfig, Trainer,
-                          _batch_loss, evaluate_iterations, load_checkpoint,
-                          save_checkpoint)
+from tvk import training
+from tvk.training import (MissingFieldError, NonFiniteError, TrainConfig,
+                          Trainer, _batch_loss, evaluate_iterations,
+                          load_checkpoint, save_checkpoint)
 
 TINY = NetConfig(width=16, height=16, channels=(2, 4))
 K_TINY = Intrinsics(fx=0.89, fy=1.19, cx=0.5, cy=0.5, width=16, height=16)
@@ -171,6 +172,23 @@ def test_phase_weights(tiny_samples, tmp_path):
     assert trainer._weights_for("p1c_iter_flow", 1) == \
         PHASE_WEIGHTS["p1_flow"][0]
     assert trainer._weights_for("p1d_iter_dm", 0) == PHASE_WEIGHTS["p1_dm"][0]
+    # no warm-up after phase 1
+    assert trainer._weights_for("p2_iterative", 0) == PHASE_WEIGHTS["p2"][0]
+    assert trainer._weights_for("p3_refine", 0) == replace(
+        ALL, normal=0.0, flow=0.0, flow_confidence=0.0, rotation=0.0,
+        translation=0.0, grad_flow=0.0)
+
+
+@pytest.mark.parametrize("toggle, off", [
+    ("use_grad_loss", {"grad_depth", "grad_flow"}),
+    ("use_normals", {"normal"}),
+    ("use_flow_loss", {"flow", "flow_confidence", "grad_flow"}),
+    ("use_confidence", {"flow_confidence"})])
+def test_ablation_toggle_switches_off_its_terms(toggle, off):
+    assert TrainConfig().weights() == ALL
+    weights = asdict(TrainConfig(**{toggle: False}).weights())
+    assert {k for k, v in weights.items() if v == 0.0} == off
+    assert all(v == 1.0 for k, v in weights.items() if k not in off)
 
 
 def test_seeded_training_writes_identical_files(tiny_samples, tmp_path):
@@ -204,6 +222,122 @@ def test_missing_full_resolution_fields_fail_before_phase1(tiny_samples,
     assert list(out_dir.iterdir()) == [] and trainer.loss_log == []
     with pytest.raises(MissingFieldError):
         trainer.phase3()
+
+
+# --- the hooks a subclass may override (the benchmark's trainer does) -------
+
+class ObservedTrainer(Trainer):
+    """Records every hook call and the weights before and after each phase."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls, self.logged, self.phases = [], [], []
+
+    def _observe(self, label, trained, run):
+        before = self.model.state_dict()
+        result = run()
+        self.phases.append((label, trained, before, self.model.state_dict()))
+        return result
+
+    def _train_component(self, phase, component, forward, steps):
+        self.calls.append((phase, component))
+        return self._observe(
+            phase, {component},
+            lambda: super(ObservedTrainer, self)._train_component(
+                phase, component, forward, steps))
+
+    def phase2(self):
+        self.calls.append("phase2")
+        return self._observe("p2", {"iter_flow", "iter_dm"}, super().phase2)
+
+    def phase3(self):
+        self.calls.append("phase3")
+        return self._observe("p3", {"refine"}, super().phase3)
+
+    def _log(self, phase, step, value):
+        self.logged.append((phase, step, value))
+        super()._log(phase, step, value)
+
+
+def test_subclass_hooks_see_every_phase(tiny_samples, tmp_path):
+    trainer = ObservedTrainer(
+        TwoViewNet(TINY, seed=5), tiny_samples, K_TINY,
+        TrainConfig(seed=5, batch_size=2, phase1_steps=3, phase2_steps=3,
+                    phase3_steps=1, grad_loss_start=0, log_every=2),
+        str(tmp_path))
+    trainer.train()
+    p1 = [("p1a_boot_flow", "boot_flow"), ("p1b_boot_dm", "boot_dm"),
+          ("p1c_iter_flow", "iter_flow"), ("p1d_iter_dm", "iter_dm")]
+    assert trainer.calls == p1 + ["phase2", "phase3"]
+    # steps 0 and 2 of each three-step phase, step 0 of phase 3
+    assert [row[:2] for row in trainer.logged] == [
+        (phase, step) for phase in [p for p, _ in p1] + ["p2_iterative"]
+        for step in (0, 2)] + [("p3_refine", 0)]
+    assert [(row["phase"], row["step"], row["loss"])
+            for row in trainer.loss_log] == [
+        (phase, step, f"{value:.9g}") for phase, step, value in trainer.logged]
+    assert [p[0] for p in trainer.phases] == [p for p, _ in p1] + ["p2", "p3"]
+    for label, trained, before, after in trainer.phases:
+        for name in before:
+            moved = not np.array_equal(before[name], after[name])
+            if name.split(".", 1)[0] not in trained:
+                assert not moved, (label, name)
+            elif name.endswith(".w"):
+                assert moved, (label, name)
+
+
+# --- non-finite guard: the error names the phase, the step and the tensor ---
+
+GUARD_CONFIG = TrainConfig(batch_size=2, phase1_steps=1, phase2_steps=2,
+                           phase3_steps=1, grad_loss_start=0, log_every=1)
+
+
+def test_nan_output_is_named_before_the_loss_runs(tiny_samples, tmp_path):
+    model = TwoViewNet(TINY, seed=1)
+    bias = model.params["boot_flow.head1.b"]
+    new = bias.data.copy()
+    new[0] = np.nan  # the first flow channel
+    new.setflags(write=False)  # read-only, as Adam.step leaves it
+    bias.data = new
+    trainer = Trainer(model, tiny_samples, K_TINY, GUARD_CONFIG, str(tmp_path))
+    with pytest.raises(NonFiniteError,
+                       match="p1a_boot_flow, step 0: flow ") as info:
+        trainer.train()
+    err = info.value
+    assert (err.phase, err.step, err.tensor) == ("p1a_boot_flow", 0, "flow")
+    assert trainer.loss_log == []
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("call, where", [(6, "loss"), (7, "seed")])
+def test_non_finite_loss_or_gradient_is_named(tiny_samples, tmp_path,
+                                              monkeypatch, call, where):
+    calls = []
+    batch_loss = training._batch_loss
+
+    def corrupt(*args):
+        value, seeds = batch_loss(*args)
+        calls.append(1)
+        if len(calls) == call and where == "loss":
+            value = float("nan")
+        elif len(calls) == call:
+            for g in seeds.values():
+                g.flat[0] = np.inf
+        return value, seeds
+
+    monkeypatch.setattr(training, "_batch_loss", corrupt)
+    trainer = Trainer(TwoViewNet(TINY, seed=1), tiny_samples, K_TINY,
+                      GUARD_CONFIG, str(tmp_path))
+    with pytest.raises(NonFiniteError) as info:
+        trainer.train()
+    err = info.value
+    if where == "loss":  # calls 1-4: phase 1; 5 and 6: phase 2
+        assert (err.phase, err.step, err.tensor) == ("p2_iterative", 1, "loss")
+    else:  # the gradient of a refinement parameter
+        assert (err.phase, err.step) == ("p3_refine", 0)
+        assert err.tensor.startswith("refine.")
+    assert f"{err.phase}, step {err.step}: {err.tensor} " in str(err)
+    assert len(trainer.loss_log) == call - 1
 
 
 # --- frozen predictions: memoized per sample, only what a phase needs -------
