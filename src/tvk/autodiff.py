@@ -34,14 +34,32 @@ and then made read-only again; assign a new array instead.
 Gradients accumulate into ``Tensor.grad``. The graph is built eagerly by
 the ops: an op's output records its parents and its VJP closure whenever
 one of its inputs requires a gradient, and parameters always do.
-``backward`` walks the graph in reverse topological order, so two runs over
-the same graph produce bitwise-identical results; seeding a tensor that
-requires no gradient raises ``ValueError``.
+
+``conv2d`` and ``upconv2d`` take the bias and, with ``leaky=True``, the
+leaky ReLU into the op, bit for bit equal to ``activation(conv2d(...),
+"leaky_relu")``. Both are applied in place to the whole output, and the
+VJP takes the slope from the output (``out > 0`` exactly when the
+pre-activation is > 0, NaN included), so a layer keeps one array, not its
+pre-activation too, and builds one node.
+
+``backward`` consumes the graph it walks. It visits the nodes in reverse
+topological order, so rebuilding a graph and running it again gives
+bitwise the same gradients. Once a node's VJP has run, the node drops its
+gradient, its VJP and its parents, so the activations and gradients of
+finished layers are freed during the walk; only leaves (parameters and
+other tensors made with ``requires_grad``) keep a gradient. A VJP result
+becomes its parent's gradient without a copy when it owns its memory, is
+writeable, has the parent's dtype and shape and was not returned for
+another parent; seeds and views (such as concat's) are copied. So a VJP
+must return fresh arrays or views, never an array something else keeps.
+Seeding a tensor that requires no gradient, or a graph an earlier
+``backward`` consumed, raises ``ValueError`` before any gradient is
+accumulated.
 
 Inside ``with no_grad():`` the ops compute the same arrays but return
 leaves: no parents, no VJP, ``requires_grad`` false. Without the closures
 an activation is freed as soon as the next op has read it, instead of
-living until the whole graph is dropped; inference uses this mode.
+living until ``backward`` reaches it; inference uses this mode.
 """
 
 from __future__ import annotations
@@ -88,13 +106,18 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def accumulate(self, g):
+    def accumulate(self, g, owned=False):
+        """Add ``g`` to ``grad``. With ``owned``, a fresh ``g`` that nothing
+        else holds may become ``grad`` itself (see the module docstring)."""
         if g is None:
             return
-        if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype, copy=True)
-        else:
+        if self.grad is not None:
             self.grad += g
+        elif (owned and g.flags.owndata and g.flags.writeable
+              and g.dtype == self.data.dtype and g.shape == self.data.shape):
+            self.grad = g
+        else:
+            self.grad = np.array(g, dtype=self.data.dtype, copy=True)
 
     def __repr__(self):
         tag = f" name={self.name}" if self.name else ""
@@ -130,17 +153,22 @@ def _op(data, parents, vjp) -> Tensor:
                   _vjp=vjp if req else None)
 
 
+def _what(t: Tensor) -> str:
+    return repr(t.name) if t.name else f"of shape {t.data.shape}"
+
+
 def backward(seeds: dict) -> None:
     """Reverse-mode accumulation from one or more seeded output nodes.
 
     Every seeded tensor must require a gradient (be a graph output); one
     that does not, such as an output built under ``no_grad``, raises
-    ``ValueError`` before any gradient is accumulated.
+    ``ValueError`` before any gradient is accumulated, and so does a graph
+    an earlier ``backward`` consumed. The walk consumes the graph (module
+    docstring): afterwards only leaves hold a gradient.
     """
     for t in seeds:
         if not t.requires_grad:
-            what = repr(t.name) if t.name else f"of shape {t.data.shape}"
-            raise ValueError(f"backward: seed tensor {what} does not "
+            raise ValueError(f"backward: seed tensor {_what(t)} does not "
                              "require grad, so nothing would be updated")
     # iterative post-order topological sort over the union of ancestors
     topo: list[Tensor] = []
@@ -153,6 +181,9 @@ def backward(seeds: dict) -> None:
             continue
         if id(node) in visited:
             continue
+        if node._parents is None:
+            raise ValueError(f"backward: tensor {_what(node)} belongs to a "
+                             "graph an earlier backward consumed")
         visited.add(id(node))
         stack.append((node, True))
         for p in node._parents:
@@ -162,12 +193,24 @@ def backward(seeds: dict) -> None:
     for t, seed in seeds.items():
         t.accumulate(np.asarray(seed, dtype=t.data.dtype))
 
-    for node in reversed(topo):
-        if node.grad is None or node._vjp is None:
-            continue
-        for parent, g in zip(node._parents, node._vjp(node.grad)):
-            if parent.requires_grad:
-                parent.accumulate(g)
+    while topo:  # a call per node: its locals die before the next node
+        _consume(topo.pop())
+
+
+def _consume(node: Tensor) -> None:
+    """Push ``node``'s gradient through its VJP into its parents, then drop
+    the node's gradient, VJP and parents; a leaf keeps its gradient."""
+    vjp, parents, g = node._vjp, node._parents, node.grad
+    if vjp is None:
+        return
+    node._vjp = node._parents = node.grad = None
+    if g is None:
+        return
+    taken: set[int] = set()  # arrays already handed to a parent
+    for parent, pg in zip(parents, vjp(g)):
+        if parent.requires_grad and pg is not None:
+            parent.accumulate(pg, owned=id(pg) not in taken)
+            taken.add(id(pg))
 
 
 # --- im2col convolution kernels ------------------------------------------
@@ -341,18 +384,25 @@ def _conv_dx(dy, w: Tensor, stride, padding, x_hw):
     return _conv_fwd(dyp, _layout(w, _flipped), (1, 1), (0, 0))
 
 
-def _linear(out, x: Tensor, w: Tensor, b: Tensor | None, dx, dw) -> Tensor:
+def _linear(out, x: Tensor, w: Tensor, b: Tensor | None, dx, dw,
+            leaky=False) -> Tensor:
     """Node of a linear op: ``out`` (a fresh array: the bias ``b`` is added
-    in place, along axis 1).
+    in place, along axis 1, and with ``leaky`` the leaky ReLU is applied in
+    place after it).
 
     Its VJP returns ``dx(g)``, ``dw(g)`` and the bias gradient, each only
-    for an input that requires a gradient.
+    for an input that requires a gradient; with ``leaky``, ``g`` first goes
+    through the activation's VJP, read from ``out``.
     """
     if b is not None:
         out += b.data.reshape((1, -1) + (1,) * (out.ndim - 2))
+    if leaky:
+        np.maximum(out, LEAKY_SLOPE * out, out=out)
     parents = (x, w) if b is None else (x, w, b)
 
     def vjp(g):
+        if leaky:
+            g = _leaky_vjp(out, g)
         grads = (dx(g) if x.requires_grad else None,
                  dw(g) if w.requires_grad else None)
         if b is None:
@@ -364,8 +414,9 @@ def _linear(out, x: Tensor, w: Tensor, b: Tensor | None, dx, dw) -> Tensor:
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
-           stride=1, padding=0) -> Tensor:
-    """Cross-correlation of (N,C,H,W) with kernels (O,C,kh,kw)."""
+           stride=1, padding=0, leaky=False) -> Tensor:
+    """Cross-correlation of (N,C,H,W) with kernels (O,C,kh,kw), plus the
+    bias and, with ``leaky``, followed by the leaky ReLU."""
     stride = _pair(stride)
     padding = _pair(padding)
     if x.data.ndim != 4 or w.data.ndim != 4 or x.data.shape[1] != w.data.shape[1]:
@@ -376,18 +427,19 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     return _linear(
         _conv_fwd(x.data, w.data, stride, padding), x, w, b,
         lambda g: _conv_dx(g, w, stride, padding, x_hw),
-        lambda g: _conv_dw(x.data, g, stride, padding, kshape))
+        lambda g: _conv_dw(x.data, g, stride, padding, kshape), leaky)
 
 
 def upconv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
-             stride=2, padding=1, out_hw=None) -> Tensor:
+             stride=2, padding=1, out_hw=None, leaky=False) -> Tensor:
     """Transposed convolution: exact adjoint of conv2d with the same kernel.
 
     The kernel keeps the conv layout (O, C, kh, kw); the input has O
     channels and the output C channels. The default output size is
     (H-1)*stride + k - 2*padding per axis, so stride 2 with k=4, pad=1
     doubles the spatial dimensions exactly; pass ``out_hw`` when the
-    matching forward conv dropped trailing rows or columns.
+    matching forward conv dropped trailing rows or columns. The bias and,
+    with ``leaky``, the leaky ReLU follow as in ``conv2d``.
     """
     stride = _pair(stride)
     padding = _pair(padding)
@@ -405,7 +457,7 @@ def upconv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     return _linear(
         _conv_dx(x.data, w, stride, padding, (Hout, Wout)), x, w, b,
         lambda g: _conv_fwd(g, w.data, stride, padding),
-        lambda g: _conv_dw(g, x.data, stride, padding, kshape))
+        lambda g: _conv_dw(g, x.data, stride, padding, kshape), leaky)
 
 
 def fully_connected(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -423,17 +475,18 @@ def fully_connected(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 LEAKY_SLOPE = 0.1
 
 
+def _leaky_vjp(out, g):
+    """Leaky ReLU VJP read from its output ``out``, which is > 0 exactly
+    where the input is, NaN included."""
+    return np.where(out > 0, g, np.asarray(LEAKY_SLOPE, out.dtype) * g)
+
+
 def activation(x: Tensor, kind: str) -> Tensor:
     """kinds: 'leaky_relu' (slope 0.1) and 'exp'."""
     if kind == "leaky_relu":
         # equals where(x > 0, x, 0.1 x) bit for bit, -0.0, NaN, +-inf too
         out = np.maximum(x.data, LEAKY_SLOPE * x.data)
-
-        def vjp(g):
-            return (np.where(x.data > 0, g,
-                             np.asarray(LEAKY_SLOPE, x.dtype) * g),)
-
-        return _op(out, (x,), vjp)
+        return _op(out, (x,), lambda g: (_leaky_vjp(out, g),))
     if kind == "exp":
         out = np.exp(x.data)
 

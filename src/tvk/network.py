@@ -12,7 +12,10 @@ the first level's kernel) with skip connections and stride-2 transposed
 convolutions in the decoder. The depth/motion encoder-decoders
 carry an extra head (global average pool + 3 fully connected layers) that
 outputs the angle-axis rotation, a unit-norm translation and a positive
-depth scale factor.
+depth scale factor. Every conv and upconv but an encoder-decoder's last
+runs with its bias and leaky ReLU fused into the op (``leaky=True``, see
+``autodiff``), so a training graph keeps one array and one node per layer;
+only the motion head's fully connected layers use ``autodiff.activation``.
 
 The ``*_tensors`` methods return graph outputs, for training and for
 gradient checks. The ``*_forward`` methods, and ``predict`` through them,
@@ -183,34 +186,34 @@ class EncoderDecoder:
             raise ValueError(
                 f"{self.prefix}: expected {self.in_channels} input channels, "
                 f"got {x.data.shape[1]}")
-        act = lambda t: ad.activation(t, "leaky_relu")  # noqa: E731
         skips = []
         h = x
         for i in range(len(self.channels)):
             k = self.first_kernel if i == 0 else cfg.kernel
-            h = act(ad.conv2d(h, self.p[f"enc{i}.x.w"], self.p[f"enc{i}.x.b"],
-                              stride=(1, 2), padding=(0, k // 2)))
-            h = act(ad.conv2d(h, self.p[f"enc{i}.y.w"], self.p[f"enc{i}.y.b"],
-                              stride=(2, 1), padding=(k // 2, 0)))
+            h = ad.conv2d(h, self.p[f"enc{i}.x.w"], self.p[f"enc{i}.x.b"],
+                          stride=(1, 2), padding=(0, k // 2), leaky=True)
+            h = ad.conv2d(h, self.p[f"enc{i}.y.w"], self.p[f"enc{i}.y.b"],
+                          stride=(2, 1), padding=(k // 2, 0), leaky=True)
             skips.append(h)
 
         bottleneck = h
         for i in range(len(self.channels) - 1, 0, -1):
-            h = act(ad.upconv2d(h, self.p[f"up{i}.w"], self.p[f"up{i}.b"],
-                                stride=2, padding=1))
+            h = ad.upconv2d(h, self.p[f"up{i}.w"], self.p[f"up{i}.b"],
+                            stride=2, padding=1, leaky=True)
             h = ad.concat_channels([h, skips[i - 1]])
-            h = act(ad.conv2d(h, self.p[f"merge{i}.w"], self.p[f"merge{i}.b"],
-                              stride=1, padding=1))
-        h = act(ad.upconv2d(h, self.p["up0.w"], self.p["up0.b"],
-                            stride=2, padding=1))
-        h = act(ad.conv2d(h, self.p["head0.w"], self.p["head0.b"],
-                          stride=1, padding=1))
+            h = ad.conv2d(h, self.p[f"merge{i}.w"], self.p[f"merge{i}.b"],
+                          stride=1, padding=1, leaky=True)
+        h = ad.upconv2d(h, self.p["up0.w"], self.p["up0.b"],
+                        stride=2, padding=1, leaky=True)
+        h = ad.conv2d(h, self.p["head0.w"], self.p["head0.b"],
+                      stride=1, padding=1, leaky=True)
         out = ad.conv2d(h, self.p["head1.w"], self.p["head1.b"],
                         stride=1, padding=1)
 
         motion = None
         if self.motion_head:
             g = ad.global_avg_pool(bottleneck)
+            act = lambda t: ad.activation(t, "leaky_relu")  # noqa: E731
             g = act(ad.fully_connected(g, self.p["fc0.w"], self.p["fc0.b"]))
             g = act(ad.fully_connected(g, self.p["fc1.w"], self.p["fc1.b"]))
             g = ad.fully_connected(g, self.p["fc2.w"], self.p["fc2.b"])

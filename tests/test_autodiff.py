@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -164,6 +166,87 @@ class TestKernelReference:
         assert batch.tobytes() == np.concatenate(alone).tobytes()
 
 
+def _widened(case):
+    """A KERNEL_CASES entry with 8 output channels, one per special bias."""
+    op, xshape, wshape, stride, padding, out_hw = KERNEL_CASES[case]
+    out_axis = 0 if op == "conv" else 1
+    wshape = wshape[:out_axis] + (8,) + wshape[out_axis + 1:]
+    return op, xshape, wshape, stride, padding, out_hw
+
+
+class TestFusedLeaky:
+    """conv2d/upconv2d with ``leaky=True`` equal the unfused composition."""
+
+    @staticmethod
+    def run(op, x, w, b, g, stride, padding, out_hw, fused):
+        xt, wt, bt = (Tensor(a.copy(), requires_grad=True) for a in (x, w, b))
+        if op == "conv":
+            y = ad.conv2d(xt, wt, bt, stride=stride, padding=padding,
+                          leaky=fused)
+        else:
+            y = ad.upconv2d(xt, wt, bt, stride=stride, padding=padding,
+                            out_hw=out_hw, leaky=fused)
+        if not fused:
+            y = ad.activation(y, "leaky_relu")
+        if g is not None:
+            backward({y: g})
+        return y.data, xt.grad, wt.grad, bt.grad
+
+    @pytest.mark.parametrize("tiled", [False, True], ids=["whole", "tiled"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32],
+                             ids=["f64", "f32"])
+    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+    def test_bitwise_equal_to_conv_then_activation(self, case, dtype, tiled,
+                                                   monkeypatch):
+        op, xshape, wshape, stride, padding, out_hw = _widened(case)
+        if tiled:
+            monkeypatch.setattr(ad, "_TILE_LIMIT", 64)
+        rng = RNG(40)
+        x = rng.normal(size=xshape).astype(dtype)
+        x[1] = 0.0  # sample 1's pre-activations are the bias, but for
+        # the sign of a zero
+        w = rng.normal(size=wshape).astype(dtype)
+        # +-0.0, +-inf, NaN, and +-the smallest denormal: 0.1 times it
+        # rounds to +-0.0, so its leaky output is +-0.0 while the
+        # pre-activation is not zero
+        tiny = np.finfo(dtype).smallest_subnormal
+        b = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, 0.5],
+                     dtype=dtype)
+        args = (stride, padding, out_hw)
+        with np.errstate(invalid="ignore"):
+            shape = self.run(op, x, w, b, None, *args, False)[0].shape
+            g = rng.normal(size=shape).astype(dtype)
+            unfused = self.run(op, x, w, b, g, *args, False)
+            fused = self.run(op, x, w, b, g, *args, True)
+        out = unfused[0]
+        assert (out == 0).any() and np.isnan(out).any()
+        assert (np.signbit(out) & (out == 0)).any()  # from -tiny
+        assert np.isposinf(out).any() and np.isneginf(out).any()
+        for label, a, ref in zip(("out", "dx", "dw", "db"), fused, unfused):
+            assert a.dtype == dtype and a.tobytes() == ref.tobytes(), label
+
+    @pytest.mark.parametrize("op", ["conv", "upconv"])
+    def test_gradcheck(self, op):
+        rng = RNG(41)
+        x = rng.normal(size=(2, 2, 4, 5))
+        if op == "conv":
+            w = rng.normal(size=(3, 2, 3, 3))
+
+            def fn(xt, wt, bt, leaky=True):
+                return ad.conv2d(xt, wt, bt, padding=1, leaky=leaky)
+        else:
+            w = rng.normal(size=(2, 3, 4, 4))
+
+            def fn(xt, wt, bt, leaky=True):
+                return ad.upconv2d(xt, wt, bt, stride=2, padding=1,
+                                   leaky=leaky)
+        b = rng.normal(size=3)
+        pre = fn(Tensor(x), Tensor(w), Tensor(b), leaky=False).data
+        # away from the kink: a step of 1e-5 moves no pre-activation across 0
+        assert np.abs(pre).min() > 1e-3 and (pre < 0).any()
+        assert gradcheck_vjp(fn, [x, w, b], rng) < 1e-4
+
+
 class TestFullyConnected:
     def test_identity(self):
         x = Tensor(RNG(10).normal(size=(3, 4)))
@@ -281,6 +364,46 @@ class TestBackward:
         backward({out: np.ones_like(out.data)})
         assert const.grad is None
         assert w.grad is not None
+
+
+class TestConsumingBackward:
+    """``backward`` frees the graph it walks; only leaves keep gradients."""
+
+    @staticmethod
+    def two_convs():
+        rng = RNG(42)
+        x = Tensor(rng.normal(size=(2, 2, 6, 6)))
+        params = [Tensor(rng.normal(size=shape), requires_grad=True)
+                  for shape in ((3, 2, 3, 3), (3,), (4, 3, 3, 3), (4,))]
+        h = ad.conv2d(x, params[0], params[1], padding=1, leaky=True)
+        y = ad.conv2d(h, params[2], params[3], padding=1)
+        return y, h, params
+
+    def test_interior_nodes_drop_their_gradients(self):
+        y, h, params = self.two_convs()
+        backward({y: np.ones_like(y.data)})
+        assert h.grad is None and y.grad is None
+        assert all(p.grad is not None and p.grad.shape == p.shape
+                   for p in params)
+
+    def test_interior_activation_is_freed_while_outputs_are_held(self):
+        y, h, _ = self.two_convs()
+        activation = weakref.ref(h.data)
+        del h
+        assert activation() is not None
+        backward({y: np.ones_like(y.data)})
+        assert activation() is None
+        assert y.data.shape == (2, 4, 6, 6)
+
+    def test_second_backward_raises_naming_the_tensor(self):
+        y, _, params = self.two_convs()
+        backward({y: np.ones_like(y.data)})
+        grads = [p.grad.copy() for p in params]
+        with pytest.raises(ValueError,
+                           match=r"shape \(2, 4, 6, 6\).*consumed"):
+            backward({y: np.ones_like(y.data)})
+        for p, g in zip(params, grads):  # nothing accumulated
+            assert p.grad.tobytes() == g.tobytes()
 
 
 class TestNoGrad:

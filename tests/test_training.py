@@ -1,3 +1,4 @@
+import weakref
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -434,6 +435,29 @@ def test_flow_only_phases_never_run_their_depth_motion_net(
         "p1c_iter_flow") == 2
 
 
+def test_a_step_frees_its_outputs_before_the_next_forward(
+        tiny_samples, tmp_path, monkeypatch):
+    # p1b's flow outputs head a subgraph no backward walks (the frozen
+    # flow net's), so only dropping the step's outputs frees it
+    model = TwoViewNet(TINY, seed=1)
+    trainer = Trainer(model, tiny_samples, K_TINY,
+                      TrainConfig(batch_size=2, phase1_steps=3,
+                                  grad_loss_start=0, log_every=1),
+                      str(tmp_path))
+    flows = []
+    forward = model.bootstrap_tensors
+
+    def watched(*args):
+        assert all(flow() is None for flow in flows), len(flows)
+        out = forward(*args)
+        flows.append(weakref.ref(out["flow"].data))
+        return out
+
+    monkeypatch.setattr(model, "bootstrap_tensors", watched)
+    trainer.phase1()
+    assert len(flows) >= 3
+
+
 # --- every ablation row trains ----------------------------------------------
 
 @pytest.mark.parametrize("toggle", [
@@ -496,3 +520,13 @@ def test_evaluate_iterations_matches_per_sample_metrics(tiny_samples):
     one = evaluate_iterations(model, samples, K_TINY, n_iters=2, batch_size=1)
     assert [np.array(list(r.values())).tobytes() for r in one] == \
         [np.array(list(r.values())).tobytes() for r in rows]
+
+
+def test_intrinsics_from_meta_reads_the_dataset_config(tmp_path):
+    cfg = SynthConfig(width=16, height=16, fx=0.7, cy=0.45,
+                      include_full=False)
+    path = str(tmp_path / "k.tvk")
+    generate_dataset(path, 2, 1, cfg)
+    _, meta = load_dataset(path)
+    assert training.intrinsics_from_meta(meta) == cfg.intrinsics()
+    assert training.intrinsics_from_meta({}) == SynthConfig().intrinsics()
