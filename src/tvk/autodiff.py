@@ -1,25 +1,31 @@
 """Dense-tensor reverse-mode differentiation and the Adam optimizer.
 
 Just enough operator vocabulary for the networks in this package:
-convolutions (including 1D pairs and stride 2), transposed convolutions,
+convolutions (including 1D pairs and stride 2), the x2 transposed conv,
 fully connected layers, a few activations, channel concat/slice, global
 average pooling and row normalization. Data layout is (N, C, H, W) for
 feature maps and (N, K) for vectors. Everything runs on plain numpy
 arrays; convolutions lower to GEMM via im2col so BLAS does the heavy
 lifting.
 
-Lowering. Padding writes the input once into a pre-zeroed buffer; the
-input gradient of a strided conv writes the output gradient, zero-stuffed
-and padded, into one such buffer with a single strided assignment. The
-stride-2 4x4 transposed conv (the decoders' upconv) runs as four 2x2 convs,
-one per output phase, over windows of one padded input; its flipped kernel
-is laid out for all four phases with one copy. Large patch matrices are
-built and multiplied in tiles of one sample's output rows that fit in L2,
-so a sample's GEMMs do not depend on the batch it is in. For the same
-reason ``fully_connected`` runs one GEMM per row: BLAS may block a
-multi-row product differently from a single row, and the motion head's
-rounding then depended on the batch (the depth proposal amplifies it).
-With both, a batch predicts bitwise what its samples predict one by one.
+Lowering. Every convolution walks one im2col, ``_im2col``: it pads the
+input once into a pre-zeroed buffer and yields the patch matrix in tiles
+of one sample's output rows that fit in L2, so a sample's GEMMs do not
+depend on the batch it is in. ``_conv`` multiplies each tile by the
+kernel (a forward), by the output gradient (a kernel gradient), or both in
+the same walk. The input gradient of ``conv2d`` writes the output
+gradient, zero-stuffed and padded, into one buffer with a single strided
+assignment and convolves it with the flipped kernel. ``upconv2d`` is only
+the decoders' x2 upconv (4x4, stride 2, padding 1). Its forward runs as
+four 2x2 convs, one per output phase, over windows of one padded input;
+its flipped kernel is laid out for all four phases with one copy. Its VJP
+is the conv it is the adjoint of (Dumoulin & Visin, arXiv:1603.07285):
+dx and dw come from one walk over the once-padded output gradient.
+Like the per-sample tiles, ``fully_connected``'s one GEMM per row keeps a
+result independent of the batch: BLAS may block a multi-row product
+differently from a single row, and the motion head's rounding then
+depended on the batch (the depth proposal amplifies it). With both, a
+batch predicts bitwise what its samples predict one by one.
 
 Kernel layouts are memoized on the weight ``Tensor``, for its current
 ``data`` only: assigning ``data`` drops them. They are used only while that
@@ -219,22 +225,6 @@ def _pair(v):
     return (v, v) if np.isscalar(v) else tuple(v)
 
 
-def _patches(xp, kh, kw, sh, sw):
-    """Padded input (N,C,Hp,Wp) -> read-only patch view (N,C,kh,kw,Ho,Wo).
-
-    Reshaping the view, or a tile of its output rows, to a matrix with
-    C*kh*kw rows copies out the im2col patch matrix; one view serves every
-    tile of a call.
-    """
-    N, C, Hp, Wp = xp.shape
-    Ho = (Hp - kh) // sh + 1
-    Wo = (Wp - kw) // sw + 1
-    s0, s1, s2, s3 = xp.strides
-    return np.lib.stride_tricks.as_strided(
-        xp, (N, C, kh, kw, Ho, Wo),
-        (s0, s1, s2, s3, s2 * sh, s3 * sw), writeable=False)
-
-
 def _pad4(x, pt, pb, pl, pr):
     if pt == pb == pl == pr == 0:
         return x
@@ -244,60 +234,65 @@ def _pad4(x, pt, pb, pl, pr):
     return xp
 
 
-# patch-matrix size (elements) above which convolutions run tiled, so that
-# one tile's patch matrix, 256 KiB in float32, sits in L2 (2 MiB per core
-# on the 2-vCPU Xeon the benchmark ran on) beside the kernel and the output
-# tile. Chosen by a sweep over 1<<14 .. 1<<21 on the predict and train
-# benchmark workloads, recorded in CHANGES.md; one value serves every shape.
+# patch-matrix size (elements) of one tile, so that its patch matrix,
+# 256 KiB in float32, sits in L2 (2 MiB per core on the 2-vCPU Xeon the
+# benchmark ran on) beside the kernel and the output tile. Chosen by a sweep
+# over 1<<14 .. 1<<21 on the predict and train benchmark workloads, recorded
+# in CHANGES.md; one value serves every shape.
 _TILE_LIMIT = 1 << 16
 
 
-def _tiles(N, Ho, per_row):
-    """(sample, first row, end row) of tiles of at most _TILE_LIMIT patch
-    elements, or of one output row. A tile never spans samples, so each
-    GEMM gets as many columns at batch 8 as at batch 1."""
-    rows = max(1, _TILE_LIMIT // max(per_row, 1))
-    for n in range(N):
-        for r0 in range(0, Ho, rows):
-            yield slice(n, n + 1), r0, min(r0 + rows, Ho)
+def _im2col(x, kshape, stride, padding):
+    """Output size (Ho, Wo) of a conv of ``x`` with kernels of ``kshape``,
+    and an iterator over the row tiles of its patch matrix.
+
+    A tile is ``(n, r0, r1, cols)``: the (C*kh*kw, (r1-r0)*Wo) patch matrix
+    of sample n's output rows r0:r1, at most _TILE_LIMIT elements or one
+    output row. A tile never spans samples, so each GEMM gets as many
+    columns at batch 8 as at batch 1. ``x`` is padded once per call, and
+    one read-only patch view (N, C, kh, kw, Ho, Wo) of it serves every
+    tile: reshaping a tile of its output rows copies out the tile.
+    """
+    (sh, sw), (ph, pw) = stride, padding
+    _, C, kh, kw = kshape
+    xp = _pad4(x, ph, ph, pw, pw)
+    N, _, Hp, Wp = xp.shape
+    Ho, Wo = (Hp - kh) // sh + 1, (Wp - kw) // sw + 1
+    s0, s1, s2, s3 = xp.strides
+    view = np.lib.stride_tricks.as_strided(
+        xp, (N, C, kh, kw, Ho, Wo), (s0, s1, s2, s3, s2 * sh, s3 * sw),
+        writeable=False)
+    rows = max(1, _TILE_LIMIT // (C * kh * kw * Wo))
+
+    def tiles():
+        for n in range(N):
+            for r0 in range(0, Ho, rows):
+                r1 = min(r0 + rows, Ho)
+                yield n, r0, r1, view[n, ..., r0:r1, :].reshape(
+                    C * kh * kw, (r1 - r0) * Wo)
+
+    return (Ho, Wo), tiles()
 
 
-def _conv_fwd(x, w, stride, padding):
-    sh, sw = stride
-    ph, pw = padding
-    O, C, kh, kw = w.shape
-    view = _patches(_pad4(x, ph, ph, pw, pw), kh, kw, sh, sw)
-    N, Ho, Wo = view.shape[0], view.shape[4], view.shape[5]
-    w2 = w.reshape(O, C * kh * kw)
-    per_row = C * kh * kw * Wo
-    if N * per_row * Ho <= _TILE_LIMIT:
-        cols = view.reshape(N, C * kh * kw, Ho * Wo)
-        return np.matmul(w2, cols).reshape(N, O, Ho, Wo)
-    out = np.empty((N, O, Ho, Wo), dtype=np.result_type(x, w))
-    for n, r0, r1 in _tiles(N, Ho, per_row):
-        cols = view[n, ..., r0:r1, :].reshape(1, C * kh * kw, (r1 - r0) * Wo)
-        out[n, :, r0:r1] = np.matmul(w2, cols).reshape(1, O, r1 - r0, Wo)
-    return out
-
-
-def _conv_dw(x, dy, stride, padding, kshape):
-    sh, sw = stride
-    ph, pw = padding
-    O, C, kh, kw = kshape
-    N, _, Ho, Wo = dy.shape
-    view = _patches(_pad4(x, ph, ph, pw, pw), kh, kw, sh, sw)
-    per_row = C * kh * kw * Wo
-    if N * per_row * Ho <= _TILE_LIMIT:
-        cols = view.reshape(N, C * kh * kw, Ho * Wo)
-        dyf = dy.reshape(N, O, Ho * Wo)
-        dw = np.matmul(dyf, cols.transpose(0, 2, 1)).sum(axis=0)
-        return dw.reshape(O, C, kh, kw)
-    dw = np.zeros((O, C * kh * kw), dtype=np.result_type(x, dy))
-    for n, r0, r1 in _tiles(N, Ho, per_row):
-        cols = view[n, ..., r0:r1, :].reshape(1, C * kh * kw, (r1 - r0) * Wo)
-        dyf = dy[n, :, r0:r1].reshape(1, O, (r1 - r0) * Wo)
-        dw += np.matmul(dyf, cols.transpose(0, 2, 1))[0]
-    return dw.reshape(O, C, kh, kw)
+def _conv(x, kshape, stride, padding, w=None, dy=None):
+    """``(out, dw)`` from one walk over the im2col tiles of ``x``: ``out``
+    is the conv of ``x`` with the kernels ``w``, and ``dw`` the kernel
+    gradient for the output gradient ``dy``; each is None if its operand
+    is."""
+    O = kshape[0]
+    (Ho, Wo), tiles = _im2col(x, kshape, stride, padding)
+    out = dw = None
+    if w is not None:
+        w2 = w.reshape(O, -1)
+        out = np.empty((x.shape[0], O, Ho, Wo), dtype=np.result_type(x, w))
+    if dy is not None:
+        dw = np.zeros((O, np.prod(kshape[1:])), dtype=np.result_type(x, dy))
+    for n, r0, r1, cols in tiles:
+        if out is not None:  # the GEMM writes into a view of ``out``
+            np.matmul(w2, cols, out=out[n, :, r0:r1].reshape(O, -1))
+        if dw is not None:
+            dw += dy[n, :, r0:r1].reshape(O, -1) @ cols.T
+    return out, None if dw is None else dw.reshape(kshape)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -341,57 +336,49 @@ def _flipped(w):
     return np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
 
 
-def _conv_dx_polyphase_2x(dy, wf, x_hw):
+def _conv_dx_polyphase_2x(dy, wf):
     """Stride-2, 4x4, pad-1 transposed conv via per-phase 2x2 convs.
 
-    ``wf`` is ``_phase_kernels`` of the kernel. Avoids the zero-stuffed
-    intermediate (3/4 of it is zeros), which matters at full resolution;
-    exactly equivalent to the generic path.
+    ``wf`` is ``_phase_kernels`` of the kernel. Output phase (u, v) is a
+    2x2 conv over a window of the once-padded ``dy``, so the zero-stuffed
+    intermediate (3/4 of it zeros) is never built.
     """
     N, _, Ho, Wo = dy.shape
-    H, W = x_hw
     dyp = _pad4(dy, 1, 1, 1, 1)
-    out = np.empty((N, wf.shape[2], H, W), dtype=dy.dtype)
+    out = np.empty((N, wf.shape[2], 2 * Ho, 2 * Wo), dtype=dy.dtype)
     for u in (0, 1):
         for v in (0, 1):
             window = dyp[:, :, u:u + Ho + 1, v:v + Wo + 1]
-            out[:, :, u::2, v::2] = _conv_fwd(window, wf[u, v], (1, 1), (0, 0))
+            out[:, :, u::2, v::2] = _conv(window, wf[u, v].shape, (1, 1),
+                                          (0, 0), w=wf[u, v])[0]
     return out
 
 
 def _conv_dx(dy, w: Tensor, stride, padding, x_hw):
-    """Gradient w.r.t. the conv input; also the upconv forward kernel."""
+    """Gradient w.r.t. the input of ``conv2d``."""
     sh, sw = stride
-    ph, pw = padding
-    O, C, kh, kw = w.data.shape
-    N = dy.shape[0]
-    Ho, Wo = dy.shape[2], dy.shape[3]
-    H, W = x_hw
-    if ((sh, sw) == (2, 2) and (kh, kw) == (4, 4) and (ph, pw) == (1, 1)
-            and H == 2 * Ho and W == 2 * Wo):
-        return _conv_dx_polyphase_2x(dy, _layout(w, _phase_kernels), x_hw)
-    Hd = (Ho - 1) * sh + 1
-    Wd = (Wo - 1) * sw + 1
-    pt = kh - 1 - ph
-    pl = kw - 1 - pw
-    pb = H + kh - 1 - pt - Hd
-    pr = W + kw - 1 - pl - Wd
-    if min(pt, pl, pb, pr) < 0:
+    O, _, kh, kw = w.data.shape
+    N, _, Ho, Wo = dy.shape
+    pt, pl = kh - 1 - padding[0], kw - 1 - padding[1]
+    if min(pt, pl) < 0:
         raise ValueError("padding exceeds kernel; unsupported configuration")
-    # zero-stuffed (stride > 1) and padded in one strided write
-    dyp = np.zeros((N, O, H + kh - 1, W + kw - 1), dtype=dy.dtype)
-    dyp[:, :, pt:pt + Hd:sh, pl:pl + Wd:sw] = dy
-    return _conv_fwd(dyp, _layout(w, _flipped), (1, 1), (0, 0))
+    # zero-stuffed (stride > 1) and padded in one strided write; the bottom
+    # and right padding are at least pt and pl
+    dyp = np.zeros((N, O, x_hw[0] + kh - 1, x_hw[1] + kw - 1), dtype=dy.dtype)
+    dyp[:, :, pt:pt + (Ho - 1) * sh + 1:sh, pl:pl + (Wo - 1) * sw + 1:sw] = dy
+    wf = _layout(w, _flipped)
+    return _conv(dyp, wf.shape, (1, 1), (0, 0), w=wf)[0]
 
 
-def _linear(out, x: Tensor, w: Tensor, b: Tensor | None, dx, dw,
+def _linear(out, x: Tensor, w: Tensor, b: Tensor | None, grads,
             leaky=False) -> Tensor:
     """Node of a linear op: ``out`` (a fresh array: the bias ``b`` is added
     in place, along axis 1, and with ``leaky`` the leaky ReLU is applied in
     place after it).
 
-    Its VJP returns ``dx(g)``, ``dw(g)`` and the bias gradient, each only
-    for an input that requires a gradient; with ``leaky``, ``g`` first goes
+    Its VJP returns ``grads(g, x.requires_grad, w.requires_grad)``, which
+    is ``(dx, dw)`` with None for an input whose flag is false, and the
+    bias gradient if ``b`` requires one; with ``leaky``, ``g`` first goes
     through the activation's VJP, read from ``out``.
     """
     if b is not None:
@@ -403,12 +390,11 @@ def _linear(out, x: Tensor, w: Tensor, b: Tensor | None, dx, dw,
     def vjp(g):
         if leaky:
             g = _leaky_vjp(out, g)
-        grads = (dx(g) if x.requires_grad else None,
-                 dw(g) if w.requires_grad else None)
+        dxw = grads(g, x.requires_grad, w.requires_grad)
         if b is None:
-            return grads
+            return dxw
         axes = (0,) + tuple(range(2, g.ndim))
-        return grads + (g.sum(axis=axes) if b.requires_grad else None,)
+        return dxw + (g.sum(axis=axes) if b.requires_grad else None,)
 
     return _op(out, parents, vjp)
 
@@ -424,40 +410,40 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
             f"conv2d shape mismatch: input {x.data.shape}, kernel {w.data.shape}")
     x_hw = x.data.shape[2:]
     kshape = w.data.shape
-    return _linear(
-        _conv_fwd(x.data, w.data, stride, padding), x, w, b,
-        lambda g: _conv_dx(g, w, stride, padding, x_hw),
-        lambda g: _conv_dw(x.data, g, stride, padding, kshape), leaky)
+
+    def grads(g, gx, gw):
+        return (_conv_dx(g, w, stride, padding, x_hw) if gx else None,
+                _conv(x.data, kshape, stride, padding, dy=g)[1]
+                if gw else None)
+
+    return _linear(_conv(x.data, kshape, stride, padding, w=w.data)[0],
+                   x, w, b, grads, leaky)
 
 
 def upconv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
-             stride=2, padding=1, out_hw=None, leaky=False) -> Tensor:
-    """Transposed convolution: exact adjoint of conv2d with the same kernel.
+             leaky=False) -> Tensor:
+    """The decoders' x2 upconv: the transposed conv that is the exact
+    adjoint of ``conv2d`` with the same 4x4 kernel, stride 2 and padding 1.
 
-    The kernel keeps the conv layout (O, C, kh, kw); the input has O
-    channels and the output C channels. The default output size is
-    (H-1)*stride + k - 2*padding per axis, so stride 2 with k=4, pad=1
-    doubles the spatial dimensions exactly; pass ``out_hw`` when the
-    matching forward conv dropped trailing rows or columns. The bias and,
-    with ``leaky``, the leaky ReLU follow as in ``conv2d``.
+    The kernel keeps the conv layout (O, C, 4, 4); the input (N, O, H, W)
+    becomes the output (N, C, 2H, 2W). The forward runs as four 2x2 convs,
+    one per output phase. The VJP is that conv2d's forward (dx) and kernel
+    gradient (dw), both from one im2col walk over the output gradient. The
+    bias and, with ``leaky``, the leaky ReLU follow as in ``conv2d``.
     """
-    stride = _pair(stride)
-    padding = _pair(padding)
-    if x.data.ndim != 4 or x.data.shape[1] != w.data.shape[0]:
+    if (x.data.ndim != 4 or x.data.shape[1] != w.data.shape[0]
+            or w.data.shape[2:] != (4, 4)):
         raise ValueError(
-            f"upconv2d shape mismatch: input {x.data.shape}, kernel {w.data.shape}")
-    sh, sw = stride
-    ph, pw = padding
-    O, C, kh, kw = kshape = w.data.shape
-    if out_hw is None:
-        Hout = (x.data.shape[2] - 1) * sh + kh - 2 * ph
-        Wout = (x.data.shape[3] - 1) * sw + kw - 2 * pw
-    else:
-        Hout, Wout = out_hw
-    return _linear(
-        _conv_dx(x.data, w, stride, padding, (Hout, Wout)), x, w, b,
-        lambda g: _conv_fwd(g, w.data, stride, padding),
-        lambda g: _conv_dw(g, x.data, stride, padding, kshape), leaky)
+            f"upconv2d takes (N, O, H, W) and an (O, C, 4, 4) kernel: "
+            f"input {x.data.shape}, kernel {w.data.shape}")
+    kshape = w.data.shape
+
+    def grads(g, gx, gw):
+        return _conv(g, kshape, (2, 2), (1, 1), w.data if gx else None,
+                     x.data if gw else None)
+
+    return _linear(_conv_dx_polyphase_2x(x.data, _layout(w, _phase_kernels)),
+                   x, w, b, grads, leaky)
 
 
 def fully_connected(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -468,8 +454,8 @@ def fully_connected(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     # one GEMM per row, so a row's result does not depend on the batch
     out = np.concatenate([x.data[n:n + 1] @ w.data
                           for n in range(x.data.shape[0])])
-    return _linear(out, x, w, b, lambda g: g @ w.data.T,
-                   lambda g: x.data.T @ g)
+    return _linear(out, x, w, b, lambda g, gx, gw: (
+        g @ w.data.T if gx else None, x.data.T @ g if gw else None))
 
 
 LEAKY_SLOPE = 0.1

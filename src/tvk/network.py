@@ -26,6 +26,7 @@ layer has read it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -138,43 +139,35 @@ class EncoderDecoder:
         self.p: dict[str, Tensor] = {}
         dt = cfg.np_dtype
 
-        def conv_param(name, o, c, kh, kw):
+        def param(name, shape, out_axis=0):
+            # fan-in: the weight's size over all but its output axis. The
+            # output is axis 0 of a conv kernel and axis 1 of a fully
+            # connected (in, out) matrix and of a transposed-conv kernel,
+            # which keeps the conv layout (input channels first).
+            n_out = shape[out_axis]
             self.p[name + ".w"] = params.add(
                 f"{prefix}.{name}.w",
-                ad.fanin_uniform(rng, (o, c, kh, kw), c * kh * kw, dt))
+                ad.fanin_uniform(rng, shape, math.prod(shape) // n_out, dt))
             self.p[name + ".b"] = params.add(
-                f"{prefix}.{name}.b", np.zeros(o, dtype=dt))
-
-        def upconv_param(name, c_in, c_out, k):
-            # transposed-conv kernels keep the conv layout: the leading
-            # axis matches the op input, the second the op output
-            self.p[name + ".w"] = params.add(
-                f"{prefix}.{name}.w",
-                ad.fanin_uniform(rng, (c_in, c_out, k, k), c_in * k * k, dt))
-            self.p[name + ".b"] = params.add(
-                f"{prefix}.{name}.b", np.zeros(c_out, dtype=dt))
+                f"{prefix}.{name}.b", np.zeros(n_out, dtype=dt))
 
         chans = channels
         c_prev = in_channels
         for i, c in enumerate(chans):
             k = first_kernel if i == 0 else cfg.kernel
-            conv_param(f"enc{i}.x", c, c_prev, 1, k)
-            conv_param(f"enc{i}.y", c, c, k, 1)
+            param(f"enc{i}.x", (c, c_prev, 1, k))
+            param(f"enc{i}.y", (c, c, k, 1))
             c_prev = c
         for i in range(len(chans) - 1, 0, -1):
-            upconv_param(f"up{i}", chans[i], chans[i - 1], 4)
-            conv_param(f"merge{i}", chans[i - 1], 2 * chans[i - 1], 3, 3)
-        upconv_param("up0", chans[0], chans[0], 4)
-        conv_param("head0", chans[0], chans[0], 3, 3)
-        conv_param("head1", out_channels, chans[0], 3, 3)
+            param(f"up{i}", (chans[i], chans[i - 1], 4, 4), out_axis=1)
+            param(f"merge{i}", (chans[i - 1], 2 * chans[i - 1], 3, 3))
+        param("up0", (chans[0], chans[0], 4, 4), out_axis=1)
+        param("head0", (chans[0], chans[0], 3, 3))
+        param("head1", (out_channels, chans[0], 3, 3))
         if motion_head:
             for name, f_in, f_out in (("fc0", chans[-1], 64), ("fc1", 64, 32),
                                       ("fc2", 32, 7)):
-                self.p[name + ".w"] = params.add(
-                    f"{prefix}.{name}.w",
-                    ad.fanin_uniform(rng, (f_in, f_out), f_in, dt))
-                self.p[name + ".b"] = params.add(
-                    f"{prefix}.{name}.b", np.zeros(f_out, dtype=dt))
+                param(name, (f_in, f_out), out_axis=1)
 
     def parameter_names(self) -> list[str]:
         return [f"{self.prefix}.{k}" for k in self.p]
@@ -199,12 +192,11 @@ class EncoderDecoder:
         bottleneck = h
         for i in range(len(self.channels) - 1, 0, -1):
             h = ad.upconv2d(h, self.p[f"up{i}.w"], self.p[f"up{i}.b"],
-                            stride=2, padding=1, leaky=True)
+                            leaky=True)
             h = ad.concat_channels([h, skips[i - 1]])
             h = ad.conv2d(h, self.p[f"merge{i}.w"], self.p[f"merge{i}.b"],
                           stride=1, padding=1, leaky=True)
-        h = ad.upconv2d(h, self.p["up0.w"], self.p["up0.b"],
-                        stride=2, padding=1, leaky=True)
+        h = ad.upconv2d(h, self.p["up0.w"], self.p["up0.b"], leaky=True)
         h = ad.conv2d(h, self.p["head0.w"], self.p["head0.b"],
                       stride=1, padding=1, leaky=True)
         out = ad.conv2d(h, self.p["head1.w"], self.p["head1.b"],

@@ -526,12 +526,15 @@ def record_to_sample(rec: dict[str, np.ndarray]) -> SamplePair:
 def generate_dataset(path: str, seed: int, n_samples: int,
                      config: SynthConfig | None = None,
                      filter_threshold: float | None = None) -> dict:
-    """Write ``n_samples`` rendered pairs to ``path``; returns statistics."""
+    """Write ``n_samples`` rendered pairs to ``path``; returns statistics.
+    Raises ``GenerationError`` once ``config.max_tries`` pairs in a row fail
+    the filter (a NaN threshold fails every pair)."""
     config = config or SynthConfig()
     stats = {"accepted": 0, "rejected": 0}
 
     def records() -> Iterator[dict[str, np.ndarray]]:
         index = 0
+        in_a_row = 0
         while stats["accepted"] < n_samples:
             scene = generate_scene(seed, config, index=index)
             pair = render_pair(scene, config, sample_id=index)
@@ -540,7 +543,13 @@ def generate_dataset(path: str, seed: int, n_samples: int,
             if (filter_threshold is not None
                     and not photoconsistency_score(pair) <= filter_threshold):
                 stats["rejected"] += 1
+                in_a_row += 1
+                if in_a_row >= config.max_tries:
+                    raise GenerationError(
+                        f"filter threshold {filter_threshold} rejected "
+                        f"{in_a_row} pairs in a row (seed {seed})")
                 continue
+            in_a_row = 0
             stats["accepted"] += 1
             yield sample_to_record(pair)
 

@@ -72,23 +72,62 @@ class TestUpconv:
     def test_output_doubles_dims(self):
         x = Tensor(RNG(6).normal(size=(2, 8, 3, 4)))
         w = Tensor(RNG(7).normal(size=(8, 4, 4, 4)))
-        out = ad.upconv2d(x, w, stride=2, padding=1)
+        out = ad.upconv2d(x, w)
         assert out.data.shape == (2, 4, 6, 8)
 
     def test_adjointness(self):
         rng = RNG(8)
-        for stride, padding, k in [(2, 1, 4), (1, 1, 3), ((1, 2), (0, 3), (1, 7))]:
-            kh, kw = (k, k) if np.isscalar(k) else k
-            x = rng.normal(size=(2, 3, 8, 12))
-            w = rng.normal(size=(5, 3, kh, kw))
-            y = ad.conv2d(Tensor(x), Tensor(w), stride=stride, padding=padding)
-            v = rng.normal(size=y.data.shape)
-            back = ad.upconv2d(Tensor(v), Tensor(w), stride=stride,
-                               padding=padding, out_hw=x.shape[2:])
-            assert back.data.shape == x.shape
-            lhs = float(np.sum(y.data * v))
-            rhs = float(np.sum(back.data * x))
-            assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
+        x = rng.normal(size=(2, 3, 8, 12))
+        w = rng.normal(size=(5, 3, 4, 4))
+        y = ad.conv2d(Tensor(x), Tensor(w), stride=2, padding=1)
+        v = rng.normal(size=y.data.shape)
+        back = ad.upconv2d(Tensor(v), Tensor(w))
+        assert back.data.shape == x.shape
+        lhs = float(np.sum(y.data * v))
+        rhs = float(np.sum(back.data * x))
+        assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
+
+    @pytest.mark.parametrize("kshape", [(4, 3, 3, 3), (4, 3, 2, 2),
+                                        (4, 3, 1, 7)],
+                             ids=["3x3", "2x2", "1x7"])
+    def test_rejects_a_kernel_other_than_4x4(self, kshape):
+        x = Tensor(np.zeros((1, 4, 3, 5)))
+        with pytest.raises(ValueError, match=r"\(O, C, 4, 4\) kernel"):
+            ad.upconv2d(x, Tensor(np.zeros(kshape)))
+
+    @pytest.mark.parametrize("tiled", [False, True], ids=["whole", "tiled"])
+    def test_vjp_is_the_adjoint_conv_bitwise(self, tiled, monkeypatch):
+        # the one-walk VJP gives the bits of conv2d's forward (dx) and of
+        # conv2d's kernel gradient seeded with the upconv input (dw)
+        if tiled:
+            monkeypatch.setattr(ad, "_TILE_LIMIT", 64)
+        rng = RNG(12)
+        x = Tensor(rng.normal(size=(2, 4, 3, 5)).astype(np.float32),
+                   requires_grad=True)
+        w = rng.normal(size=(4, 3, 4, 4)).astype(np.float32)
+        wt = Tensor(w, requires_grad=True)
+        y = ad.upconv2d(x, wt)
+        g = rng.normal(size=y.shape).astype(np.float32)
+        backward({y: g})
+        w_conv = Tensor(w.copy(), requires_grad=True)
+        c = ad.conv2d(Tensor(g), w_conv, stride=2, padding=1)
+        backward({c: x.data})
+        assert x.grad.tobytes() == c.data.tobytes()
+        assert wt.grad.tobytes() == w_conv.grad.tobytes()
+
+    def test_backward_pads_the_output_gradient_once(self, monkeypatch):
+        # dx and dw come from one im2col walk over one padded copy of g
+        rng = RNG(11)
+        x = Tensor(rng.normal(size=(2, 4, 3, 5)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 3, 4, 4)), requires_grad=True)
+        y = ad.upconv2d(x, w)
+        pads = []
+        pad4 = ad._pad4
+        monkeypatch.setattr(ad, "_pad4",
+                            lambda a, *p: pads.append(a.shape) or pad4(a, *p))
+        backward({y: rng.normal(size=y.shape)})
+        assert pads == [y.shape]
+        assert x.grad is not None and w.grad is not None
 
     def test_gradcheck(self):
         rng = RNG(9)
@@ -96,22 +135,17 @@ class TestUpconv:
         w = rng.normal(size=(4, 2, 4, 4))
         b = rng.normal(size=2)
         err = gradcheck_vjp(
-            lambda xt, wt, bt: ad.upconv2d(xt, wt, bt, stride=2, padding=1),
-            [x, w, b], rng)
+            lambda xt, wt, bt: ad.upconv2d(xt, wt, bt), [x, w, b], rng)
         assert err < 1e-4
 
 
-# (op, input shape, kernel shape, stride, padding, out_hw): every conv and
-# upconv configuration of the networks; the odd out_hw takes the generic
-# upconv path, the even one the polyphase path
+# (op, input shape, kernel shape, stride, padding): every conv and upconv
+# configuration of the networks; upconv2d's stride and padding are fixed
 KERNEL_CASES = {
-    "conv_1x7_s12": ("conv", (2, 3, 6, 16), (4, 3, 1, 7), (1, 2), (0, 3), None),
-    "conv_3x1_s21": ("conv", (2, 3, 8, 6), (4, 3, 3, 1), (2, 1), (1, 0), None),
-    "conv_3x3_s1": ("conv", (2, 3, 6, 7), (4, 3, 3, 3), (1, 1), (1, 1), None),
-    "upconv_polyphase": ("upconv", (2, 4, 3, 5), (4, 3, 4, 4), (2, 2), (1, 1),
-                         None),
-    "upconv_odd_out": ("upconv", (2, 4, 3, 4), (4, 3, 4, 4), (2, 2), (1, 1),
-                       (7, 8)),
+    "conv_1x7_s12": ("conv", (2, 3, 6, 16), (4, 3, 1, 7), (1, 2), (0, 3)),
+    "conv_3x1_s21": ("conv", (2, 3, 8, 6), (4, 3, 3, 1), (2, 1), (1, 0)),
+    "conv_3x3_s1": ("conv", (2, 3, 6, 7), (4, 3, 3, 3), (1, 1), (1, 1)),
+    "upconv_polyphase": ("upconv", (2, 4, 3, 5), (4, 3, 4, 4), (2, 2), (1, 1)),
 }
 
 
@@ -123,7 +157,7 @@ class TestKernelReference:
     @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
     def test_matches_direct_summation(self, case, dtype, rtol, tiled,
                                       monkeypatch):
-        op, xshape, wshape, stride, padding, out_hw = KERNEL_CASES[case]
+        op, xshape, wshape, stride, padding = KERNEL_CASES[case]
         if tiled:  # one output row per tile in every case
             monkeypatch.setattr(ad, "_TILE_LIMIT", 64)
         rng = RNG(20)
@@ -134,8 +168,7 @@ class TestKernelReference:
         if op == "conv":
             y = ad.conv2d(xt, wt, stride=stride, padding=padding)
         else:
-            y = ad.upconv2d(xt, wt, stride=stride, padding=padding,
-                            out_hw=out_hw)
+            y = ad.upconv2d(xt, wt)
         g = rng.normal(size=y.shape).astype(dtype)
         backward({y: g})
 
@@ -155,37 +188,42 @@ class TestKernelReference:
             assert err <= rtol, f"{label}: max rel diff {err:.3g}"
 
     def test_tiles_never_span_samples(self):
-        # 24 samples take the tiled path; each sample's GEMMs are those of a
-        # batch of one, so the forward is bitwise batch invariant
+        # each sample's GEMMs are those of a batch of one, so the forward is
+        # bitwise batch invariant: with several tiles per sample, and when
+        # the whole batch's patch matrix would fit one tile
         rng = RNG(22)
-        x = rng.normal(size=(24, 64, 12, 16)).astype(np.float32)
-        w = Tensor(rng.normal(size=(32, 64, 3, 3)).astype(np.float32))
-        batch = ad.conv2d(Tensor(x), w, padding=1).data
-        alone = [ad.conv2d(Tensor(x[n:n + 1]), w, padding=1).data
-                 for n in range(24)]
-        assert batch.tobytes() == np.concatenate(alone).tobytes()
+        for xshape, wshape, one_tile in (
+                ((24, 64, 12, 16), (32, 64, 3, 3), False),
+                ((4, 8, 6, 8), (16, 8, 3, 3), True)):
+            N, C, H, W = xshape  # 3x3, padding 1: the output is H x W
+            assert (N * C * 9 * H * W <= ad._TILE_LIMIT) == one_tile
+            x = rng.normal(size=xshape).astype(np.float32)
+            w = Tensor(rng.normal(size=wshape).astype(np.float32))
+            batch = ad.conv2d(Tensor(x), w, padding=1).data
+            alone = [ad.conv2d(Tensor(x[n:n + 1]), w, padding=1).data
+                     for n in range(N)]
+            assert batch.tobytes() == np.concatenate(alone).tobytes()
 
 
 def _widened(case):
     """A KERNEL_CASES entry with 8 output channels, one per special bias."""
-    op, xshape, wshape, stride, padding, out_hw = KERNEL_CASES[case]
+    op, xshape, wshape, stride, padding = KERNEL_CASES[case]
     out_axis = 0 if op == "conv" else 1
     wshape = wshape[:out_axis] + (8,) + wshape[out_axis + 1:]
-    return op, xshape, wshape, stride, padding, out_hw
+    return op, xshape, wshape, stride, padding
 
 
 class TestFusedLeaky:
     """conv2d/upconv2d with ``leaky=True`` equal the unfused composition."""
 
     @staticmethod
-    def run(op, x, w, b, g, stride, padding, out_hw, fused):
+    def run(op, x, w, b, g, stride, padding, fused):
         xt, wt, bt = (Tensor(a.copy(), requires_grad=True) for a in (x, w, b))
         if op == "conv":
             y = ad.conv2d(xt, wt, bt, stride=stride, padding=padding,
                           leaky=fused)
         else:
-            y = ad.upconv2d(xt, wt, bt, stride=stride, padding=padding,
-                            out_hw=out_hw, leaky=fused)
+            y = ad.upconv2d(xt, wt, bt, leaky=fused)
         if not fused:
             y = ad.activation(y, "leaky_relu")
         if g is not None:
@@ -198,7 +236,7 @@ class TestFusedLeaky:
     @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
     def test_bitwise_equal_to_conv_then_activation(self, case, dtype, tiled,
                                                    monkeypatch):
-        op, xshape, wshape, stride, padding, out_hw = _widened(case)
+        op, xshape, wshape, stride, padding = _widened(case)
         if tiled:
             monkeypatch.setattr(ad, "_TILE_LIMIT", 64)
         rng = RNG(40)
@@ -212,7 +250,7 @@ class TestFusedLeaky:
         tiny = np.finfo(dtype).smallest_subnormal
         b = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, 0.5],
                      dtype=dtype)
-        args = (stride, padding, out_hw)
+        args = (stride, padding)
         with np.errstate(invalid="ignore"):
             shape = self.run(op, x, w, b, None, *args, False)[0].shape
             g = rng.normal(size=shape).astype(dtype)
@@ -238,8 +276,7 @@ class TestFusedLeaky:
             w = rng.normal(size=(2, 3, 4, 4))
 
             def fn(xt, wt, bt, leaky=True):
-                return ad.upconv2d(xt, wt, bt, stride=2, padding=1,
-                                   leaky=leaky)
+                return ad.upconv2d(xt, wt, bt, leaky=leaky)
         b = rng.normal(size=3)
         pre = fn(Tensor(x), Tensor(w), Tensor(b), leaky=False).data
         # away from the kink: a step of 1e-5 moves no pre-activation across 0
@@ -570,7 +607,7 @@ class TestLayoutMemo:
         x = Tensor(rng.normal(size=(2, 4, 3, 5)).astype(np.float32))
         y = Tensor(rng.normal(size=(2, 3, 6, 16)).astype(np.float32),
                    requires_grad=True)
-        out = ad.upconv2d(x, up, stride=2, padding=1)
+        out = ad.upconv2d(x, up)
         c = ad.conv2d(y, conv, stride=(1, 2), padding=(0, 3))
         backward({c: rng.normal(size=c.shape).astype(np.float32)})
         return out.data, y.grad

@@ -1,6 +1,9 @@
+import ast
+import glob
 import importlib
 import inspect
 import os
+import sys
 
 import pytest
 
@@ -8,8 +11,8 @@ from tvk import autodiff
 
 tomllib = pytest.importorskip("tomllib")
 
-PYPROJECT = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "pyproject.toml")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PYPROJECT = os.path.join(ROOT, "pyproject.toml")
 
 
 def declared_entry_points():
@@ -41,3 +44,22 @@ def test_autodiff_all_resolves_and_lists_every_public_function():
     assert {"Tensor", "ParameterStore", "Adam", "no_grad"} <= public
     unlisted = sorted(public - set(autodiff.__all__))
     assert not unlisted, unlisted
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "tvk"}
+    paths = sorted(glob.glob(os.path.join(ROOT, "src", "tvk", "*.py")))
+    assert paths
+    for path in paths:
+        with open(path, encoding="utf-8") as f:
+            tree = ast.parse(f.read(), filename=path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:  # relative imports stay inside tvk
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top in allowed, f"{os.path.basename(path)} imports {name}"

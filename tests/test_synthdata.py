@@ -3,6 +3,7 @@ from dataclasses import fields, is_dataclass
 import numpy as np
 import pytest
 
+from tvk import synthdata
 from tvk.geometry import (
     CameraMotion,
     FlowField,
@@ -11,6 +12,7 @@ from tvk.geometry import (
     depth_from_flow_motion,
 )
 from tvk.synthdata import (
+    GenerationError,
     Primitive,
     SceneSpec,
     SynthConfig,
@@ -228,6 +230,27 @@ class TestDatasetIO:
         assert stats == {"accepted": 3, "rejected": 1}
         samples, _ = load_dataset(path)
         assert [s.sample_id for s in samples] == [1, 2, 3]
+
+    @pytest.mark.parametrize("threshold", [0.0045, float("nan")])
+    def test_filter_rejecting_every_pair_raises(self, tmp_path, monkeypatch,
+                                                threshold):
+        # every pair is rejected; a stub that stops after max_tries + 1
+        # scores turns an endless loop into a failure instead of a hang
+        config = SynthConfig(include_full=False, max_tries=3)
+        calls = []
+
+        def reject(pair):
+            calls.append(pair.sample_id)
+            assert len(calls) <= config.max_tries + 1, "no GenerationError"
+            return 1.0
+
+        monkeypatch.setattr(synthdata, "photoconsistency_score", reject)
+        path = tmp_path / "never.tvk"
+        with pytest.raises(GenerationError, match="3 pairs in a row"):
+            generate_dataset(str(path), 0, 1, config,
+                             filter_threshold=threshold)
+        assert calls == [0, 1, 2]
+        assert list(tmp_path.iterdir()) == []
 
     def test_record_conversion_preserves_quantized_images(self):
         scene = generate_scene(77, CFG_SMALL, index=0)
