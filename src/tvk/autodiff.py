@@ -360,8 +360,6 @@ def _conv_dx(dy, w: Tensor, stride, padding, x_hw):
     O, _, kh, kw = w.data.shape
     N, _, Ho, Wo = dy.shape
     pt, pl = kh - 1 - padding[0], kw - 1 - padding[1]
-    if min(pt, pl) < 0:
-        raise ValueError("padding exceeds kernel; unsupported configuration")
     # zero-stuffed (stride > 1) and padded in one strided write; the bottom
     # and right padding are at least pt and pl
     dyp = np.zeros((N, O, x_hw[0] + kh - 1, x_hw[1] + kw - 1), dtype=dy.dtype)
@@ -410,6 +408,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
             f"conv2d shape mismatch: input {x.data.shape}, kernel {w.data.shape}")
     x_hw = x.data.shape[2:]
     kshape = w.data.shape
+    if not all(0 <= p < k for p, k in zip(padding, kshape[2:])):
+        raise ValueError(f"conv2d padding {padding} outside [0, kernel size) "
+                         f"for kernel {kshape[2:]}")
 
     def grads(g, gx, gw):
         return (_conv_dx(g, w, stride, padding, x_hw) if gx else None,

@@ -6,8 +6,10 @@ reprojection error. RANSAC draws all its minimal samples first, then
 solves and scores them in fixed-size blocks (one stacked 8-point solve and
 one batched Sampson pass each); ``eight_point`` and ``sampson_distance``
 are batch-of-one calls of the same helpers, so the blocks give bitwise the
-results of scoring one hypothesis at a time. Dense depth by triangulating
-a flow field with a known motion is ``geometry.depth_from_flow_motion``.
+results of scoring one hypothesis at a time. Matches are triangulated by
+``geometry.triangulate``, for the cheirality vote and the refinement's
+start; dense depth by triangulating a flow field with a known motion is
+``geometry.depth_from_flow_motion``, which uses the same triangulation.
 Serves as the comparison baseline for the learned model, and as an oracle
 when fed ground-truth flow and motion.
 
@@ -26,6 +28,7 @@ from .geometry import (
     Intrinsics,
     angle_axis_from_rotation,
     rotation_from_angle_axis,
+    triangulate,
 )
 
 
@@ -190,29 +193,12 @@ def ransac_essential(corr: Correspondences, threshold: float = 1e-4,
     return E, best_mask
 
 
-def _triangulate_points(R: np.ndarray, t: np.ndarray, x1: np.ndarray,
-                        x2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Midpoint triangulation of matched rays; returns depths (z1, z2)."""
-    n = x1.shape[0]
-    d1 = np.hstack([x1, np.ones((n, 1))])
-    d2c = np.hstack([x2, np.ones((n, 1))])
-    d2 = d2c @ R  # R^T applied to rows
-    c2 = -R.T @ t
-    a = np.sum(d1 * d1, axis=1)
-    b = np.sum(d1 * d2, axis=1)
-    c = np.sum(d2 * d2, axis=1)
-    w0 = -c2
-    d = d1 @ w0
-    e = d2 @ w0
-    denom = a * c - b * b
-    ok = denom > 1e-14 * a * c
-    denom = np.where(ok, denom, 1.0)
-    s = (b * e - c * d) / denom
-    q = (a * e - b * d) / denom
-    P = 0.5 * (d1 * s[:, None] + c2 + d2 * q[:, None])
-    z1 = np.where(ok, P[:, 2], -1.0)
-    z2 = np.where(ok, (P @ R.T + t)[:, 2], -1.0)
-    return z1, z2
+def _front_depths(R: np.ndarray, t: np.ndarray, corr: Correspondences
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """First-camera depths of the triangulated matches, and the mask of the
+    matches whose rays are not parallel and meet in front of both cameras."""
+    P, ok = triangulate(_homogeneous(corr.x1), _homogeneous(corr.x2), R, t)
+    return P[:, 2], ok & (P[:, 2] > 0) & ((P @ R.T + t)[:, 2] > 0)
 
 
 def decompose_essential(E: np.ndarray, corr: Correspondences) -> CameraMotion:
@@ -229,8 +215,7 @@ def decompose_essential(E: np.ndarray, corr: Correspondences) -> CameraMotion:
     candidates = [(R1, tu), (R1, -tu), (R2, tu), (R2, -tu)]
     counts = []
     for R, t in candidates:
-        z1, z2 = _triangulate_points(R, t, corr.x1, corr.x2)
-        counts.append(int(np.sum((z1 > 0) & (z2 > 0))))
+        counts.append(int(np.sum(_front_depths(R, t, corr)[1])))
     order = np.argsort(counts)
     if counts[order[-1]] == counts[order[-2]]:
         raise AmbiguousDecompositionError(
@@ -336,8 +321,7 @@ def refine_motion(motion: CameraMotion, corr: Correspondences,
     m = motion.normalized()
     R = rotation_from_angle_axis(m.r)
     t = m.t.copy()
-    z1, z2 = _triangulate_points(R, t, active.x1, active.x2)
-    front = (z1 > 0) & (z2 > 0)
+    z1, front = _front_depths(R, t, active)
     if front.sum() < 8:
         raise EstimationError(
             f"refinement needs at least 8 matches in front of both cameras, "
@@ -418,8 +402,9 @@ def refine_motion(motion: CameraMotion, corr: Correspondences,
 def sample_correspondences(flow: FlowField, mask: np.ndarray, n: int,
                            seed: int, K: Intrinsics) -> Correspondences:
     """Draw up to n valid-pixel matches from a flow field (seeded)."""
-    H, W = flow.w.shape[:2]
     mask = np.asarray(mask, dtype=bool)
+    if not flow.w.shape[:2] == mask.shape == (K.height, K.width):
+        raise ValueError("flow, mask and intrinsics resolutions differ")
     ys, xs = np.nonzero(mask)
     count = ys.size
     if count == 0:
@@ -428,13 +413,11 @@ def sample_correspondences(flow: FlowField, mask: np.ndarray, n: int,
         rng = np.random.Generator(np.random.Philox(key=seed))
         pick = rng.choice(count, size=n, replace=False)
         ys, xs = ys[pick], xs[pick]
-    u1 = (xs + 0.5) / W
-    v1 = (ys + 0.5) / H
-    u2 = u1 + flow.w[ys, xs, 0]
-    v2 = v1 + flow.w[ys, xs, 1]
-    x1 = np.stack([(u1 - K.cx) / K.fx, (v1 - K.cy) / K.fy], axis=1)
-    x2 = np.stack([(u2 - K.cx) / K.fx, (v2 - K.cy) / K.fy], axis=1)
-    return Correspondences(x1, x2)
+    u, v = K.pixel_centers()
+    u1, v1 = u[xs], v[ys]
+    x1 = K.unproject(u1, v1)
+    x2 = K.unproject(u1 + flow.w[ys, xs, 0], v1 + flow.w[ys, xs, 1])
+    return Correspondences(np.stack(x1, axis=1), np.stack(x2, axis=1))
 
 
 def estimate_motion_from_flow(flow: FlowField, mask: np.ndarray,

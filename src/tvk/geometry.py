@@ -1,5 +1,10 @@
-"""Camera model, conversions between depth, optical flow and motion, and the
-bilinear warp.
+"""Camera model, conversions between depth, optical flow and motion, two-ray
+triangulation and the bilinear warp.
+
+This module is the one place for camera math: the pixel-center grid
+(``Intrinsics.pixel_centers``), the map from an image point to its ray
+(``Intrinsics.unproject``) and back (``project``), and the two-ray
+triangulation (``triangulate``) that ``baseline`` uses too.
 
 Conventions used throughout the package:
 
@@ -56,6 +61,16 @@ class Intrinsics:
             raise ValueError("principal point must lie inside the image")
         if self.width < 8 or self.height < 8:
             raise ValueError("resolution must be at least 8x8")
+
+    def pixel_centers(self) -> tuple[np.ndarray, np.ndarray]:
+        """Pixel-center ``u`` per column, (W,), and ``v`` per row, (H,)."""
+        u = (np.arange(self.width, dtype=np.float64) + 0.5) / self.width
+        v = (np.arange(self.height, dtype=np.float64) + 0.5) / self.height
+        return u, v
+
+    def unproject(self, u, v):
+        """(x, y) of the ray (x, y, 1) through image point (u, v), per axis."""
+        return (u - self.cx) / self.fx, (v - self.cy) / self.fy
 
     def scaled(self, factor: int) -> "Intrinsics":
         """Same camera at ``factor`` times the pixel resolution."""
@@ -178,10 +193,7 @@ def angle_axis_from_rotation(R: np.ndarray) -> np.ndarray:
 
 def pixel_rays(K: Intrinsics) -> np.ndarray:
     """Per-pixel viewing ray directions with z = 1, shape (H, W, 3)."""
-    u = (np.arange(K.width, dtype=np.float64) + 0.5) / K.width
-    v = (np.arange(K.height, dtype=np.float64) + 0.5) / K.height
-    x = (u - K.cx) / K.fx
-    y = (v - K.cy) / K.fy
+    x, y = K.unproject(*K.pixel_centers())
     rays = np.empty((K.height, K.width, 3))
     rays[..., 0] = x[None, :]
     rays[..., 1] = y[:, None]
@@ -198,11 +210,30 @@ def project(points: np.ndarray, K: Intrinsics) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
-def _pixel_uv(K: Intrinsics) -> tuple[np.ndarray, np.ndarray]:
-    u = (np.arange(K.width, dtype=np.float64) + 0.5) / K.width
-    v = (np.arange(K.height, dtype=np.float64) + 0.5) / K.height
-    return np.broadcast_to(u[None, :], (K.height, K.width)), \
-        np.broadcast_to(v[:, None], (K.height, K.width))
+def triangulate(d1: np.ndarray, d2: np.ndarray, R: np.ndarray,
+                t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoint triangulation of ray pairs (Hartley & Sturm, CVIU 1997).
+
+    ``d1`` and ``d2`` (..., 3) are the rays in the frames of the first and
+    the second camera; (R, t) maps the first frame to the second. Returns
+    the midpoints in first-camera coordinates and the mask of non-parallel
+    pairs (``a*c - b^2 > 1e-12 * a*c``); masked-out midpoints are undefined.
+    """
+    d2 = d2 @ R  # R^T applied to rows
+    c2 = -R.T @ t  # second camera center in first-camera coordinates
+    # minimize |s*d1 - (c2 + q*d2)|: normal equations of the two-ray system
+    a = np.einsum("...k,...k->...", d1, d1)
+    b = np.einsum("...k,...k->...", d1, d2)
+    c = np.einsum("...k,...k->...", d2, d2)
+    w0 = -c2  # o1 - o2
+    d = np.einsum("...k,k->...", d1, w0)
+    e = np.einsum("...k,k->...", d2, w0)
+    denom = a * c - b * b
+    ok = denom > 1e-12 * a * c  # rays not parallel
+    denom = np.where(ok, denom, 1.0)
+    s = (b * e - c * d) / denom
+    q = (a * e - b * d) / denom
+    return 0.5 * (d1 * s[..., None] + c2 + d2 * q[..., None]), ok
 
 
 def flow_from_depth_motion(
@@ -231,7 +262,6 @@ def flow_from_depth_motion(
     if not np.any(motion.t):
         # parallax-free: every pixel moves with the rotation only, which
         # makes the result exactly independent of the depth values
-        finite = np.ones_like(xi, dtype=bool)
         dir2 = rot
     else:
         finite = xi > 0
@@ -240,12 +270,11 @@ def flow_from_depth_motion(
         # p2 = R * (ray * z) + t; for infinity pixels only the direction counts
         p2 = rot * z[..., None] + motion.t
         dir2 = np.where(finite[..., None], p2, rot)
-    u1, v1 = _pixel_uv(K)
+    u1, v1 = K.pixel_centers()
     u2, v2 = project(dir2, K)
     in_front = dir2[..., 2] > _Z_EPS
-    w = np.zeros((K.height, K.width, 2))
-    w[..., 0] = np.where(in_front, u2 - u1, 0.0)
-    w[..., 1] = np.where(in_front, v2 - v1, 0.0)
+    w = np.stack([np.where(in_front, u2 - u1, 0.0),
+                  np.where(in_front, v2 - v1[:, None], 0.0)], axis=-1)
     in_fov = in_front & (u2 >= 0) & (u2 <= 1) & (v2 >= 0) & (v2 <= 1)
     return FlowField(w), in_fov
 
@@ -266,29 +295,11 @@ def depth_from_flow_motion(
     if flow.w.shape[:2] != (K.height, K.width):
         raise ValueError("flow resolution does not match intrinsics")
 
-    R = rotation_from_angle_axis(motion.r)
-    d1 = pixel_rays(K)
-    u1, v1 = _pixel_uv(K)
-    u2 = u1 + flow.w[..., 0]
-    v2 = v1 + flow.w[..., 1]
-    d2cam = np.stack([(u2 - K.cx) / K.fx, (v2 - K.cy) / K.fy,
-                      np.ones_like(u2)], axis=-1)
-    d2 = d2cam @ R  # R^T applied to rows
-    c2 = -R.T @ motion.t  # second camera center in first-camera coordinates
-
-    # minimize |s*d1 - (c2 + q*d2)|: normal equations of the two-ray system
-    a = np.einsum("hwk,hwk->hw", d1, d1)
-    b = np.einsum("hwk,hwk->hw", d1, d2)
-    c = np.einsum("hwk,hwk->hw", d2, d2)
-    w0 = -c2  # o1 - o2
-    d = np.einsum("hwk,k->hw", d1, w0)
-    e = np.einsum("hwk,k->hw", d2, w0)
-    denom = a * c - b * b
-    ok = denom > 1e-12 * a * c  # rays not parallel
-    denom_safe = np.where(ok, denom, 1.0)
-    s = (b * e - c * d) / denom_safe
-    q = (a * e - b * d) / denom_safe
-    mid = 0.5 * (d1 * s[..., None] + c2 + d2 * q[..., None])
+    u1, v1 = K.pixel_centers()
+    x2, y2 = K.unproject(u1 + flow.w[..., 0], v1[:, None] + flow.w[..., 1])
+    mid, ok = triangulate(pixel_rays(K),
+                          np.stack([x2, y2, np.ones_like(x2)], axis=-1),
+                          rotation_from_angle_axis(motion.r), motion.t)
     z = mid[..., 2]
     valid = ok & np.isfinite(z) & (z > _Z_EPS)
     xi = np.where(valid, 1.0 / np.where(valid, z, 1.0), 0.0)

@@ -305,7 +305,7 @@ def generate_scene(seed: int, config: SynthConfig, index: int = 0) -> SceneSpec:
             u = rng.uniform(0.15, 0.85)
             v = rng.uniform(0.15, 0.85)
             z = rng.uniform(*config.depth_range)
-            ray = np.array([(u - K.cx) / K.fx, (v - K.cy) / K.fy, 1.0])
+            ray = np.array([*K.unproject(u, v), 1.0])
             size = rng.uniform(*config.size_range, size=3)
             if kind == "sphere":
                 size[:] = size[0] * 0.6
@@ -410,7 +410,7 @@ def render_pair(scene: SceneSpec, config: SynthConfig,
 
     # second camera: center -R^T t, ray directions R^T d
     c2 = -R.T @ t_raw
-    dirs2 = pixel_rays(K) @ R
+    dirs2 = dirs1 @ R
     s2, col2, _ = _cast(c2, dirs2, scene, octaves, want_normal=False)
 
     img1_full = xi_full = None
@@ -439,7 +439,7 @@ def render_pair(scene: SceneSpec, config: SynthConfig,
     # since the cast directions have unit z there)
     if not zero_baseline:
         flow_valid = flow_valid & ~_occluded_in_second_view(
-            s1, flow.w, R, t_raw, K, s2)
+            s1, flow.w, R, t_raw, dirs1, s2)
     return SamplePair(
         img1=col1,
         img2=col2,
@@ -456,19 +456,17 @@ def render_pair(scene: SceneSpec, config: SynthConfig,
     )
 
 
-def _occluded_in_second_view(s1, flow_w, R, t_raw, K: Intrinsics, s2):
+def _occluded_in_second_view(s1, flow_w, R, t_raw, dirs1, s2):
     """True where a first-view pixel is hidden behind a nearer surface."""
     H, W = s1.shape
     hit = np.isfinite(s1)
-    p1 = pixel_rays(K) * np.where(hit, s1, 0.0)[..., None]
+    p1 = dirs1 * np.where(hit, s1, 0.0)[..., None]
     z2p = (p1 @ R.T + t_raw)[..., 2]  # depth of the transported point
     # nearest-neighbor lookup of the second view's depth buffer
-    ys, xs = np.meshgrid(np.arange(H), np.arange(W), indexing="ij")
-    xt = np.clip(np.round(xs + flow_w[..., 0] * W).astype(np.int64), 0, W - 1)
-    yt = np.clip(np.round(ys + flow_w[..., 1] * H).astype(np.int64), 0, H - 1)
-    z2buf = s2[yt, xt]
-    occluded = hit & np.isfinite(z2buf) & (z2buf < z2p * (1 - 8e-3) - 1e-6)
-    return occluded
+    xt = np.round(np.arange(W) + flow_w[..., 0] * W).astype(np.int64)
+    yt = np.round(np.arange(H)[:, None] + flow_w[..., 1] * H).astype(np.int64)
+    z2buf = s2[np.clip(yt, 0, H - 1), np.clip(xt, 0, W - 1)]
+    return hit & np.isfinite(z2buf) & (z2buf < z2p * (1 - 8e-3) - 1e-6)
 
 
 def photoconsistency_score(pair: SamplePair) -> float:

@@ -119,6 +119,12 @@ class TrainConfig:
     use_flow_loss: bool = True
     use_confidence: bool = True
 
+    def __post_init__(self):
+        for field, low in (("batch_size", 1), ("log_every", 1),
+                           ("replay_passes", 0)):
+            if getattr(self, field) < low:
+                raise ValueError(f"{field}={getattr(self, field)} is below {low}")
+
     def weights(self) -> LossWeights:
         """Default weights with the terms of the switched-off toggles at 0."""
         off = ((self.use_grad_loss, ("grad_depth", "grad_flow")),

@@ -64,6 +64,24 @@ def flow_at_pixel(row, col, z, R, t, K):
     return np.array([u2 - u1, v2 - v1])
 
 
+def triangulate_lstsq(d1, d2, R, t):
+    """Per-pair midpoint triangulation by ``np.linalg.lstsq``.
+
+    Rays: s * d1 from the first camera center (the origin) and c + q * R^T d2
+    from the second (c = -R^T t), in first-camera coordinates. The 3x2
+    system s * d1 - q * R^T d2 = c is solved in the least-squares sense and
+    the midpoint of the two closest points is returned, shape (n, 3).
+    """
+    c = -R.T @ t
+    out = np.empty((len(d1), 3))
+    for k in range(len(d1)):
+        e2 = R.T @ d2[k]
+        (s, q), *_ = np.linalg.lstsq(np.stack([d1[k], -e2], axis=1), c,
+                                     rcond=None)
+        out[k] = 0.5 * (s * d1[k] + c + q * e2)
+    return out
+
+
 def bilinear_sample_scalar(img, x, y):
     """Naive per-pixel bilinear sample; None when outside the support."""
     H, W = img.shape[:2]

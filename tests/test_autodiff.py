@@ -53,7 +53,7 @@ class TestConv:
         assert b.data.shape == (1, 5, 6, 8)
 
     @pytest.mark.parametrize("stride,padding,k", [
-        (1, 1, 3), (2, 1, 3), ((1, 2), (0, 3), (1, 7)), (2, 1, 4),
+        (1, 1, 3), (2, 1, 3), ((1, 2), (0, 3), (1, 7)), (2, 1, 4), (1, 2, 3),
     ])
     def test_gradcheck(self, stride, padding, k):
         rng = RNG(5)
@@ -66,6 +66,15 @@ class TestConv:
                                          padding=padding),
             [x, w, b], rng)
         assert err < 1e-4
+
+    @pytest.mark.parametrize("padding,kshape", [
+        (3, (1, 1, 3, 3)), (-1, (1, 1, 3, 3)), ((1, 3), (1, 1, 1, 7)),
+    ], ids=["3_on_3x3", "-1_on_3x3", "1_on_1x7"])
+    def test_rejects_padding_outside_the_kernel_at_the_call(self, padding,
+                                                           kshape):
+        x = Tensor(np.zeros((1, 1, 4, 4)))
+        with pytest.raises(ValueError, match=r"padding .* kernel"):
+            ad.conv2d(x, Tensor(np.zeros(kshape)), padding=padding)
 
 
 class TestUpconv:

@@ -313,14 +313,14 @@ class TestRefine:
 
     def test_jacobian_matches_finite_differences(self):
         from tvk.baseline import (_ba_jacobian_blocks, _ba_residuals,
-                                  _tangent_basis, _triangulate_points)
+                                  _front_depths, _tangent_basis)
         rng = np.random.default_rng(13)
         n = 12
         corr, _ = make_matches(rng, n, R_TEST, T_TEST, noise=1e-3)
         R = rotation_from_angle_axis(R_TEST)
         t = T_TEST.copy()
         a = corr.x1.copy()
-        z1, _ = _triangulate_points(R, t, corr.x1, corr.x2)
+        z1, _ = _front_depths(R, t, corr)
         xi = 1.0 / np.clip(z1, 1e-6, None)
         res0, Q = _ba_residuals(R, t, a, xi, corr.x1, corr.x2)
         B = _tangent_basis(t)
@@ -462,6 +462,16 @@ class TestSampleCorrespondences:
         xi, m, flow, valid = gt_scene(rng)
         corr = sample_correspondences(flow, valid, n=10 ** 9, seed=0, K=K_BASE)
         assert len(corr) == int(valid.sum())
+
+    @pytest.mark.parametrize("other", ["intrinsics", "mask"])
+    def test_another_resolution_raises(self, other):
+        rng = np.random.default_rng(17)
+        xi, m, flow, valid = gt_scene(rng)
+        K = K_BASE.scaled(2) if other == "intrinsics" else K_BASE
+        if other == "mask":
+            valid = valid[:K_BASE.height // 2, :K_BASE.width // 2]
+        with pytest.raises(ValueError, match="resolutions differ"):
+            sample_correspondences(flow, valid, 100, seed=0, K=K)
 
     def test_deterministic(self):
         rng = np.random.default_rng(18)

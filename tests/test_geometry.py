@@ -11,6 +11,7 @@ from tvk.geometry import (
     depth_from_flow_motion,
     flow_from_depth_motion,
     rotation_from_angle_axis,
+    triangulate,
     warp_batch,
     warp_image,
 )
@@ -20,6 +21,7 @@ from oracles import (
     flow_at_pixel,
     normals_from_depth,
     rotation_oracle,
+    triangulate_lstsq,
 )
 
 K_TEST = Intrinsics(fx=0.89, fy=1.19, cx=0.5, cy=0.5, width=32, height=24)
@@ -219,6 +221,43 @@ class TestDepthFromFlow:
         flow = FlowField(np.zeros((K_TEST.height, K_TEST.width, 2)))
         with pytest.raises(ValueError):
             depth_from_flow_motion(flow, CameraMotion([0, 0, 0], [0, 0, 2.0]), K_TEST)
+
+
+class TestTriangulate:
+    def test_matches_lstsq_oracle(self):
+        rng = np.random.default_rng(21)
+        for _ in range(5):
+            m = random_motion(rng)
+            R = rotation_from_angle_axis(m.r)
+            d1 = np.column_stack([rng.normal(scale=0.5, size=(200, 2)),
+                                  np.ones(200)])
+            d2 = np.column_stack([rng.normal(scale=0.5, size=(200, 2)),
+                                  np.ones(200)])
+            mid, ok = triangulate(d1, d2, R, m.t)
+            assert ok.all()
+            ref = triangulate_lstsq(d1, d2, R, m.t)
+            err = np.linalg.norm(mid - ref, axis=1)
+            assert np.all(err <= 1e-9 * np.linalg.norm(ref, axis=1))
+            # a grid of rays gives the bits of the same rays in a list
+            grid, grid_ok = triangulate(d1.reshape(4, 50, 3),
+                                        d2.reshape(4, 50, 3), R, m.t)
+            assert np.array_equal(grid.reshape(200, 3), mid)
+            assert grid_ok.all()
+
+    def test_exactly_parallel_rays_are_masked(self):
+        rng = np.random.default_rng(22)
+        d1 = np.column_stack([rng.normal(size=(6, 2)), np.ones(6)])
+        t = rng.normal(size=3)
+        t /= np.linalg.norm(t)
+        quarter_turn = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0],
+                                 [0.0, 0.0, 1.0]])
+        for R in (np.eye(3), quarter_turn):
+            # rows 0-2 parallel (same, doubled and reversed direction), rows
+            # 3-5 not: the second ray of row k is the first ray of row k + 1
+            d2 = np.concatenate([d1[:3] * [[1.0], [2.0], [-0.5]],
+                                 np.roll(d1, -1, axis=0)[3:]]) @ R.T
+            _, ok = triangulate(d1, d2, R, t)
+            assert ok.tolist() == [False] * 3 + [True] * 3
 
 
 class TestWarp:

@@ -192,6 +192,15 @@ def test_ablation_toggle_switches_off_its_terms(toggle, off):
     assert all(v == 1.0 for k, v in weights.items() if k not in off)
 
 
+@pytest.mark.parametrize("field, bad, edge", [
+    ("batch_size", 0, 1), ("log_every", 0, 1), ("replay_passes", -1, 0)])
+def test_train_config_rejects_a_value_that_fails_late_or_does_nothing(
+        field, bad, edge):
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**{field: bad})
+    assert getattr(TrainConfig(**{field: edge}), field) == edge
+
+
 def test_seeded_training_writes_identical_files(tiny_samples, tmp_path):
     config = TrainConfig(seed=4, batch_size=2, phase1_steps=2, phase2_steps=2,
                          phase3_steps=2, grad_loss_start=1, log_every=1)

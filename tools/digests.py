@@ -1,0 +1,133 @@
+"""Print SHA-256 prefixes of the package's deterministic outputs.
+
+Run from anywhere, with no options::
+
+    python tools/digests.py
+
+Two trees that print the same lines give bitwise the same outputs for:
+
+* ``dataset``: the seed-7, 12-pair dataset file of the default
+  ``SynthConfig``;
+* ``predict <dtype> b<batch>``: every iteration's ``Prediction`` fields
+  (plus ``refined_xi``) of ``predict`` with 3 iterations and refinement of
+  ``TwoViewNet(NetConfig(dtype=dtype), seed=3)`` on the first 8 pairs, at
+  batch 1 and batch 8;
+* ``phase1.tvk``, ``phase2.tvk``, ``final.tvk``, ``loss_curves.csv``: the
+  files of a seed-3 ``Trainer.train()`` on that dataset (batch 8, steps
+  2/3/2, ``grad_loss_start=1``, ``log_every=1``);
+* ``classical``: the motions ``estimate_motion_from_flow`` gives on seeds
+  0-19 x 12 pairs of ground-truth flow plus N(0, 5e-4) noise (a pair that
+  raises contributes its exception's type name).
+
+The classical line changes whenever the last bits of a motion do;
+``classical_motions`` returns the motions themselves, for comparing two
+trees numerically.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import sys
+import tempfile
+
+import numpy as np
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                "..", "src"))
+
+from tvk import baseline, synthdata, training  # noqa: E402
+from tvk.geometry import FlowField  # noqa: E402
+from tvk.network import NetConfig, TwoViewNet  # noqa: E402
+
+DATA_SEED = 7
+DATA_PAIRS = 12
+PREDICT_PAIRS = 8
+MODEL_SEED = 3
+CLASSICAL_SEEDS = range(20)
+CLASSICAL_PAIRS = 12
+NOISE_SIGMA = 5e-4
+_FIELDS = ("flow", "flow_confidence", "xi", "normals", "r", "t", "s",
+           "refined_xi")
+
+
+def digest(chunks) -> str:
+    h = hashlib.sha256()
+    for c in chunks:
+        h.update(c if isinstance(c, bytes) else np.ascontiguousarray(c).tobytes())
+    return h.hexdigest()[:16]
+
+
+def file_digest(path: str) -> str:
+    with open(path, "rb") as f:
+        return digest([f.read()])
+
+
+def predict_digest(samples, K, dtype: str, batch: int) -> str:
+    """Sample by sample, iteration by iteration, so a batch-invariant
+    ``predict`` gives the same digest at every batch size."""
+    model = TwoViewNet(NetConfig(dtype=dtype), seed=MODEL_SEED)
+    chunks = []
+    for start in range(0, PREDICT_PAIRS, batch):
+        part = samples[start:start + batch]
+        history = model.predict([s.img1 for s in part], [s.img2 for s in part],
+                                K, n_iters=3,
+                                img1_full=[s.img1_full for s in part],
+                                keep_history=True)
+        for n in range(len(part)):
+            for preds in history:
+                chunks += [np.asarray(getattr(preds[n], f)) for f in _FIELDS
+                           if getattr(preds[n], f) is not None]
+    return digest(chunks)
+
+
+def classical_motions() -> list:
+    """(seed, pair, r, t) per pair, or (seed, pair, error type name)."""
+    config = synthdata.SynthConfig(include_full=False)
+    K = config.intrinsics()
+    out = []
+    for seed in CLASSICAL_SEEDS:
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        for i in range(CLASSICAL_PAIRS):
+            pair = synthdata.render_pair(
+                synthdata.generate_scene(seed, config, index=i), config, i)
+            flow = pair.flow + rng.normal(0.0, NOISE_SIGMA, pair.flow.shape)
+            try:
+                m = baseline.estimate_motion_from_flow(
+                    FlowField(flow), pair.valid_flow, K, seed=i)
+            except Exception as e:  # noqa: BLE001 -- a raise is an output too
+                out.append((seed, i, type(e).__name__))
+            else:
+                out.append((seed, i, m.r, m.t))
+    return out
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        data = os.path.join(tmp, "data.tvk")
+        synthdata.generate_dataset(data, DATA_SEED, DATA_PAIRS,
+                                   synthdata.SynthConfig())
+        print("dataset", file_digest(data))
+        samples, meta = synthdata.load_dataset(data)
+        K = training.intrinsics_from_meta(meta)
+        for dtype in ("float32", "float64"):
+            for batch in (1, PREDICT_PAIRS):
+                print(f"predict {dtype} b{batch}",
+                      predict_digest(samples, K, dtype, batch))
+        out = os.path.join(tmp, "run")
+        config = training.TrainConfig(
+            seed=MODEL_SEED, batch_size=8, phase1_steps=2, phase2_steps=3,
+            phase3_steps=2, grad_loss_start=1, log_every=1)
+        training.Trainer(TwoViewNet(NetConfig(), seed=MODEL_SEED), samples, K,
+                         config, out).train()
+        for name in ("phase1.tvk", "phase2.tvk", "final.tvk",
+                     "loss_curves.csv"):
+            print(name, file_digest(os.path.join(out, name)))
+    motions = classical_motions()
+    print("classical", digest(
+        [m[2].encode() if len(m) == 3 else np.concatenate(m[2:])
+         for m in motions]))
+
+
+if __name__ == "__main__":
+    main()
