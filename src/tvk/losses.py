@@ -1,14 +1,22 @@
 """Training losses with analytic gradients.
 
+The paper's eight loss terms are one call each to one of three kernels:
+
+* ``l1_loss``: scaled inverse depth (``|s*xi - xi_gt|``) and flow
+  confidence (against ``confidence_target``);
+* ``l2_loss``, a sum of per-pixel (non-squared) L2 norms: normals, flow
+  (the endpoint error), rotation and translation (one 3-vector each);
+* ``grad_loss``, the scale-invariant gradient loss: depth (on ``xi``) and
+  flow (both components in one call).
+
 All losses are sums over valid pixels (not means); the trainer divides by
 batch size. Subgradients of |.| and of the L2 norm at their kinks are
 defined as 0, which keeps every gradient bounded. Reductions use plain
 numpy sums so the summation order is fixed and training is reproducible.
 
 ``total_loss`` is the one entry point of training: a weighted sum of the
-enabled terms and their gradients per prediction. The scale-invariant
-gradient loss computes the normalized differences of
-``scale_invariant_gradient`` once per component, on the overlap slices of
+enabled terms and their gradients per prediction. ``grad_loss`` computes
+the normalized differences once per component, on the overlap slices of
 its axis, and its backward reuses them.
 """
 
@@ -27,7 +35,7 @@ DEFAULT_SPACINGS = (1, 2, 4, 8, 16)
 
 @dataclass(frozen=True)
 class LossWeights:
-    """One nonnegative factor per loss term; 0 disables a term."""
+    """One finite nonnegative factor per loss term; 0 disables a term."""
 
     depth: float = 1.0
     normal: float = 1.0
@@ -40,8 +48,9 @@ class LossWeights:
 
     def __post_init__(self):
         for name in self.__dataclass_fields__:
-            if getattr(self, name) < 0:
-                raise ValueError(f"loss weight {name} must be nonnegative")
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"loss weight {name}={getattr(self, name)} "
+                                 "is not finite and nonnegative")
 
 
 @dataclass
@@ -59,81 +68,35 @@ def _as_mask(mask, shape):
     return mask
 
 
-def depth_loss(xi, s, xi_gt, mask=None) -> LossValue:
-    """L1 on scaled inverse depth: sum |s*xi - xi_gt| over valid pixels."""
-    xi = np.asarray(xi, dtype=np.float64)
-    xi_gt = np.asarray(xi_gt, dtype=np.float64)
-    if xi.shape != xi_gt.shape:
+def _residual(f, f_gt, mask):
+    """f - f_gt in float64, 0 where ``mask`` (over the first two axes) is
+    off."""
+    f = np.asarray(f, dtype=np.float64)
+    f_gt = np.asarray(f_gt, dtype=np.float64)
+    if f.shape != f_gt.shape:
         raise ValueError("prediction and ground truth shapes differ")
-    if not s > 0:
-        raise ValueError("scale must be positive")
-    m = _as_mask(mask, xi.shape)
-    r = np.where(m, s * xi - xi_gt, 0.0)
-    sign = np.sign(r)
-    return LossValue(
-        value=float(np.sum(np.abs(r))),
-        grads={"xi": s * sign, "s": float(np.sum(xi * sign))},
-    )
+    m = _as_mask(mask, f.shape[:2])
+    return np.where(m.reshape(m.shape + (1,) * (f.ndim - 2)), f - f_gt, 0.0)
 
 
-def l2_pointwise_loss(pred, gt, mask=None) -> LossValue:
-    """Sum of (non-squared) per-pixel L2 norms of the residual vectors."""
-    pred = np.asarray(pred, dtype=np.float64)
-    gt = np.asarray(gt, dtype=np.float64)
-    if pred.shape != gt.shape:
-        raise ValueError("prediction and ground truth shapes differ")
-    m = _as_mask(mask, pred.shape[:2])
-    r = np.where(m[..., None], pred - gt, 0.0)
+def l1_loss(f, f_gt, mask=None) -> LossValue:
+    """Sum of |f - f_gt| over valid pixels and all their components."""
+    r = _residual(f, f_gt, mask)
+    return LossValue(value=float(np.sum(np.abs(r))), grads={"f": np.sign(r)})
+
+
+def l2_loss(f, f_gt, mask=None) -> LossValue:
+    """Sum of the L2 norms of f - f_gt along the last axis over valid
+    pixels; a 1-D f is one vector."""
+    r = _residual(f, f_gt, mask)
     n = np.linalg.norm(r, axis=-1)
     safe = np.where(n > 0, n, 1.0)
-    return LossValue(
-        value=float(np.sum(n)),
-        grads={"pred": r / safe[..., None]},
-    )
+    return LossValue(value=float(np.sum(n)), grads={"f": r / safe[..., None]})
 
 
 def confidence_target(w, w_gt) -> np.ndarray:
     """Per-component matching confidence: exp(-|w - w_gt|), in (0, 1]."""
-    w = np.asarray(w, dtype=np.float64)
-    w_gt = np.asarray(w_gt, dtype=np.float64)
-    if w.shape != w_gt.shape:
-        raise ValueError("flow shapes differ")
-    return np.exp(-np.abs(w - w_gt))
-
-
-def confidence_loss(c, c_hat, mask=None) -> LossValue:
-    """L1 between predicted and target confidence, both components."""
-    c = np.asarray(c, dtype=np.float64)
-    c_hat = np.asarray(c_hat, dtype=np.float64)
-    if c.shape != c_hat.shape:
-        raise ValueError("confidence shapes differ")
-    m = _as_mask(mask, c.shape[:2])
-    r = np.where(m[..., None], c - c_hat, 0.0)
-    return LossValue(
-        value=float(np.sum(np.abs(r))),
-        grads={"c": np.sign(r)},
-    )
-
-
-def motion_loss(r, t, r_gt, t_gt) -> tuple[LossValue, LossValue]:
-    """Rotation and translation L2 losses, reported separately.
-
-    The ground-truth translation must be unit norm; the rotation target's
-    magnitude encodes the rotation angle.
-    """
-    r = np.asarray(r, dtype=np.float64).reshape(3)
-    t = np.asarray(t, dtype=np.float64).reshape(3)
-    r_gt = np.asarray(r_gt, dtype=np.float64).reshape(3)
-    t_gt = np.asarray(t_gt, dtype=np.float64).reshape(3)
-    if abs(np.linalg.norm(t_gt) - 1.0) > 1e-6:
-        raise ValueError("ground-truth translation must be unit norm")
-
-    def l2(res, key):
-        n = float(np.linalg.norm(res))
-        g = res / n if n > 0 else np.zeros(3)
-        return LossValue(value=n, grads={key: g})
-
-    return l2(r - r_gt, "r"), l2(t - t_gt, "t")
+    return np.exp(-np.abs(_residual(w, w_gt, None)))
 
 
 def _shift_slices(axis: int, h: int):
@@ -155,30 +118,6 @@ def _normalized_diff(f, af, axis: int, h: int):
     ok = denom >= EPS_DENOM
     d = np.where(ok, denom, 1.0)
     return np.where(ok, (f[tail] - f[head]) / d, 0.0), ok, d
-
-
-def scale_invariant_gradient(f, h: int) -> np.ndarray:
-    """Normalized discrete gradient with spacing h, shape (..., H, W, 2).
-
-    Component x compares columns j and j+h, component y rows i and i+h.
-    Out-of-range neighbors and near-zero denominators give 0. Invariant
-    to positive rescaling of f by construction. Leading batch dimensions
-    are carried through.
-    """
-    f = np.asarray(f, dtype=np.float64)
-    if f.ndim < 2:
-        raise ValueError("expected at least a 2D grid")
-    H, W = f.shape[-2:]
-    if not (1 <= h < max(H, W)):
-        raise ValueError(f"spacing {h} invalid for grid {H}x{W}")
-    g = np.zeros(f.shape + (2,))
-    af = np.abs(f)
-    for axis, comp in ((1, 0), (0, 1)):
-        if h >= f.shape[-2 + axis]:
-            continue  # that component stays 0 everywhere
-        head, _ = _shift_slices(axis, h)
-        g[head + (comp,)] = _normalized_diff(f, af, axis, h)[0]
-    return g
 
 
 def grad_loss(f, f_gt, spacings=DEFAULT_SPACINGS, mask=None) -> LossValue:
@@ -238,7 +177,9 @@ def total_loss(pred: dict, gt: dict, weights: LossWeights,
     flow_confidence (H,W,2), r, t. ``gt`` carries xi, normals, flow, r, t
     and optional masks ``valid_depth`` / ``valid_flow``. The confidence
     target is derived from the current flow prediction and treated as a
-    constant, so no gradient flows into the flow through it.
+    constant, so no gradient flows into the flow through it. The
+    ground-truth translation must be unit norm; the rotation target's
+    magnitude encodes the rotation angle.
     A term with weight 0 is skipped entirely; all-zero weights are an
     error.
     """
@@ -251,44 +192,45 @@ def total_loss(pred: dict, gt: dict, weights: LossWeights,
     total = 0.0
     grads: dict[str, np.ndarray] = {}
 
-    def add(term: LossValue, factor: float, mapping: dict[str, str]):
+    def add(factor: float, value: float, **term_grads):
         nonlocal total
-        total += factor * term.value
-        for src, dst in mapping.items():
-            g = term.grads[src]
-            if dst in grads:
-                grads[dst] = grads[dst] + factor * np.asarray(g)
-            else:
-                grads[dst] = factor * np.asarray(g)
+        total += factor * value
+        for key, g in term_grads.items():
+            g = factor * np.asarray(g)
+            grads[key] = grads[key] + g if key in grads else g
 
     if w.depth > 0:
-        add(depth_loss(pred["xi"], pred["s"], gt["xi"], vd), w.depth,
-            {"xi": "xi", "s": "s"})
+        s = pred["s"]
+        if not s > 0:
+            raise ValueError("scale must be positive")
+        xi = np.asarray(pred["xi"], dtype=np.float64)
+        term = l1_loss(s * xi, gt["xi"], vd)
+        sign = term.grads["f"]
+        add(w.depth, term.value, xi=s * sign, s=float(np.sum(xi * sign)))
     if w.normal > 0:
-        add(l2_pointwise_loss(pred["normals"], gt["normals"], vd), w.normal,
-            {"pred": "normals"})
+        term = l2_loss(pred["normals"], gt["normals"], vd)
+        add(w.normal, term.value, normals=term.grads["f"])
     if w.flow > 0:
-        add(l2_pointwise_loss(pred["flow"], gt["flow"], vf), w.flow,
-            {"pred": "flow"})
+        term = l2_loss(pred["flow"], gt["flow"], vf)
+        add(w.flow, term.value, flow=term.grads["f"])
     if w.flow_confidence > 0:
         c_hat = confidence_target(pred["flow"], gt["flow"])
-        add(confidence_loss(pred["flow_confidence"], c_hat, vf),
-            w.flow_confidence, {"c": "flow_confidence"})
+        term = l1_loss(pred["flow_confidence"], c_hat, vf)
+        add(w.flow_confidence, term.value, flow_confidence=term.grads["f"])
     if w.rotation > 0 or w.translation > 0:
-        rot, tr = motion_loss(pred["r"], pred["t"], gt["r"], gt["t"])
-        if w.rotation > 0:
-            add(rot, w.rotation, {"r": "r"})
-        if w.translation > 0:
-            add(tr, w.translation, {"t": "t"})
+        if abs(np.linalg.norm(np.reshape(gt["t"], 3)) - 1.0) > 1e-6:
+            raise ValueError("ground-truth translation must be unit norm")
+    for key, factor in (("r", w.rotation), ("t", w.translation)):
+        if factor > 0:
+            term = l2_loss(np.reshape(pred[key], 3), np.reshape(gt[key], 3))
+            add(factor, term.value, **{key: term.grads["f"]})
     if w.grad_depth > 0:
-        add(grad_loss(pred["xi"], gt["xi"], spacings, vd), w.grad_depth,
-            {"f": "xi"})
+        term = grad_loss(pred["xi"], gt["xi"], spacings, vd)
+        add(w.grad_depth, term.value, xi=term.grads["f"])
     if w.grad_flow > 0:
-        for comp in range(2):
-            term = grad_loss(pred["flow"][..., comp], gt["flow"][..., comp],
-                             spacings, vf)
-            g = np.zeros_like(np.asarray(pred["flow"], dtype=np.float64))
-            g[..., comp] = term.grads["f"]
-            add(LossValue(term.value, {"flow": g}), w.grad_flow,
-                {"flow": "flow"})
+        # both components in one call, on a leading axis grad_loss sums over
+        mask = None if vf is None else np.broadcast_to(vf, (2,) + np.shape(vf))
+        term = grad_loss(np.moveaxis(pred["flow"], -1, 0),
+                         np.moveaxis(gt["flow"], -1, 0), spacings, mask)
+        add(w.grad_flow, term.value, flow=np.moveaxis(term.grads["f"], 0, -1))
     return LossValue(value=total, grads=grads)

@@ -34,15 +34,16 @@ class MotionErrorReport:
 
 
 def _masked(z, z_gt, mask):
+    """z and z_gt at the pixels ``mask`` (over the first two axes) keeps."""
     z = np.asarray(z, dtype=np.float64)
     z_gt = np.asarray(z_gt, dtype=np.float64)
     if z.shape != z_gt.shape:
         raise ValueError("shapes differ")
     if mask is None:
-        mask = np.ones(z.shape, dtype=bool)
+        mask = np.ones(z.shape[:2], dtype=bool)
     else:
         mask = np.asarray(mask, dtype=bool)
-        if mask.shape != z.shape:
+        if mask.shape != z.shape[:2]:
             raise ValueError("mask shape differs")
     if not mask.any():
         raise ValueError("no valid pixels")
@@ -88,20 +89,8 @@ def depth_error_report(z, z_gt, mask=None) -> DepthErrorReport:
 
 def endpoint_error(flow, flow_gt, mask=None) -> float:
     """Mean Euclidean flow difference in normalized image units."""
-    w = np.asarray(flow, dtype=np.float64)
-    w_gt = np.asarray(flow_gt, dtype=np.float64)
-    if w.shape != w_gt.shape:
-        raise ValueError("shapes differ")
-    if mask is None:
-        mask = np.ones(w.shape[:2], dtype=bool)
-    else:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != w.shape[:2]:
-            raise ValueError("mask shape differs")
-    if not mask.any():
-        raise ValueError("no valid pixels")
-    d = np.linalg.norm(w - w_gt, axis=-1)
-    return float(np.mean(d[mask]))
+    wv, gv = _masked(flow, flow_gt, mask)
+    return float(np.mean(np.linalg.norm(wv - gv, axis=-1)))
 
 
 def motion_angular_errors(pred: CameraMotion, gt: CameraMotion) -> MotionErrorReport:

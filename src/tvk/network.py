@@ -72,6 +72,8 @@ class NetConfig:
             raise ValueError("1D filter lengths must be odd")
         if self.dtype not in ("float32", "float64"):
             raise ValueError(f"dtype {self.dtype!r} is not float32 or float64")
+        if self.iterations < 0:
+            raise ValueError(f"iterations={self.iterations} is below 0")
 
     @property
     def np_dtype(self):

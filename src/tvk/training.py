@@ -83,7 +83,7 @@ import numpy as np
 from . import container
 from .autodiff import Adam, backward, immutable
 from .geometry import Intrinsics
-from .losses import LossWeights, total_loss
+from .losses import DEFAULT_SPACINGS, LossWeights, total_loss
 from .metrics import (
     endpoint_error,
     l1_inv,
@@ -121,7 +121,8 @@ class TrainConfig:
 
     def __post_init__(self):
         for field, low in (("batch_size", 1), ("log_every", 1),
-                           ("replay_passes", 0)):
+                           ("replay_passes", 0), ("phase1_steps", 0),
+                           ("phase2_steps", 0), ("phase3_steps", 0)):
             if getattr(self, field) < low:
                 raise ValueError(f"{field}={getattr(self, field)} is below {low}")
 
@@ -251,7 +252,7 @@ class Trainer:
         # stages at compute time, Prediction)}
         self._memo: dict[tuple, dict] = {}
         self.spacings = tuple(
-            h for h in (1, 2, 4, 8, 16)
+            h for h in DEFAULT_SPACINGS
             if h < max(model.cfg.height, model.cfg.width))
 
     # --- helpers ---------------------------------------------------------

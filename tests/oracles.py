@@ -342,6 +342,64 @@ def grad_loss_reference(f, f_gt, spacings, mask=None, eps=1e-9):
     return total, df
 
 
+def total_loss_reference(pred, gt, weights, spacings):
+    """(value, gradients) of the weighted training loss, written term by
+    term from the paper's formulas. A mask zeroes a pixel's residual; the
+    subgradient of |.| and of a norm at 0 is 0; the confidence target
+    exp(-|w - w_gt|) is a constant."""
+    def f64(a):
+        return np.asarray(a, dtype=np.float64)
+
+    def mask(key, shape):
+        m = gt.get(key)
+        return np.ones(shape, dtype=bool) if m is None else np.asarray(m)
+
+    vd = mask("valid_depth", np.shape(gt["xi"]))
+    vf = mask("valid_flow", np.shape(gt["flow"])[:2])
+    value = 0.0
+    grads = {}
+
+    def add(weight, term_value, key, grad):
+        nonlocal value
+        value += weight * term_value
+        grads[key] = grads.get(key, 0.0) + weight * grad
+
+    def l2_norms(e):
+        n = np.sqrt(np.sum(e * e, axis=-1))
+        return n, e / np.where(n > 0, n, 1.0)[..., None]
+
+    if weights.depth:  # L1 on the scaled inverse depth s * xi
+        s, xi = pred["s"], f64(pred["xi"])
+        e = (s * xi - f64(gt["xi"])) * vd
+        add(weights.depth, np.sum(np.abs(e)), "xi", s * np.sign(e))
+        grads["s"] = weights.depth * np.sum(xi * np.sign(e))
+    for key, weight, m in (("normals", weights.normal, vd),
+                           ("flow", weights.flow, vf)):
+        if weight:  # sum of per-pixel L2 norms (flow: endpoint error)
+            n, g = l2_norms((f64(pred[key]) - f64(gt[key])) * m[..., None])
+            add(weight, np.sum(n), key, g)
+    if weights.flow_confidence:  # L1 against exp(-|w - w_gt|)
+        target = np.exp(-np.abs(f64(pred["flow"]) - f64(gt["flow"])))
+        e = (f64(pred["flow_confidence"]) - target) * vf[..., None]
+        add(weights.flow_confidence, np.sum(np.abs(e)), "flow_confidence",
+            np.sign(e))
+    for key, weight in (("r", weights.rotation), ("t", weights.translation)):
+        if weight:  # L2 norm of the 3-vector difference
+            n, g = l2_norms(f64(pred[key]) - f64(gt[key]))
+            add(weight, n, key, g)
+    if weights.grad_depth:
+        v, g = grad_loss_reference(pred["xi"], gt["xi"], spacings, vd)
+        add(weights.grad_depth, v, "xi", g)
+    if weights.grad_flow:
+        for comp in range(2):
+            v, g = grad_loss_reference(pred["flow"][..., comp],
+                                       gt["flow"][..., comp], spacings, vf)
+            full = np.zeros(np.shape(pred["flow"]))
+            full[..., comp] = g
+            add(weights.grad_flow, v, "flow", full)
+    return value, grads
+
+
 class DegenerateSample(ValueError):
     """Raised by the 8-point oracle on a rank-deficient system."""
 

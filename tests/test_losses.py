@@ -4,43 +4,52 @@ import numpy as np
 import pytest
 
 from tvk.losses import (
+    DEFAULT_SPACINGS,
     LossWeights,
-    confidence_loss,
     confidence_target,
-    depth_loss,
     grad_loss,
-    l2_pointwise_loss,
-    motion_loss,
-    scale_invariant_gradient,
+    l1_loss,
+    l2_loss,
     total_loss,
 )
 from tvk.training import TrainConfig
 
-from oracles import central_difference, grad_loss_reference, rel_error
+from oracles import (
+    central_difference,
+    grad_loss_reference,
+    rel_error,
+    total_loss_reference,
+)
+
+TERMS = tuple(LossWeights.__dataclass_fields__)
 
 
-def fd_check(loss_fn, x0, analytic, rel_tol, step=1e-5, kink_dist=1e-7):
-    """Compare an analytic gradient with central differences, skipping
-    entries whose finite-difference stencil straddles a subgradient kink
-    (detected by loss_fn's reported kink distances being tiny)."""
-    num = central_difference(loss_fn, x0, step=step)
-    ana = np.asarray(analytic, dtype=np.float64).ravel()
-    denom = np.maximum(np.maximum(np.abs(num), np.abs(ana)), 1e-6)
-    rel = np.abs(num - ana) / denom
-    return rel, num, ana
-    del rel_tol, kink_dist
+def one_term(term, pred, gt, spacings=DEFAULT_SPACINGS):
+    """``total_loss`` with every weight but ``term``'s (1) at 0."""
+    weights = LossWeights(**{k: float(k == term) for k in TERMS})
+    return total_loss(pred, gt, weights, spacings)
+
+
+def depth_term(xi, s, xi_gt, mask=None):
+    return one_term("depth", {"xi": xi, "s": s},
+                    {"xi": xi_gt, "valid_depth": mask})
+
+
+def motion_terms(r, t, r_gt, t_gt):
+    pred, gt = {"r": r, "t": t}, {"r": r_gt, "t": t_gt}
+    return one_term("rotation", pred, gt), one_term("translation", pred, gt)
 
 
 class TestDepthLoss:
     def test_exact_zero(self):
         xi = np.random.default_rng(0).uniform(0.1, 1, (4, 5))
-        out = depth_loss(xi, 1.0, xi)
+        out = depth_term(xi, 1.0, xi)
         assert out.value == 0.0
         assert np.all(out.grads["xi"] == 0)
         assert out.grads["s"] == 0.0
 
     def test_hand_value(self):
-        out = depth_loss(np.array([[1.0, 2.0]]), 1.0, np.array([[2.0, 2.0]]))
+        out = depth_term(np.array([[1.0, 2.0]]), 1.0, np.array([[2.0, 2.0]]))
         assert out.value == 1.0
 
     def test_gradient_wrt_scale_fd(self):
@@ -51,10 +60,10 @@ class TestDepthLoss:
             s0 = rng.uniform(0.5, 2.0)
 
             def f(sv):
-                return depth_loss(xi, float(sv[0]), xi_gt).value
+                return depth_term(xi, float(sv[0]), xi_gt).value
 
             num = central_difference(f, np.array([s0]))
-            ana = depth_loss(xi, s0, xi_gt).grads["s"]
+            ana = depth_term(xi, s0, xi_gt).grads["s"]
             assert rel_error(num[0], ana, floor=1e-6) < 1e-6
 
     def test_gradient_wrt_xi_fd(self):
@@ -64,32 +73,38 @@ class TestDepthLoss:
         s = 1.3
 
         def f(x):
-            return depth_loss(x.reshape(4, 4), s, xi_gt).value
+            return depth_term(x.reshape(4, 4), s, xi_gt).value
 
         num = central_difference(f, xi.ravel())
-        ana = depth_loss(xi, s, xi_gt).grads["xi"].ravel()
+        ana = depth_term(xi, s, xi_gt).grads["xi"].ravel()
         assert rel_error(num, ana, floor=1e-6) < 1e-6
 
     def test_mask_skips_pixels(self):
         xi = np.array([[1.0, 5.0]])
         gt = np.array([[2.0, 2.0]])
         mask = np.array([[True, False]])
-        out = depth_loss(xi, 1.0, gt, mask)
+        out = depth_term(xi, 1.0, gt, mask)
         assert out.value == 1.0
         assert out.grads["xi"][0, 1] == 0.0
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            depth_loss(np.ones((2, 2)), 1.0, np.ones((3, 2)))
+            depth_term(np.ones((2, 2)), 1.0, np.ones((3, 2)))
+
+    @pytest.mark.parametrize("s", [0.0, -1.0, float("nan")])
+    def test_nonpositive_scale_rejected(self, s):
+        with pytest.raises(ValueError, match="scale"):
+            depth_term(np.ones((2, 2)), s, np.ones((2, 2)))
 
 
 class TestL2Pointwise:
     def test_zero_and_hand_value(self):
         p = np.zeros((1, 1, 2))
         g = np.zeros((1, 1, 2))
-        assert l2_pointwise_loss(p, g).value == 0.0
+        assert l2_loss(p, g).value == 0.0
         p[0, 0] = [3.0, 4.0]
-        assert l2_pointwise_loss(p, g).value == 5.0
+        assert l2_loss(p, g).value == 5.0
+        assert l2_loss([3.0, 0.0, 4.0], np.zeros(3)).value == 5.0  # a vector
 
     def test_gradient_fd(self):
         rng = np.random.default_rng(3)
@@ -97,16 +112,16 @@ class TestL2Pointwise:
         g = rng.normal(size=(3, 4, 2))
 
         def f(x):
-            return l2_pointwise_loss(x.reshape(3, 4, 2), g).value
+            return l2_loss(x.reshape(3, 4, 2), g).value
 
         num = central_difference(f, p.ravel())
-        ana = l2_pointwise_loss(p, g).grads["pred"].ravel()
+        ana = l2_loss(p, g).grads["f"].ravel()
         assert rel_error(num, ana, floor=1e-6) < 1e-5
 
     def test_zero_residual_gradient_is_zero(self):
         p = np.ones((2, 2, 3))
-        out = l2_pointwise_loss(p, p.copy())
-        assert np.all(out.grads["pred"] == 0)
+        out = l2_loss(p, p.copy())
+        assert np.all(out.grads["f"] == 0)
 
 
 class TestConfidence:
@@ -139,9 +154,9 @@ class TestConfidence:
     def test_loss_value_and_sign(self):
         c = np.zeros((2, 3, 2))
         c_hat = np.ones((2, 3, 2))
-        out = confidence_loss(c, c_hat)
+        out = l1_loss(c, c_hat)
         assert out.value == 12.0  # n pixels x 2 components
-        assert np.all(out.grads["c"] == -1.0)
+        assert np.all(out.grads["f"] == -1.0)
 
     def test_loss_gradient_fd(self):
         rng = np.random.default_rng(7)
@@ -149,21 +164,22 @@ class TestConfidence:
         c_hat = rng.uniform(0.1, 0.9, (3, 3, 2))
 
         def f(x):
-            return confidence_loss(x.reshape(3, 3, 2), c_hat).value
+            return l1_loss(x.reshape(3, 3, 2), c_hat).value
 
         num = central_difference(f, c.ravel())
-        ana = confidence_loss(c, c_hat).grads["c"].ravel()
+        ana = l1_loss(c, c_hat).grads["f"].ravel()
         assert rel_error(num, ana, floor=1e-6) < 1e-6
 
 
 class TestMotionLoss:
     def test_exact(self):
-        rot, tr = motion_loss([0.1, 0, 0], [0, 0, 1.0], [0.1, 0, 0], [0, 0, 1.0])
+        rot, tr = motion_terms([0.1, 0, 0], [0, 0, 1.0], [0.1, 0, 0],
+                               [0, 0, 1.0])
         assert rot.value == 0.0 and tr.value == 0.0
         assert np.all(rot.grads["r"] == 0) and np.all(tr.grads["t"] == 0)
 
     def test_rotation_magnitude(self):
-        rot, _ = motion_loss([0.1, 0, 0], [0, 0, 1.0], [0, 0, 0], [0, 0, 1.0])
+        rot, _ = motion_terms([0.1, 0, 0], [0, 0, 1.0], [0, 0, 0], [0, 0, 1.0])
         assert np.isclose(rot.value, 0.1)
 
     def test_gradient_fd(self):
@@ -176,56 +192,84 @@ class TestMotionLoss:
         t_gt /= np.linalg.norm(t_gt)
 
         def fr(x):
-            return motion_loss(x, t, r_gt, t_gt)[0].value
+            return motion_terms(x, t, r_gt, t_gt)[0].value
 
         def ft(x):
-            return motion_loss(r, x, r_gt, t_gt)[1].value
+            return motion_terms(r, x, r_gt, t_gt)[1].value
 
-        rot, tr = motion_loss(r, t, r_gt, t_gt)
+        rot, tr = motion_terms(r, t, r_gt, t_gt)
         assert rel_error(central_difference(fr, r), rot.grads["r"]) < 1e-6
         assert rel_error(central_difference(ft, t), tr.grads["t"]) < 1e-6
 
     def test_unnormalized_gt_rejected(self):
-        with pytest.raises(ValueError):
-            motion_loss([0, 0, 0], [0, 0, 1.0], [0, 0, 0], [0, 0, 2.0])
+        for term in ("rotation", "translation"):
+            with pytest.raises(ValueError, match="unit norm"):
+                one_term(term, {"r": [0, 0, 0], "t": [0, 0, 1.0]},
+                         {"r": [0, 0, 0], "t": [0, 0, 2.0]})
 
 
 class TestScaleInvariantGradient:
+    """The normalized gradient (b - a) / (|a| + |b|) inside ``grad_loss``."""
+
     def test_constant_grid_zero(self):
-        g = scale_invariant_gradient(np.full((5, 6), 3.7), 1)
-        assert np.all(g == 0)
+        out = grad_loss(np.full((5, 6), 3.7), np.full((5, 6), 0.2), (1,))
+        assert out.value == 0.0 and np.all(out.grads["f"] == 0)
 
     def test_hand_value_1x2(self):
-        g = scale_invariant_gradient(np.array([[1.0, 3.0]]), 1)
-        assert np.isclose(g[0, 0, 0], 0.5)  # (3-1)/(3+1)
-        assert g[0, 1, 0] == 0.0  # out of range
-        assert np.all(g[..., 1] == 0.0)  # no rows below
+        # (3-1)/(3+1) against 0; a single row has no y component
+        out = grad_loss(np.array([[1.0, 3.0]]), np.array([[1.0, 1.0]]), (1,))
+        assert np.isclose(out.value, 0.5)
+        # d/da = (-1 - 0.5) / 4, d/db = (1 - 0.5) / 4
+        assert np.allclose(out.grads["f"], [[-0.375, 0.125]])
 
     @pytest.mark.parametrize("alpha", [0.1, 1.0, 7.3])
     def test_scale_invariance(self, alpha):
         rng = np.random.default_rng(9)
         f = rng.uniform(0.5, 2.0, (10, 12))
+        f_gt = rng.uniform(0.5, 2.0, (10, 12))
         for h in (1, 2, 4):
-            g1 = scale_invariant_gradient(f, h)
-            g2 = scale_invariant_gradient(alpha * f, h)
-            assert rel_error(g1, g2, floor=1e-3) < 1e-12
+            a = grad_loss(f, f_gt, (h,))
+            b = grad_loss(alpha * f, f_gt, (h,))
+            assert rel_error(a.value, b.value) < 1e-12
+            assert rel_error(a.grads["f"], alpha * b.grads["f"],
+                             floor=1e-3) < 1e-12
 
     def test_inverse_depth_sign_flip(self):
+        # the normalized gradient of 1/z is minus that of z, so the
+        # residual of 1/z against z is twice that of z against a constant
         rng = np.random.default_rng(10)
         z = rng.uniform(0.5, 3.0, (8, 8))
         for h in (1, 2):
-            g_xi = scale_invariant_gradient(1.0 / z, h)
-            g_z = scale_invariant_gradient(z, h)
-            assert np.abs(g_xi + g_z).max() < 1e-10
+            flipped = grad_loss(1.0 / z, z, (h,)).value
+            plain = grad_loss(z, np.ones_like(z), (h,)).value
+            assert plain > 0 and np.isclose(flipped, 2 * plain, rtol=1e-10)
 
     def test_zero_denominator_guard(self):
         f = np.zeros((3, 3))
-        g = scale_invariant_gradient(f, 1)
-        assert np.all(np.isfinite(g)) and np.all(g == 0)
+        out = grad_loss(f, f, (1,))
+        assert out.value == 0.0 and np.all(out.grads["f"] == 0)
+        g = grad_loss(f, np.ones((3, 3)) + np.eye(3), (1,)).grads["f"]
+        assert np.all(np.isfinite(g))
 
     def test_invalid_spacing(self):
         with pytest.raises(ValueError):
-            scale_invariant_gradient(np.ones((4, 4)), 4)
+            grad_loss(np.ones((4, 4)), np.ones((4, 4)), (4,))
+
+
+@pytest.mark.parametrize("kernel", [l1_loss, l2_loss, grad_loss])
+def test_kernel_rejects_a_shape_or_mask_mismatch(kernel):
+    f = np.ones((3, 4, 2))
+    with pytest.raises(ValueError, match="shapes differ"):
+        kernel(f, np.ones((3, 5, 2)))
+    with pytest.raises(ValueError, match="mask shape"):
+        kernel(f, f, mask=np.ones((3, 5), dtype=bool))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+def test_loss_weights_reject_a_non_finite_or_negative_factor(bad):
+    with pytest.raises(ValueError, match="grad_depth"):
+        LossWeights(grad_depth=bad)
+    assert LossWeights(grad_depth=0.0).grad_depth == 0.0
 
 
 class TestGradLoss:
@@ -349,12 +393,33 @@ class TestTotalLoss:
     def test_depth_only_matches_depth_loss(self):
         rng = np.random.default_rng(17)
         pred, gt = self.make_case(rng)
-        w = LossWeights(depth=1.0, normal=0, flow=0, flow_confidence=0,
-                        rotation=0, translation=0, grad_depth=0, grad_flow=0)
-        out = total_loss(pred, gt, w)
-        ref = depth_loss(pred["xi"], pred["s"], gt["xi"])
-        assert np.isclose(out.value, ref.value)
-        assert np.allclose(out.grads["xi"], ref.grads["xi"])
+        out = one_term("depth", pred, gt)
+        ref = l1_loss(pred["s"] * pred["xi"], gt["xi"])  # chain rule by hand
+        sign = ref.grads["f"]
+        assert out.value == ref.value
+        assert np.array_equal(out.grads["xi"], pred["s"] * sign)
+        assert out.grads["s"] == np.sum(pred["xi"] * sign)
+
+    @pytest.mark.parametrize("term", TERMS + ("all",))
+    def test_matches_reference(self, term):
+        rng = np.random.default_rng(21 + TERMS.index(term) if term in TERMS
+                                    else 29)
+        for k in range(6):
+            H, W = ((8, 10), (5, 7), (12, 6))[k % 3]
+            pred, gt = self.make_case(rng, H, W)
+            if k % 2:
+                gt["valid_depth"] = rng.uniform(size=(H, W)) > 0.2
+                gt["valid_flow"] = rng.uniform(size=(H, W)) > 0.2
+            weights = LossWeights(**{
+                name: rng.uniform(0.5, 2.0) if term in (name, "all") else 0.0
+                for name in TERMS})
+            out = total_loss(pred, gt, weights, spacings=(1, 2, 4))
+            value, grads = total_loss_reference(pred, gt, weights, (1, 2, 4))
+            np.testing.assert_allclose(out.value, value, rtol=1e-12)
+            assert out.grads.keys() == grads.keys()
+            for key, g in grads.items():
+                np.testing.assert_allclose(out.grads[key], g, rtol=1e-12,
+                                           err_msg=key)
 
     def test_ablation_matrix_runs(self):
         rng = np.random.default_rng(18)

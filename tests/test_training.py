@@ -193,12 +193,16 @@ def test_ablation_toggle_switches_off_its_terms(toggle, off):
 
 
 @pytest.mark.parametrize("field, bad, edge", [
-    ("batch_size", 0, 1), ("log_every", 0, 1), ("replay_passes", -1, 0)])
+    ("batch_size", 0, 1), ("log_every", 0, 1), ("replay_passes", -1, 0),
+    ("phase1_steps", -1, 0), ("phase2_steps", -5, 0), ("phase3_steps", -1, 0),
+    ("iterations", -1, 0)])
 def test_train_config_rejects_a_value_that_fails_late_or_does_nothing(
         field, bad, edge):
+    config = TrainConfig if field in TrainConfig.__dataclass_fields__ \
+        else NetConfig
     with pytest.raises(ValueError, match=field):
-        TrainConfig(**{field: bad})
-    assert getattr(TrainConfig(**{field: edge}), field) == edge
+        config(**{field: bad})
+    assert getattr(config(**{field: edge}), field) == edge
 
 
 def test_seeded_training_writes_identical_files(tiny_samples, tmp_path):
