@@ -62,6 +62,11 @@ class NetConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
+        for field in ("width", "height", "first_kernel", "kernel",
+                      "refine_factor", "channels", "refine_channels"):
+            if min(np.atleast_1d(getattr(self, field)), default=0) < 1:
+                raise ValueError(
+                    f"{field}={getattr(self, field)} is empty or below 1")
         for field, f in (("channels", 1),
                          ("refine_channels", self.refine_factor)):
             n = 2 ** len(getattr(self, field))

@@ -1,11 +1,14 @@
 """Synthetic two-view dataset generator with perfect ground truth.
 
 Scenes are random collections of textured planes, boxes and spheres in
-front of a large background plane. Both views are rendered by casting
-rays against the analytic primitives, which yields exact depth, normals
-and (through the geometry module) optical flow. Translations are
-normalized to unit length with depths rescaled accordingly, so the
-stored inverse depth lives in the |t| = 1 frame used everywhere else.
+front of a background plane of unbounded extent (a plane whose half
+extents are infinite). Both views are rendered by casting rays against
+the analytic primitives, which yields exact depth, normals and (through
+the geometry module) optical flow. Translations are normalized to unit
+length with depths rescaled accordingly, so the stored inverse depth
+lives in the |t| = 1 frame used everywhere else. Small-baseline pairs
+come from a tiny ``baseline_range`` with ``min_parallax=0``, e.g.
+``SynthConfig(baseline_range=(1e-6, 1e-3), min_parallax=0.0)``.
 
 Randomness comes from counter-based Philox streams keyed by
 (dataset seed, sample index), so a (seed, config) pair fully determines
@@ -56,12 +59,25 @@ class SynthConfig:
     baseline_range: tuple[float, float] = (0.10, 0.30)
     forward_bias: float = 0.3
     min_parallax: float = 0.02
-    small_baseline: bool = False
     texture_octaves: int = 2
     include_full: bool = True
     full_factor: int = 4
     min_coverage: float = 0.10
     max_tries: int = 200
+
+    def __post_init__(self):
+        for field, ok in (
+                ("texture_octaves", self.texture_octaves >= 1),
+                ("max_tries", self.max_tries >= 1),
+                ("full_factor", self.full_factor >= 1),
+                ("n_primitives", self.n_primitives[0] <= self.n_primitives[1]),
+                ("depth_range", 0 < self.depth_range[0] <= self.depth_range[1]),
+                ("size_range", 0 < self.size_range[0] <= self.size_range[1]),
+                ("baseline_range",
+                 self.baseline_range[0] <= self.baseline_range[1]),
+                ("min_coverage", 0 <= self.min_coverage <= 1)):
+            if not ok:
+                raise ValueError(f"{field}={getattr(self, field)} is out of range")
 
     def intrinsics(self) -> Intrinsics:
         return Intrinsics(self.fx, self.fy, self.cx, self.cy,
@@ -70,10 +86,10 @@ class SynthConfig:
 
 @dataclass
 class Primitive:
-    kind: str  # "plane" | "box" | "sphere"
+    kind: str  # a key of _KINDS: "plane" | "box" | "sphere"
     center: np.ndarray
     rotation: np.ndarray  # angle-axis
-    size: np.ndarray  # half extents; spheres use size[0] as radius
+    size: np.ndarray  # half extents (inf: unbounded); sphere radius size[0]
     color_a: np.ndarray
     color_b: np.ndarray
     tex_seed: int
@@ -89,7 +105,7 @@ class Primitive:
 class SceneSpec:
     seed: int
     primitives: list[Primitive]
-    background: Primitive  # infinite plane; size ignored
+    background: Primitive  # a plane, usually of unbounded size
     motion_r: np.ndarray
     motion_t_raw: np.ndarray  # pre-normalization translation
 
@@ -153,7 +169,7 @@ def _value_noise(p: np.ndarray, seed: int) -> np.ndarray:
 
 
 def _texture(points: np.ndarray, prim: Primitive, octaves: int) -> np.ndarray:
-    """Multi-octave noise color for surface points (..., 3)."""
+    """Multi-octave noise color in [0, 1] for surface points (..., 3)."""
     p = (points - prim.center) * prim.tex_scale
     acc = np.zeros(points.shape[:-1])
     amp = 1.0
@@ -163,7 +179,7 @@ def _texture(points: np.ndarray, prim: Primitive, octaves: int) -> np.ndarray:
         total += amp
         amp *= 0.5
     tval = (acc / total)[..., None]
-    return prim.color_a + (prim.color_b - prim.color_a) * tval
+    return np.clip(prim.color_a + (prim.color_b - prim.color_a) * tval, 0.0, 1.0)
 
 
 # --- ray casting -------------------------------------------------------------
@@ -177,8 +193,7 @@ def _intersect_sphere(o, d, prim):
     hit = disc > 0
     sq = np.sqrt(np.where(hit, disc, 0.0))
     s = np.where(hit, (-b - sq) / (2 * a), np.inf)
-    s = np.where(s > RAY_EPS, s, np.inf)
-    return s
+    return np.where(s > RAY_EPS, s, np.inf)
 
 
 def _sphere_normal(p, prim):
@@ -186,7 +201,7 @@ def _sphere_normal(p, prim):
     return n / np.linalg.norm(n, axis=-1, keepdims=True)
 
 
-def _intersect_plane_rect(o, d, prim, infinite=False):
+def _intersect_plane_rect(o, d, prim):
     R = rotation_from_angle_axis(prim.rotation)
     n = R[:, 2]
     denom = np.einsum("...k,k->...", d, n)
@@ -194,18 +209,16 @@ def _intersect_plane_rect(o, d, prim, infinite=False):
     with np.errstate(divide="ignore", invalid="ignore"):
         s = np.where(np.abs(denom) > 1e-12, num / denom, np.inf)
     s = np.where(s > RAY_EPS, s, np.inf)
-    if not infinite:
-        p = o + d * np.where(np.isfinite(s), s, 0.0)[..., None]
-        local = (p - prim.center) @ R
-        inside = (np.abs(local[..., 0]) <= prim.size[0]) & \
-                 (np.abs(local[..., 1]) <= prim.size[1])
-        s = np.where(inside, s, np.inf)
-    return s
+    p = o + d * np.where(np.isfinite(s), s, 0.0)[..., None]
+    local = (p - prim.center) @ R
+    inside = (np.abs(local[..., 0]) <= prim.size[0]) & \
+             (np.abs(local[..., 1]) <= prim.size[1])
+    return np.where(inside, s, np.inf)
 
 
-def _plane_normal(prim, shape):
+def _plane_normal(p, prim):
     R = rotation_from_angle_axis(prim.rotation)
-    return np.broadcast_to(R[:, 2], shape + (3,))
+    return np.broadcast_to(R[:, 2], p.shape)
 
 
 def _intersect_box(o, d, prim):
@@ -236,49 +249,38 @@ def _box_normal(p, prim):
     return n_local @ R.T
 
 
-def _cast(origin: np.ndarray, dirs: np.ndarray, scene: SceneSpec,
-          octaves: int, want_color=True, want_normal=True):
-    """Nearest-hit ray cast. Returns (s, color, normal); s is inf on miss."""
-    shape = dirs.shape[:-1]
-    best = np.full(shape, np.inf)
-    best_idx = np.full(shape, -1, dtype=np.int64)
-    prims = list(scene.primitives) + [scene.background]
-    for k, prim in enumerate(prims):
-        if prim.kind == "sphere":
-            s = _intersect_sphere(origin, dirs, prim)
-        elif prim.kind == "box":
-            s = _intersect_box(origin, dirs, prim)
-        elif prim.kind == "plane":
-            s = _intersect_plane_rect(origin, dirs, prim)
-        elif prim.kind == "bg":
-            s = _intersect_plane_rect(origin, dirs, prim, infinite=True)
-        else:  # pragma: no cover
-            raise ValueError(f"unknown primitive kind {prim.kind!r}")
+# kind -> (ray distance to the surface, surface normal at hit points)
+_KINDS = {"plane": (_intersect_plane_rect, _plane_normal),
+          "box": (_intersect_box, _box_normal),
+          "sphere": (_intersect_sphere, _sphere_normal)}
+
+
+def _cast(origin: np.ndarray, dirs: np.ndarray, scene: SceneSpec):
+    """Nearest-hit ray cast against the primitives, then the background.
+    Returns (s, index, points): the ray distance (inf on a miss), the index
+    of the hit primitive (``len(scene.primitives)`` for the background, -1
+    on a miss) and the hit points."""
+    best = np.full(dirs.shape[:-1], np.inf)
+    best_idx = np.full(dirs.shape[:-1], -1, dtype=np.int64)
+    for k, prim in enumerate([*scene.primitives, scene.background]):
+        s = _KINDS[prim.kind][0](origin, dirs, prim)
         closer = s < best
         best = np.where(closer, s, best)
         best_idx[closer] = k
+    p = origin + dirs * np.where(np.isfinite(best), best, 0.0)[..., None]
+    return best, best_idx, p
 
-    color = np.zeros(shape + (3,)) if want_color else None
-    normal = np.zeros(shape + (3,)) if want_normal else None
-    hit_any = np.isfinite(best)
-    p = origin + dirs * np.where(hit_any, best, 0.0)[..., None]
-    for k, prim in enumerate(prims):
-        sel = best_idx == k
-        if not sel.any():
-            continue
-        pts = p[sel]
-        if want_color:
-            color[sel] = _texture(pts, prim, octaves)
-        if want_normal:
-            if prim.kind == "sphere":
-                normal[sel] = _sphere_normal(pts, prim)
-            elif prim.kind == "box":
-                normal[sel] = _box_normal(pts, prim)
-            else:
-                normal[sel] = _plane_normal(prim, (pts.shape[0],))
-    if want_color:
-        color = np.clip(color, 0.0, 1.0)
-    return best, color, normal
+
+def _surface(hits, scene: SceneSpec, f, *args) -> np.ndarray:
+    """``f(points, prim, *args)`` at the hit points of each primitive of a
+    ``_cast`` result, 0 on a miss."""
+    _, idx, p = hits
+    out = np.zeros(p.shape)
+    for k, prim in enumerate([*scene.primitives, scene.background]):
+        sel = idx == k
+        if sel.any():
+            out[sel] = f(p[sel], prim, *args)
+    return out
 
 
 # --- scene generation --------------------------------------------------------
@@ -321,10 +323,10 @@ def generate_scene(seed: int, config: SynthConfig, index: int = 0) -> SceneSpec:
             ))
         tilt = rng.normal(size=3) * 0.08
         background = Primitive(
-            kind="bg",
+            kind="plane",
             center=np.array([0.0, 0.0, config.background_distance]),
             rotation=np.array([tilt[0], tilt[1], 0.0]),
-            size=np.ones(3),
+            size=np.full(3, np.inf),
             color_a=rng.uniform(0.05, 0.6, size=3),
             color_b=rng.uniform(0.05, 0.6, size=3),
             tex_seed=int(rng.integers(0, 2 ** 62)),
@@ -335,11 +337,7 @@ def generate_scene(seed: int, config: SynthConfig, index: int = 0) -> SceneSpec:
         axis = _unit(rng.normal(size=3))
         r = axis * angle
         tdir = _unit(rng.normal(size=3) + np.array([0, 0, config.forward_bias]))
-        if config.small_baseline:
-            baseline = rng.uniform(1e-6, 1e-3)
-        else:
-            baseline = rng.uniform(*config.baseline_range)
-        t_raw = tdir * baseline
+        t_raw = tdir * rng.uniform(*config.baseline_range)
 
         scene = SceneSpec(seed=seed, primitives=prims, background=background,
                           motion_r=r, motion_t_raw=t_raw)
@@ -360,26 +358,16 @@ def _scene_ok(scene: SceneSpec, config: SynthConfig,
         z2 = (R @ prim.center + t)[2]
         if z1 < rad + 0.2 or z2 < rad + 0.2:
             return False
-    # coverage: enough non-background pixels in the first view
-    dirs = pixel_rays(coarse)
-    s, _, _ = _cast(np.zeros(3), dirs, scene, octaves=1,
-                    want_color=False, want_normal=False)
-    bg_only = SceneSpec(scene.seed, [], scene.background,
-                        scene.motion_r, scene.motion_t_raw)
-    s_bg, _, _ = _cast(np.zeros(3), dirs, bg_only, octaves=1,
-                       want_color=False, want_normal=False)
-    coverage = float(np.mean(np.isfinite(s) & (s < s_bg - 1e-9)))
+    # coverage: enough pixels of the first view hit a primitive first
+    s, idx, _ = _cast(np.zeros(3), pixel_rays(coarse), scene)
+    coverage = float(np.mean((idx >= 0) & (idx < len(scene.primitives))))
     if coverage < config.min_coverage:
         return False
     # parallax proxy: mean translational displacement in image units
-    if not config.small_baseline:
-        with np.errstate(divide="ignore"):
-            mean_inv_z = float(np.mean(np.where(np.isfinite(s), 1.0 / s, 0.0)))
-        parallax = float(np.linalg.norm(t)) * mean_inv_z * max(config.fx,
-                                                               config.fy)
-        if parallax < config.min_parallax:
-            return False
-    return True
+    with np.errstate(divide="ignore"):
+        mean_inv_z = float(np.mean(np.where(np.isfinite(s), 1.0 / s, 0.0)))
+    parallax = float(np.linalg.norm(t)) * mean_inv_z * max(config.fx, config.fy)
+    return parallax >= config.min_parallax
 
 
 def render_pair(scene: SceneSpec, config: SynthConfig,
@@ -397,31 +385,30 @@ def render_pair(scene: SceneSpec, config: SynthConfig,
     zero_baseline = baseline < 1e-12
 
     dirs1 = pixel_rays(K)
-    s1, col1, norm1 = _cast(np.zeros(3), dirs1, scene, octaves)
+    hits1 = _cast(np.zeros(3), dirs1, scene)
+    s1 = hits1[0]
     hit1 = np.isfinite(s1)
     if not hit1.any():
         raise GenerationError("scene has no intersections")
     xi = np.where(hit1, 1.0 / np.where(hit1, s1, 1.0), 0.0)
 
     # orient normals toward the camera
+    norm1 = _surface(hits1, scene,
+                     lambda p, prim: _KINDS[prim.kind][1](p, prim))
     flip = np.einsum("hwk,hwk->hw", norm1, dirs1) > 0
     norm1[flip] = -norm1[flip]
     norm1[~hit1] = (0, 0, -1.0)
 
     # second camera: center -R^T t, ray directions R^T d
-    c2 = -R.T @ t_raw
-    dirs2 = dirs1 @ R
-    s2, col2, _ = _cast(c2, dirs2, scene, octaves, want_normal=False)
+    hits2 = _cast(-R.T @ t_raw, dirs1 @ R, scene)
 
     img1_full = xi_full = None
     if config.include_full:
-        K4 = K.scaled(config.full_factor)
-        dirs1f = pixel_rays(K4)
-        s1f, col1f, _ = _cast(np.zeros(3), dirs1f, scene, octaves,
-                              want_normal=False)
-        hit1f = np.isfinite(s1f)
-        xi_full = np.where(hit1f, 1.0 / np.where(hit1f, s1f, 1.0), 0.0)
-        img1_full = col1f
+        hits1f = _cast(np.zeros(3), pixel_rays(K.scaled(config.full_factor)),
+                       scene)
+        hit1f = np.isfinite(hits1f[0])
+        xi_full = np.where(hit1f, 1.0 / np.where(hit1f, hits1f[0], 1.0), 0.0)
+        img1_full = _surface(hits1f, scene, _texture, octaves)
 
     # normalize the scale: |t| = 1, inverse depths multiplied by |t_raw|
     if zero_baseline:
@@ -439,10 +426,10 @@ def render_pair(scene: SceneSpec, config: SynthConfig,
     # since the cast directions have unit z there)
     if not zero_baseline:
         flow_valid = flow_valid & ~_occluded_in_second_view(
-            s1, flow.w, R, t_raw, dirs1, s2)
+            s1, flow.w, R, t_raw, dirs1, hits2[0])
     return SamplePair(
-        img1=col1,
-        img2=col2,
+        img1=_surface(hits1, scene, _texture, octaves),
+        img2=_surface(hits2, scene, _texture, octaves),
         xi=xi,
         normals=norm1,
         flow=flow.w,
@@ -482,43 +469,37 @@ def photoconsistency_score(pair: SamplePair) -> float:
 
 # --- dataset I/O -------------------------------------------------------------
 
+# stored dtype of each SamplePair field, in record order; the full-resolution
+# fields are stored only when the pair has them
+_RECORD = {"img1": np.uint8, "img2": np.uint8, "xi": np.float32,
+           "normals": np.float32, "flow": np.float32, "r": np.float64,
+           "t": np.float64, "valid_depth": np.uint8, "valid_flow": np.uint8,
+           "sample_id": np.int64, "img1_full": np.uint8, "xi_full": np.float32}
+_IMAGES = ("img1", "img2", "img1_full")  # [0, 1] stored as 8 bits
+
+
 def sample_to_record(pair: SamplePair) -> dict[str, np.ndarray]:
-    rec = {
-        "img1": np.round(np.clip(pair.img1, 0, 1) * 255).astype(np.uint8),
-        "img2": np.round(np.clip(pair.img2, 0, 1) * 255).astype(np.uint8),
-        "xi": pair.xi.astype(np.float32),
-        "normals": pair.normals.astype(np.float32),
-        "flow": pair.flow.astype(np.float32),
-        "r": pair.r.astype(np.float64),
-        "t": pair.t.astype(np.float64),
-        "valid_depth": pair.valid_depth.astype(np.uint8),
-        "valid_flow": pair.valid_flow.astype(np.uint8),
-        "sample_id": np.array(pair.sample_id, dtype=np.int64),
-    }
-    if pair.img1_full is not None:
-        rec["img1_full"] = np.round(np.clip(pair.img1_full, 0, 1)
-                                    * 255).astype(np.uint8)
-        rec["xi_full"] = pair.xi_full.astype(np.float32)
+    rec = {}
+    for name, dtype in _RECORD.items():
+        value = getattr(pair, name)
+        if value is not None:
+            if name in _IMAGES:
+                value = np.round(np.clip(value, 0, 1) * 255)
+            rec[name] = np.asarray(value).astype(dtype)
     return rec
 
 
 def record_to_sample(rec: dict[str, np.ndarray]) -> SamplePair:
-    return SamplePair(
-        img1=rec["img1"].astype(np.float64) / 255.0,
-        img2=rec["img2"].astype(np.float64) / 255.0,
-        xi=rec["xi"].astype(np.float64),
-        normals=rec["normals"].astype(np.float64),
-        flow=rec["flow"].astype(np.float64),
-        r=rec["r"].astype(np.float64),
-        t=rec["t"].astype(np.float64),
-        valid_depth=rec["valid_depth"].astype(bool),
-        valid_flow=rec["valid_flow"].astype(bool),
-        sample_id=int(rec["sample_id"]),
-        img1_full=(rec["img1_full"].astype(np.float64) / 255.0
-                   if "img1_full" in rec else None),
-        xi_full=(rec["xi_full"].astype(np.float64)
-                 if "xi_full" in rec else None),
-    )
+    """Images load as float64 in [0, 1], masks as bool."""
+    def load(name, value):
+        if name in _IMAGES:
+            return value.astype(np.float64) / 255.0
+        if name == "sample_id":
+            return int(value)
+        return value.astype(bool if _RECORD[name] == np.uint8 else np.float64)
+
+    return SamplePair(**{name: load(name, rec[name])
+                         for name in _RECORD if name in rec})
 
 
 def generate_dataset(path: str, seed: int, n_samples: int,

@@ -120,11 +120,21 @@ class TrainConfig:
     use_confidence: bool = True
 
     def __post_init__(self):
-        for field, low in (("batch_size", 1), ("log_every", 1),
-                           ("replay_passes", 0), ("phase1_steps", 0),
-                           ("phase2_steps", 0), ("phase3_steps", 0)):
-            if getattr(self, field) < low:
-                raise ValueError(f"{field}={getattr(self, field)} is below {low}")
+        for field, ok in (
+                ("batch_size", self.batch_size >= 1),
+                ("log_every", self.log_every >= 1),
+                ("replay_passes", self.replay_passes >= 0),
+                ("phase1_steps", self.phase1_steps >= 0),
+                ("phase2_steps", self.phase2_steps >= 0),
+                ("phase3_steps", self.phase3_steps >= 0),
+                ("grad_loss_start", self.grad_loss_start >= 0),
+                ("lr", 0 < self.lr < np.inf),
+                ("lr_decay", 0 < self.lr_decay <= 1),
+                ("lr_decay_at", 0 <= self.lr_decay_at <= 1),
+                ("weight_decay", 0 <= self.weight_decay < np.inf),
+                ("val_fraction", 0 <= self.val_fraction < 1)):
+            if not ok:
+                raise ValueError(f"{field}={getattr(self, field)} is out of range")
 
     def weights(self) -> LossWeights:
         """Default weights with the terms of the switched-off toggles at 0."""

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tvk.geometry import (
     CameraMotion,
@@ -25,6 +28,7 @@ from oracles import (
 )
 
 K_TEST = Intrinsics(fx=0.89, fy=1.19, cx=0.5, cy=0.5, width=32, height=24)
+K_SYNTH = Intrinsics(fx=0.89, fy=1.19, cx=0.5, cy=0.5, width=64, height=48)
 
 
 def random_motion(rng, max_angle=0.5):
@@ -194,6 +198,22 @@ class TestDepthFromFlow:
             rel = np.abs(depth.xi[both] - xi[both]) / xi[both]
             worst = max(worst, float(rel.max()))
         assert worst < 1e-5
+
+    @settings(derandomize=True, deadline=None, max_examples=60,
+              database=None)
+    @given(xi=arrays(np.float64, (K_SYNTH.height, K_SYNTH.width),
+                     elements=st.floats(0.05, 3.0)),
+           r=arrays(np.float64, 3, elements=st.floats(-0.3, 0.3)),
+           t=arrays(np.float64, 3, elements=st.floats(-1.0, 1.0)))
+    def test_round_trip_property(self, xi, r, t):
+        # depth_from_flow_motion inverts flow_from_depth_motion on every
+        # pixel both calls keep
+        assume(np.linalg.norm(t) > 0.1)
+        m = CameraMotion(r, t / np.linalg.norm(t))
+        flow, fvalid = flow_from_depth_motion(InverseDepthMap(xi), m, K_SYNTH)
+        depth, dvalid = depth_from_flow_motion(flow, m, K_SYNTH)
+        both = fvalid & dvalid
+        np.testing.assert_allclose(depth.xi[both], xi[both], rtol=1e-6)
 
     def test_epipole_degeneracy_masked(self):
         Kc = Intrinsics(fx=1.0, fy=1.0, cx=0.5 / 8, cy=0.5 / 8, width=8, height=8)

@@ -1,4 +1,4 @@
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -10,6 +10,8 @@ from tvk.geometry import (
     Intrinsics,
     InverseDepthMap,
     depth_from_flow_motion,
+    pixel_rays,
+    rotation_from_angle_axis,
 )
 from tvk.synthdata import (
     GenerationError,
@@ -28,6 +30,9 @@ from tvk.synthdata import (
 from oracles import normals_from_depth
 
 CFG_SMALL = SynthConfig(include_full=False)
+# small-baseline pairs: a tiny baseline and no parallax requirement
+CFG_SMALL_BASELINE = SynthConfig(include_full=False,
+                                 baseline_range=(1e-6, 1e-3), min_parallax=0.0)
 
 
 def erode(mask, iterations):
@@ -72,12 +77,45 @@ class TestGenerateScene:
             scene = generate_scene(5, CFG_SMALL, index=i)
             assert lo <= len(scene.primitives) <= hi
 
+    def test_coverage_counts_pixels_in_front_of_the_background(self):
+        # the background plane's inverse depth, computed from its pose: a
+        # pixel covers the scene when its rendered depth is nearer; few
+        # primitives and a high threshold make the rule reject scenes
+        cfg = replace(CFG_SMALL, width=16, height=12,  # the coarse grid
+                      n_primitives=(1, 3), min_coverage=0.3)
+        dirs = pixel_rays(cfg.intrinsics())
+        for i in range(30):
+            scene = generate_scene(61, cfg, index=i)
+            pair = render_pair(scene, cfg)
+            bg = scene.background
+            n = rotation_from_angle_axis(bg.rotation)[:, 2]
+            xi_bg = (dirs @ n) / float(bg.center @ n) \
+                * np.linalg.norm(scene.motion_t_raw)
+            assert np.mean(pair.xi > xi_bg * (1 + 1e-9)) >= cfg.min_coverage
+
     def test_many_scenes_satisfy_constraints(self):
         # rejection sampling always lands on a valid scene
         for i in range(100):
             scene = generate_scene(99, CFG_SMALL, index=i)
             assert len(scene.primitives) >= 1
             assert np.linalg.norm(scene.motion_t_raw) > 0
+
+
+@pytest.mark.parametrize("field, bad, edge", [
+    ("texture_octaves", 0, 1), ("max_tries", 0, 1), ("full_factor", 0, 1),
+    ("n_primitives", (5, 3), (3, 3)),
+    ("depth_range", (5.0, 2.0), (2.0, 2.0)),
+    ("depth_range", (0.0, 2.0), (1e-3, 2.0)),
+    ("size_range", (1.2, 0.35), (0.5, 0.5)),
+    ("size_range", (-0.1, 1.0), (1e-3, 1.0)),
+    ("baseline_range", (0.3, 0.1), (0.1, 0.1)),
+    ("min_coverage", 1.5, 1.0), ("min_coverage", -0.1, 0.0),
+    ("min_coverage", float("nan"), 0.5)])
+def test_config_rejects_a_value_that_fails_late_or_renders_black(field, bad,
+                                                                 edge):
+    with pytest.raises(ValueError, match=field):
+        SynthConfig(**{field: bad})
+    assert getattr(SynthConfig(**{field: edge}), field) == edge
 
 
 class TestRenderPair:
@@ -88,8 +126,8 @@ class TestRenderPair:
         cfg = SynthConfig(width=32, height=24, fx=1.0, fy=1.0,
                           include_full=False)
         plane = Primitive(
-            kind="bg", center=np.array([0.0, 0.0, 2.0]),
-            rotation=np.zeros(3), size=np.ones(3),
+            kind="plane", center=np.array([0.0, 0.0, 2.0]),
+            rotation=np.zeros(3), size=np.full(3, np.inf),
             color_a=np.full(3, 0.2), color_b=np.full(3, 0.8),
             tex_seed=7, tex_scale=3.0)
         scene = SceneSpec(seed=0, primitives=[], background=plane,
@@ -110,8 +148,8 @@ class TestRenderPair:
             size=np.full(3, 1.0), color_a=np.full(3, 0.3),
             color_b=np.full(3, 0.7), tex_seed=3, tex_scale=3.0)
         bg = Primitive(
-            kind="bg", center=np.array([0.0, 0.0, 8.0]),
-            rotation=np.zeros(3), size=np.ones(3),
+            kind="plane", center=np.array([0.0, 0.0, 8.0]),
+            rotation=np.zeros(3), size=np.full(3, np.inf),
             color_a=np.full(3, 0.1), color_b=np.full(3, 0.5),
             tex_seed=5, tex_scale=1.0)
         scene = SceneSpec(seed=0, primitives=[sphere], background=bg,
@@ -144,7 +182,7 @@ class TestRenderPair:
         assert np.abs(stored - analytic[interior]).max() < 1e-9
 
     def test_zero_motion_identical_images(self):
-        cfg = SynthConfig(include_full=False, small_baseline=True)
+        cfg = CFG_SMALL_BASELINE
         scene = generate_scene(3, cfg, index=0)
         scene.motion_r = np.zeros(3)
         scene.motion_t_raw = np.zeros(3)
@@ -195,7 +233,7 @@ class TestPhotoconsistency:
         assert photoconsistency_score(pair) > 0.03
 
     def test_zero_motion_scores_zero(self):
-        cfg = SynthConfig(include_full=False, small_baseline=True)
+        cfg = CFG_SMALL_BASELINE
         scene = generate_scene(57, cfg, index=0)
         scene.motion_r = np.zeros(3)
         scene.motion_t_raw = np.zeros(3)
@@ -253,17 +291,39 @@ class TestDatasetIO:
         assert list(tmp_path.iterdir()) == []
 
     def test_record_conversion_preserves_quantized_images(self):
-        scene = generate_scene(77, CFG_SMALL, index=0)
-        pair = render_pair(scene, CFG_SMALL, sample_id=7)
-        rec = sample_to_record(pair)
-        back = record_to_sample(rec)
-        assert back.sample_id == 7
-        assert np.abs(back.img1 - pair.img1).max() <= 0.5 / 255 + 1e-12
-        assert np.array_equal(back.valid_flow, pair.valid_flow)
-        assert np.allclose(back.r, pair.r)
+        # the stored format: key order and dtype of every field
+        stored = [("img1", np.uint8), ("img2", np.uint8), ("xi", np.float32),
+                  ("normals", np.float32), ("flow", np.float32),
+                  ("r", np.float64), ("t", np.float64),
+                  ("valid_depth", np.uint8), ("valid_flow", np.uint8),
+                  ("sample_id", np.int64)]
+        full = [("img1_full", np.uint8), ("xi_full", np.float32)]
+        dtypes = dict(stored + full)
+        for include_full in (False, True):
+            cfg = replace(CFG_SMALL, include_full=include_full)
+            pair = render_pair(generate_scene(77, cfg, index=0), cfg,
+                               sample_id=7)
+            rec = sample_to_record(pair)
+            assert [(k, v.dtype) for k, v in rec.items()] == \
+                stored + (full if include_full else [])
+            back = record_to_sample(rec)
+            for f in fields(pair):
+                a, b = getattr(pair, f.name), getattr(back, f.name)
+                if a is None:
+                    assert b is None and not include_full
+                elif f.name == "sample_id":
+                    assert type(b) is int and b == a == 7
+                elif f.name.startswith("img"):
+                    assert b.dtype == np.float64
+                    assert np.abs(b - a).max() <= 0.5 / 255 + 1e-12
+                elif f.name.startswith("valid"):
+                    assert b.dtype == bool and np.array_equal(b, a)
+                else:
+                    assert b.dtype == np.float64
+                    assert np.array_equal(b, a.astype(dtypes[f.name]))
 
     def test_small_baseline_mode(self):
-        cfg = SynthConfig(include_full=False, small_baseline=True)
+        cfg = CFG_SMALL_BASELINE
         scene = generate_scene(4, cfg, index=0)
         assert np.linalg.norm(scene.motion_t_raw) < 1e-3
         pair = render_pair(scene, cfg)

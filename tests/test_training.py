@@ -195,7 +195,12 @@ def test_ablation_toggle_switches_off_its_terms(toggle, off):
 @pytest.mark.parametrize("field, bad, edge", [
     ("batch_size", 0, 1), ("log_every", 0, 1), ("replay_passes", -1, 0),
     ("phase1_steps", -1, 0), ("phase2_steps", -5, 0), ("phase3_steps", -1, 0),
-    ("iterations", -1, 0)])
+    ("iterations", -1, 0), ("lr", -1.0, 1e-9), ("lr", float("nan"), 1e-9),
+    ("lr_decay", -1.0, 1.0), ("lr_decay_at", 2.0, 1.0),
+    ("weight_decay", float("nan"), 0.0), ("val_fraction", 1.5, 0.0),
+    ("grad_loss_start", -3, 0), ("kernel", -1, 1), ("first_kernel", -3, 1),
+    ("channels", (), (16,)), ("refine_channels", (), (8,)),
+    ("refine_factor", 0, 1), ("width", 0, 16)])
 def test_train_config_rejects_a_value_that_fails_late_or_does_nothing(
         field, bad, edge):
     config = TrainConfig if field in TrainConfig.__dataclass_fields__ \
