@@ -33,8 +33,8 @@ array is read-only and owns its memory, so it can neither change nor be
 changed through another array. ``ParameterStore.add``,
 ``ParameterStore.load_state_dict`` and ``Adam.step`` leave parameter arrays
 read-only: an update replaces the array, and an in-place write raises
-``ValueError``. A writeable array (the tensors ``gradcheck_vjp`` builds) is
-laid out on every call. An array made writeable again must not be written
+``ValueError``. A writeable array (a tensor built from a caller's array)
+is laid out on every call. An array made writeable again must not be written
 and then made read-only again; assign a new array instead.
 
 Gradients accumulate into ``Tensor.grad``. The graph is built eagerly by
@@ -75,8 +75,8 @@ import numpy as np
 __all__ = [
     "Tensor", "ParameterStore", "Adam", "backward", "conv2d", "upconv2d",
     "fully_connected", "activation", "concat_channels", "slice_channels",
-    "global_avg_pool", "l2_normalize_rows", "fanin_uniform", "gradcheck_vjp",
-    "immutable", "no_grad",
+    "global_avg_pool", "l2_normalize_rows", "fanin_uniform", "immutable",
+    "no_grad",
 ]
 
 
@@ -633,34 +633,3 @@ class Adam:
             self.m[name] = np.array(state[f"adam.m.{name}"])
             self.v[name] = np.array(state[f"adam.v.{name}"])
 
-
-def gradcheck_vjp(fn, inputs: list[np.ndarray], rng: np.random.Generator,
-                  step: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference VJPs.
-
-    ``fn`` maps input Tensors to one output Tensor; the check projects the
-    output against a fixed random seed vector so a scalar can be
-    differentiated numerically.
-    """
-    tensors = [Tensor(np.asarray(x, dtype=np.float64), requires_grad=True)
-               for x in inputs]
-    out = fn(*tensors)
-    seed = rng.normal(size=out.data.shape)
-    backward({out: seed})
-
-    worst = 0.0
-    for t in tensors:
-        ana = t.grad if t.grad is not None else np.zeros_like(t.data)
-        flat = t.data.ravel()
-        num = np.zeros_like(flat)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            fp = float(np.sum(fn(*tensors).data * seed))
-            flat[i] = orig - step
-            fm = float(np.sum(fn(*tensors).data * seed))
-            flat[i] = orig
-            num[i] = (fp - fm) / (2 * step)
-        denom = np.maximum(np.maximum(np.abs(num), np.abs(ana.ravel())), 1e-6)
-        worst = max(worst, float(np.max(np.abs(num - ana.ravel()) / denom)))
-    return worst

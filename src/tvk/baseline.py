@@ -2,14 +2,20 @@
 
 Robust essential-matrix estimation (normalized 8-point inside RANSAC),
 motion recovery by cheirality, Levenberg-Marquardt refinement of the
-reprojection error. RANSAC draws all its minimal samples first, then
-solves and scores them in fixed-size blocks (one stacked 8-point solve and
-one batched Sampson pass each); ``eight_point`` and ``sampson_distance``
-are batch-of-one calls of the same helpers, so the blocks give bitwise the
-results of scoring one hypothesis at a time. Matches are triangulated by
-``geometry.triangulate``, for the cheirality vote and the refinement's
-start; dense depth by triangulating a flow field with a known motion is
-``geometry.depth_from_flow_motion``, which uses the same triangulation.
+reprojection error. RANSAC solves and scores its hypotheses in fixed-size
+blocks (one stacked 8-point solve and one batched Sampson pass each),
+drawing a block's minimal samples at its start, in the order of one draw
+per hypothesis; ``eight_point`` and ``sampson_distance`` are batch-of-one
+calls of the same helpers, so the blocks give bitwise the results of
+scoring one hypothesis at a time. RANSAC stops after the first block in
+which a hypothesis counts every match as an inlier. The stop is exact
+because the returned E and mask depend only on the winning mask, and any
+later winner would have the same all-True mask; a scoring change (MSAC,
+capped residuals) must check that argument again. Matches are
+triangulated by ``geometry.triangulate``, for the cheirality vote and the
+refinement's start; dense depth by triangulating a flow field with a known
+motion is ``geometry.depth_from_flow_motion``, which uses the same
+triangulation.
 Serves as the comparison baseline for the learned model, and as an oracle
 when fed ground-truth flow and motion.
 
@@ -148,29 +154,37 @@ def ransac_essential(corr: Correspondences, threshold: float = 1e-4,
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Robust essential matrix; returns (E, inlier mask). Deterministic.
 
-    All ``max_iters`` minimal samples are drawn up front, in the order of
-    one ``rng.choice(n, 8, replace=False)`` per hypothesis, from a Philox
-    generator keyed by ``seed``. Hypotheses are then solved and scored in
-    blocks of ``_RANSAC_BLOCK``: one stacked 8-point solve and one batched
-    Sampson pass per block. A degenerate minimal sample is skipped but uses
-    up its draw. The hypothesis with the most inliers (squared Sampson
-    distance below ``threshold``) wins; among equal counts the lowest mean
-    inlier distance wins, and among equal means the earlier hypothesis.
-    The mean is taken only for hypotheses that can still win. The returned
-    E is the 8-point fit to the winner's inliers.
+    Hypotheses are solved and scored in blocks of ``_RANSAC_BLOCK``: one
+    stacked 8-point solve and one batched Sampson pass per block. A block's
+    minimal samples are drawn at its start, one
+    ``rng.choice(n, 8, replace=False)`` per hypothesis from a Philox
+    generator keyed by ``seed``, so hypothesis k gets the k-th draw. A
+    degenerate minimal sample is skipped but uses up its draw. The
+    hypothesis with the most inliers (squared Sampson distance below
+    ``threshold``) wins; among equal counts the lowest mean inlier distance
+    wins, and among equal means the earlier hypothesis. The mean is taken
+    only for hypotheses that can still win. The returned E is the 8-point
+    fit to the winner's inliers.
+
+    At most ``max_iters`` hypotheses are tried, and none after the first
+    block in which one counts all ``n`` matches as inliers. That gives the
+    result of trying all ``max_iters``: no count exceeds ``n``, a later
+    winner would tie at ``n`` with the same all-True mask, and E and the
+    mask depend only on that mask.
     """
     n = len(corr)
     if n < 8:
         raise EstimationError(f"need at least 8 correspondences, got {n}")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    draws = np.array([rng.choice(n, size=8, replace=False)
-                      for _ in range(max_iters)], dtype=np.intp).reshape(-1, 8)
     x1h, x2h = _homogeneous(corr.x1), _homogeneous(corr.x2)
     best_mask = None
     best_count = -1
     best_score = np.inf
     for start in range(0, max_iters, _RANSAC_BLOCK):
-        idx = draws[start:start + _RANSAC_BLOCK]
+        if best_count == n:
+            break
+        idx = np.array([rng.choice(n, size=8, replace=False) for _ in
+                        range(min(_RANSAC_BLOCK, max_iters - start))])
         E = _eight_point(corr.x1[idx], corr.x2[idx])
         if not len(E):
             continue

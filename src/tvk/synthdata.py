@@ -75,7 +75,11 @@ class SynthConfig:
                 ("size_range", 0 < self.size_range[0] <= self.size_range[1]),
                 ("baseline_range",
                  self.baseline_range[0] <= self.baseline_range[1]),
-                ("min_coverage", 0 <= self.min_coverage <= 1)):
+                ("min_coverage", 0 <= self.min_coverage <= 1),
+                ("min_parallax", np.isfinite(self.min_parallax)),
+                ("forward_bias", np.isfinite(self.forward_bias)),
+                ("background_distance",
+                 self.depth_range[1] < self.background_distance < np.inf)):
             if not ok:
                 raise ValueError(f"{field}={getattr(self, field)} is out of range")
 

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from tvk.autodiff import Tensor, backward
+
 
 def quat_from_angle_axis(r):
     """Unit quaternion (w, x, y, z) for an angle-axis vector."""
@@ -486,3 +488,37 @@ def ransac_essential_loop(x1, x2, threshold=1e-4, max_iters=500, seed=0):
     if best_mask is None or best_count < 8:
         return None
     return eight_point_loop(x1[best_mask], x2[best_mask]), best_mask
+
+
+# --- finite-difference check of a VJP ----------------------------------------
+
+def gradcheck_vjp(fn, inputs: list[np.ndarray], rng: np.random.Generator,
+                  step: float = 1e-5) -> float:
+    """Max relative error between analytic and central-difference VJPs.
+
+    ``fn`` maps input Tensors to one output Tensor; the check projects the
+    output against a fixed random seed vector so a scalar can be
+    differentiated numerically.
+    """
+    tensors = [Tensor(np.asarray(x, dtype=np.float64), requires_grad=True)
+               for x in inputs]
+    out = fn(*tensors)
+    seed = rng.normal(size=out.data.shape)
+    backward({out: seed})
+
+    worst = 0.0
+    for t in tensors:
+        ana = t.grad if t.grad is not None else np.zeros_like(t.data)
+        flat = t.data.ravel()
+        num = np.zeros_like(flat)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + step
+            fp = float(np.sum(fn(*tensors).data * seed))
+            flat[i] = orig - step
+            fm = float(np.sum(fn(*tensors).data * seed))
+            flat[i] = orig
+            num[i] = (fp - fm) / (2 * step)
+        denom = np.maximum(np.maximum(np.abs(num), np.abs(ana.ravel())), 1e-6)
+        worst = max(worst, float(np.max(np.abs(num - ana.ravel()) / denom)))
+    return worst

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from tvk import autodiff as ad
-from tvk.autodiff import Adam, ParameterStore, Tensor, backward, gradcheck_vjp
+from tvk.autodiff import Adam, ParameterStore, Tensor, backward
 
-from oracles import conv_direct, conv_dw_direct, upconv_direct
+from oracles import conv_direct, conv_dw_direct, gradcheck_vjp, upconv_direct
 
 
 RNG = np.random.default_rng

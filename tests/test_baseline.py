@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from tvk import baseline
 from tvk.baseline import (
     AmbiguousDecompositionError,
     Correspondences,
@@ -254,6 +255,59 @@ class TestBlockScoring:
             assert np.array_equal(sampson_distance(E_any, corr),
                                   sampson_distance_loop(E_any, corr.x1,
                                                         corr.x2))
+
+
+class TestEarlyExit:
+    """RANSAC stops after the block in which one hypothesis counts every
+    match as an inlier; the result stays the full loop's bitwise."""
+
+    @pytest.fixture
+    def solved(self, monkeypatch):
+        """Number of hypotheses ``_eight_point`` is asked to solve."""
+        rows = [0]
+        solve = baseline._eight_point
+
+        def counting(x1, x2):
+            rows[0] += len(x1)
+            return solve(x1, x2)
+
+        monkeypatch.setattr(baseline, "_eight_point", counting)
+        return rows
+
+    @staticmethod
+    def matches(outliers=0.0):
+        rng = np.random.default_rng(70)
+        corr, _ = make_matches(rng, 400, R_TEST, T_TEST, noise=5e-4,
+                               outliers=outliers)
+        return corr
+
+    def assert_equals_loop(self, corr, **kw):
+        E, mask = ransac_essential(corr, **kw)
+        loop = ransac_essential_loop(corr.x1, corr.x2, **kw)
+        assert np.array_equal(mask, loop[1])
+        assert np.array_equal(E, loop[0])
+        return mask
+
+    def test_all_inliers_solve_one_block(self, solved):
+        mask = self.assert_equals_loop(self.matches(), seed=8)
+        assert mask.all()
+        # 50 hypotheses plus the final fit to the inliers
+        assert solved[0] == baseline._RANSAC_BLOCK + 1
+
+    def test_outliers_solve_every_hypothesis(self, solved):
+        mask = self.assert_equals_loop(self.matches(outliers=0.3), seed=8)
+        assert not mask.all()
+        assert solved[0] == 500 + 1
+
+    @pytest.mark.parametrize("max_iters", [1, 49, 137])
+    def test_exit_within_the_cap(self, solved, max_iters):
+        corr = self.matches()
+        # the first hypothesis of seed 20 already counts every match
+        hyps = ransac_hypotheses_loop(corr.x1, corr.x2, max_iters=1, seed=20)
+        assert hyps[0][0] == len(corr)
+        mask = self.assert_equals_loop(corr, max_iters=max_iters, seed=20)
+        assert mask.all()
+        assert solved[0] == min(max_iters, baseline._RANSAC_BLOCK) + 1
 
 
 class TestDecompose:

@@ -110,7 +110,11 @@ class TestGenerateScene:
     ("size_range", (-0.1, 1.0), (1e-3, 1.0)),
     ("baseline_range", (0.3, 0.1), (0.1, 0.1)),
     ("min_coverage", 1.5, 1.0), ("min_coverage", -0.1, 0.0),
-    ("min_coverage", float("nan"), 0.5)])
+    ("min_coverage", float("nan"), 0.5),
+    ("min_parallax", float("nan"), 0.0), ("min_parallax", float("inf"), 0.0),
+    ("forward_bias", float("nan"), 0.0),
+    ("background_distance", 1.0, 5.001), ("background_distance", 5.0, 5.001),
+    ("background_distance", float("inf"), 5.001)])
 def test_config_rejects_a_value_that_fails_late_or_renders_black(field, bad,
                                                                  edge):
     with pytest.raises(ValueError, match=field):
