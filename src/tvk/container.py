@@ -12,11 +12,16 @@ File layout (all integers little-endian):
               u64 payload length | u32 CRC32 of payload | raw array bytes
 
 Every record carries the same field schema; arrays are written in C order
-with the dtype stated in the header.
+with the dtype stated in the header. The writer is given the record count up
+front and writes the header once, ahead of the body. Only the dtypes listed
+in ``_ALLOWED_DTYPES`` are storable: a bool field raises (store a mask as
+uint8). The reader allows whitespace after the header JSON: datasets written
+before the count went into the header up front end it with pad spaces.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import struct
@@ -72,99 +77,65 @@ class FieldSpec:
         return int(np.prod(self.shape, dtype=np.int64)) * np.dtype(self.dtype).itemsize
 
 
-def _schema_from_record(record: dict[str, np.ndarray]) -> list[FieldSpec]:
+def _schema(record: dict[str, np.ndarray]) -> list[FieldSpec]:
     fields = []
-    for name in record:
-        arr = np.asarray(record[name])
-        dtype = str(arr.dtype)
-        if dtype == "bool":
-            dtype = "uint8"
-        if dtype not in _ALLOWED_DTYPES:
-            raise ValueError(f"field {name!r}: dtype {dtype} not storable in TVK1")
-        fields.append(FieldSpec(name, dtype, arr.shape))
+    for name, value in record.items():
+        arr = np.asarray(value)
+        if str(arr.dtype) not in _ALLOWED_DTYPES:
+            raise ValueError(f"field {name!r}: dtype {arr.dtype} not storable in TVK1")
+        fields.append(FieldSpec(name, str(arr.dtype), arr.shape))
     return fields
 
 
 def write_container(
     path: str,
     records: Iterable[dict[str, np.ndarray]],
+    n_records: int,
     meta: dict | None = None,
-    n_records: int | None = None,
-) -> int:
-    """Write records to a TVK1 file atomically (tmp file + rename).
+) -> None:
+    """Write ``n_records`` records to a TVK1 file atomically (tmp file +
+    rename).
 
-    The schema is taken from the first record; every later record must
-    match it exactly. Returns the number of records written. If
-    ``n_records`` is given it is trusted for the header and verified at
-    the end; otherwise the header is patched after the body is written.
+    The schema is the first record's field names, dtypes and shapes, and
+    every record must have exactly that schema. A schema mismatch or a count
+    other than ``n_records`` raises ``ValueError`` and leaves no file.
     """
     it = iter(records)
-    try:
-        first = next(it)
-    except StopIteration:
+    first = next(it, None)
+    if first is None:
         raise ValueError("cannot write an empty container")
-    fields = _schema_from_record(first)
+    fields = _schema(first)
+    header = json.dumps({
+        "version": VERSION,
+        "fields": [fs.to_json() for fs in fields],
+        "n_records": int(n_records),
+        "meta": meta or {},
+    }, sort_keys=True).encode("utf-8")
 
     tmp = path + ".tmp"
-    count = 0
     try:
         with open(tmp, "wb") as f:
-            header = {
-                "version": VERSION,
-                "fields": [fs.to_json() for fs in fields],
-                "n_records": -1 if n_records is None else int(n_records),
-                "meta": meta or {},
-            }
-            header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-            if n_records is None:
-                header_bytes += b" " * 16  # room to patch in the final count
-            f.write(MAGIC)
-            f.write(struct.pack("<I", len(header_bytes)))
-            header_pos = f.tell()
-            f.write(header_bytes)
-
-            def emit(record: dict[str, np.ndarray]) -> None:
-                for fs in fields:
-                    if fs.name not in record:
-                        raise ValueError(f"record missing field {fs.name!r}")
-                    arr = np.asarray(record[fs.name])
-                    if arr.dtype == np.bool_:
-                        arr = arr.astype(np.uint8)
-                    if not arr.flags["C_CONTIGUOUS"]:
-                        arr = np.ascontiguousarray(arr)
-                    if str(arr.dtype) != fs.dtype or arr.shape != fs.shape:
-                        raise ValueError(
-                            f"field {fs.name!r}: got {arr.dtype}{arr.shape}, "
-                            f"schema says {fs.dtype}{fs.shape}"
-                        )
-                    payload = arr.tobytes()
-                    f.write(struct.pack("<Q", len(payload)))
-                    f.write(struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
-                    f.write(payload)
-
-            emit(first)
-            count = 1
-            for record in it:
-                emit(record)
+            f.write(MAGIC + struct.pack("<I", len(header)) + header)
+            count = 0
+            for record in itertools.chain([first], it):
                 count += 1
-
-            if n_records is None:
-                # patch the record count in place, keeping the byte length
-                header["n_records"] = count
-                patched = json.dumps(header, sort_keys=True).encode("utf-8")
-                pad = len(header_bytes) - len(patched)
-                if pad < 0:  # pragma: no cover - 16 spare bytes cover any count
-                    raise RuntimeError("header grew while patching")
-                f.seek(header_pos)
-                f.write(patched + b" " * pad)
-            elif n_records != count:
-                raise ValueError(f"promised {n_records} records, wrote {count}")
+                if count > n_records:
+                    raise ValueError(f"promised {n_records} records, got more")
+                schema = _schema(record)
+                if schema != fields:
+                    raise ValueError(f"record {count - 1} has fields {schema}, "
+                                     f"the first record has {fields}")
+                for fs in fields:
+                    payload = np.asarray(record[fs.name]).tobytes()
+                    f.write(struct.pack("<QI", len(payload), zlib.crc32(payload)))
+                    f.write(payload)
+            if count != n_records:
+                raise ValueError(f"promised {n_records} records, got {count}")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-    return count
 
 
 class ContainerReader:
@@ -195,6 +166,9 @@ class ContainerReader:
                 )
             try:  # the header has no checksum: a damaged schema fails here
                 self.fields = [FieldSpec.from_json(d) for d in header["fields"]]
+                names = [fs.name for fs in self.fields]
+                if len(set(names)) != len(names):
+                    raise ValueError(f"a field is named twice in {names}")
                 self.n_records = int(header["n_records"])
                 if self.n_records < 0:
                     raise ValueError(f"negative record count {self.n_records}")
@@ -246,7 +220,7 @@ def read_all(path: str) -> tuple[list[dict[str, np.ndarray]], dict]:
 
 def save_arrays(path: str, arrays: dict[str, np.ndarray], meta: dict | None = None) -> None:
     """Store a single named-array record (checkpoints, optimizer state)."""
-    write_container(path, [arrays], meta=meta, n_records=1)
+    write_container(path, [arrays], 1, meta=meta)
 
 
 def load_arrays(path: str) -> tuple[dict[str, np.ndarray], dict]:

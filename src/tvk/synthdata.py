@@ -545,7 +545,7 @@ def generate_dataset(path: str, seed: int, n_samples: int,
         "filter_threshold": filter_threshold,
         "config": asdict(config),
     }
-    container.write_container(path, records(), meta=meta, n_records=None)
+    container.write_container(path, records(), n_samples, meta=meta)
     return stats
 
 

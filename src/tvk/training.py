@@ -121,6 +121,8 @@ class TrainConfig:
 
     def __post_init__(self):
         for field, ok in (
+                # Philox keys lie in [0, 2**128); _batches uses seed << 32
+                ("seed", 0 <= self.seed < 2**96),
                 ("batch_size", self.batch_size >= 1),
                 ("log_every", self.log_every >= 1),
                 ("replay_passes", self.replay_passes >= 0),

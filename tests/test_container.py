@@ -26,7 +26,7 @@ def make_records(n, rng):
     return [
         {
             "img": rng.uniform(size=(6, 8, 3)).astype(np.float32),
-            "mask": (rng.uniform(size=(6, 8)) > 0.5),
+            "mask": (rng.uniform(size=(6, 8)) > 0.5).astype(np.uint8),
             "idx": np.array(i, dtype=np.int64),
         }
         for i in range(n)
@@ -37,14 +37,13 @@ def test_round_trip_bitwise(tmp_path):
     rng = np.random.default_rng(0)
     records = make_records(5, rng)
     path = str(tmp_path / "data.tvk")
-    n = write_container(path, records, meta={"seed": 0, "note": "test"})
-    assert n == 5
+    write_container(path, records, 5, meta={"seed": 0, "note": "test"})
     back, meta = read_all(path)
     assert meta["seed"] == 0
     assert len(back) == 5
     for a, b in zip(records, back):
         assert a["img"].tobytes() == b["img"].tobytes()
-        assert np.array_equal(a["mask"].astype(np.uint8), b["mask"])
+        assert np.array_equal(a["mask"], b["mask"])
         assert int(b["idx"]) == int(a["idx"])
 
 
@@ -53,18 +52,27 @@ def test_deterministic_bytes(tmp_path):
     rng2 = np.random.default_rng(3)
     p1 = str(tmp_path / "a.tvk")
     p2 = str(tmp_path / "b.tvk")
-    write_container(p1, make_records(4, rng1), meta={"seed": 3})
-    write_container(p2, make_records(4, rng2), meta={"seed": 3})
+    write_container(p1, make_records(4, rng1), 4, meta={"seed": 3})
+    write_container(p2, make_records(4, rng2), 4, meta={"seed": 3})
     assert open(p1, "rb").read() == open(p2, "rb").read()
 
 
-def test_generator_input_patches_count(tmp_path):
-    rng = np.random.default_rng(1)
+def test_generator_input_writes_the_promised_count(tmp_path):
     path = str(tmp_path / "gen.tvk")
-    write_container(path, iter(make_records(12, rng)))
+    write_container(path, iter(make_records(12, np.random.default_rng(1))), 12)
     with ContainerReader(path) as r:
         assert r.n_records == 12
         assert sum(1 for _ in r) == 12
+
+
+@pytest.mark.parametrize("n_yielded", [11, 13])
+def test_a_count_other_than_the_promised_one_raises_and_leaves_no_file(
+        tmp_path, n_yielded):
+    path = str(tmp_path / "gen.tvk")
+    records = iter(make_records(n_yielded, np.random.default_rng(1)))
+    with pytest.raises(ValueError, match="promised 12 records"):
+        write_container(path, records, 12)
+    assert os.listdir(tmp_path) == []
 
 
 def test_bad_magic(tmp_path):
@@ -87,7 +95,7 @@ def test_version_mismatch(tmp_path):
 def test_corrupt_crc(tmp_path):
     rng = np.random.default_rng(2)
     path = str(tmp_path / "c.tvk")
-    write_container(path, make_records(3, rng))
+    write_container(path, make_records(3, rng), 3)
     data = bytearray(open(path, "rb").read())
     data[-1] ^= 0xFF  # flip a byte in the last payload
     open(path, "wb").write(bytes(data))
@@ -98,7 +106,7 @@ def test_corrupt_crc(tmp_path):
 def test_truncated_chunk(tmp_path):
     rng = np.random.default_rng(4)
     path = str(tmp_path / "t.tvk")
-    write_container(path, make_records(3, rng))
+    write_container(path, make_records(3, rng), 3)
     data = open(path, "rb").read()
     open(path, "wb").write(data[: len(data) - 40])
     with pytest.raises(TruncatedError):
@@ -119,9 +127,62 @@ def test_schema_mismatch_rejected(tmp_path):
         {"a": np.zeros((2, 3), np.float32)},
     ]
     with pytest.raises(ValueError):
-        write_container(str(tmp_path / "s.tvk"), recs)
+        write_container(str(tmp_path / "s.tvk"), recs, 2)
     assert not os.path.exists(str(tmp_path / "s.tvk"))
     assert not os.path.exists(str(tmp_path / "s.tvk.tmp"))
+
+
+A22 = np.zeros((2, 2), np.float32)
+
+
+@pytest.mark.parametrize("second, match", [
+    ({"a": A22, "extra": A22}, "'a'.*'extra'.*the first record has.*'a'"),
+    ({"b": A22}, "'b'.*the first record has.*'a'"),
+    ({"a": A22.astype(np.float64)}, "float64.*the first record has.*float32"),
+], ids=["extra", "renamed", "dtype"])
+def test_later_record_with_other_fields_raises_naming_both(
+        tmp_path, second, match):
+    with pytest.raises(ValueError, match=match):
+        write_container(str(tmp_path / "s.tvk"), [{"a": A22}, second], 2)
+    assert os.listdir(tmp_path) == []
+
+
+def test_bool_field_is_not_storable(tmp_path):
+    with pytest.raises(ValueError, match="field 'mask': dtype bool"):
+        write_container(str(tmp_path / "b.tvk"),
+                        [{"mask": np.ones(3, dtype=bool)}], 1)
+    assert os.listdir(tmp_path) == []
+
+
+def _rewrite_header(path, edit):
+    """Replace the header JSON of a TVK1 file by ``edit(header_bytes)``."""
+    data = open(path, "rb").read()
+    (hlen,) = struct.unpack("<I", data[4:8])
+    header = edit(data[8:8 + hlen])
+    with open(path, "wb") as f:
+        f.write(data[:4] + struct.pack("<I", len(header)) + header
+                + data[8 + hlen:])
+
+
+def test_header_with_trailing_whitespace_loads(tmp_path):
+    """Files written before the count went into the header up front end
+    their header JSON with pad spaces."""
+    path = str(tmp_path / "padded.tvk")
+    arrays = {"w": np.arange(6, dtype=np.float32).reshape(2, 3)}
+    save_arrays(path, arrays, meta={"step": 7})
+    _rewrite_header(path, lambda h: h + b" " * 16)
+    back, meta = load_arrays(path)
+    assert meta == {"step": 7}
+    assert back["w"].tobytes() == arrays["w"].tobytes()
+
+
+def test_field_named_twice_in_the_header_raises(tmp_path):
+    path = str(tmp_path / "twice.tvk")
+    save_arrays(path, {"w": np.zeros(2, np.float32),
+                       "v": np.ones(2, np.float32)})
+    _rewrite_header(path, lambda h: h.replace(b'"name": "w"', b'"name": "v"'))
+    with pytest.raises(ContainerError, match="named twice"):
+        load_arrays(path)
 
 
 def test_every_truncation_and_bit_flip_loads_or_raises_container_error(
@@ -152,7 +213,7 @@ def test_every_truncation_and_bit_flip_loads_or_raises_container_error(
 
 def test_load_arrays_needs_exactly_one_record(tmp_path):
     path = str(tmp_path / "two.tvk")
-    write_container(path, make_records(2, np.random.default_rng(5)))
+    write_container(path, make_records(2, np.random.default_rng(5)), 2)
     with pytest.raises(ContainerError, match="2 records, expected 1"):
         load_arrays(path)
 
@@ -178,7 +239,7 @@ def test_streaming_memory_bound(tmp_path):
         for _ in range(128):  # 128 MiB total
             yield {"x": chunk}
 
-    write_container(path, gen())
+    write_container(path, gen(), 128)
     assert os.path.getsize(path) > 128 * 2**20
 
     script = textwrap.dedent(

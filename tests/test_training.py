@@ -193,6 +193,7 @@ def test_ablation_toggle_switches_off_its_terms(toggle, off):
 
 
 @pytest.mark.parametrize("field, bad, edge", [
+    ("seed", -1, 0), ("seed", 2**96, 2**96 - 1),
     ("batch_size", 0, 1), ("log_every", 0, 1), ("replay_passes", -1, 0),
     ("phase1_steps", -1, 0), ("phase2_steps", -5, 0), ("phase3_steps", -1, 0),
     ("iterations", -1, 0), ("lr", -1.0, 1e-9), ("lr", float("nan"), 1e-9),

@@ -8,6 +8,9 @@ Two trees that print the same lines give bitwise the same outputs for:
 
 * ``dataset``: the seed-7, 12-pair dataset file of the default
   ``SynthConfig``;
+* ``dataset records``: that file's contents as read back: each record's
+  field names, dtypes, shapes and bytes, plus the meta JSON. A change to the
+  header's bytes alone changes ``dataset`` but not this line;
 * ``predict <dtype> b<batch>``: every iteration's ``Prediction`` fields
   (plus ``refined_xi``) of ``predict`` with 3 iterations and refinement of
   ``TwoViewNet(NetConfig(dtype=dtype), seed=3)`` on the first 8 pairs, at
@@ -27,6 +30,7 @@ trees numerically.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import sys
 import tempfile
@@ -36,7 +40,7 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 "..", "src"))
 
-from tvk import baseline, synthdata, training  # noqa: E402
+from tvk import baseline, container, synthdata, training  # noqa: E402
 from tvk.geometry import FlowField  # noqa: E402
 from tvk.network import NetConfig, TwoViewNet  # noqa: E402
 
@@ -61,6 +65,15 @@ def digest(chunks) -> str:
 def file_digest(path: str) -> str:
     with open(path, "rb") as f:
         return digest([f.read()])
+
+
+def records_digest(path: str) -> str:
+    records, meta = container.read_all(path)
+    chunks = [json.dumps(meta, sort_keys=True).encode()]
+    for record in records:
+        for name, arr in record.items():
+            chunks += [f"{name} {arr.dtype} {arr.shape}".encode(), arr]
+    return digest(chunks)
 
 
 def predict_digest(samples, K, dtype: str, batch: int) -> str:
@@ -108,6 +121,7 @@ def main() -> None:
         synthdata.generate_dataset(data, DATA_SEED, DATA_PAIRS,
                                    synthdata.SynthConfig())
         print("dataset", file_digest(data))
+        print("dataset records", records_digest(data))
         samples, meta = synthdata.load_dataset(data)
         K = training.intrinsics_from_meta(meta)
         for dtype in ("float32", "float64"):
