@@ -2,7 +2,7 @@
 
 Just enough operator vocabulary for the networks in this package:
 convolutions (including 1D pairs and stride 2), the x2 transposed conv,
-fully connected layers, a few activations, channel concat/slice, global
+fully connected layers, exp, channel concat/slice, global
 average pooling and row normalization. Data layout is (N, C, H, W) for
 feature maps and (N, K) for vectors. Everything runs on plain numpy
 arrays; convolutions lower to GEMM via im2col so BLAS does the heavy
@@ -41,12 +41,12 @@ Gradients accumulate into ``Tensor.grad``. The graph is built eagerly by
 the ops: an op's output records its parents and its VJP closure whenever
 one of its inputs requires a gradient, and parameters always do.
 
-``conv2d`` and ``upconv2d`` take the bias and, with ``leaky=True``, the
-leaky ReLU into the op, bit for bit equal to ``activation(conv2d(...),
-"leaky_relu")``. Both are applied in place to the whole output, and the
-VJP takes the slope from the output (``out > 0`` exactly when the
-pre-activation is > 0, NaN included), so a layer keeps one array, not its
-pre-activation too, and builds one node.
+``conv2d``, ``upconv2d`` and ``fully_connected`` take the bias and, with
+``leaky=True``, the leaky ReLU ``where(x > 0, x, 0.1 x)`` into the op, bit
+for bit. Both are applied in place to the whole output, and the VJP takes
+the slope from the output (``out > 0`` exactly when the pre-activation is
+> 0, NaN included), so a layer keeps one array, not its pre-activation
+too, and builds one node.
 
 ``backward`` consumes the graph it walks. It visits the nodes in reverse
 topological order, so rebuilding a graph and running it again gives
@@ -74,7 +74,7 @@ import numpy as np
 
 __all__ = [
     "Tensor", "ParameterStore", "Adam", "backward", "conv2d", "upconv2d",
-    "fully_connected", "activation", "concat_channels", "slice_channels",
+    "fully_connected", "exp", "concat_channels", "slice_channels",
     "global_avg_pool", "l2_normalize_rows", "fanin_uniform", "immutable",
     "no_grad",
 ]
@@ -368,6 +368,9 @@ def _conv_dx(dy, w: Tensor, stride, padding, x_hw):
     return _conv(dyp, wf.shape, (1, 1), (0, 0), w=wf)[0]
 
 
+LEAKY_SLOPE = 0.1
+
+
 def _linear(out, x: Tensor, w: Tensor, b: Tensor | None, grads,
             leaky=False) -> Tensor:
     """Node of a linear op: ``out`` (a fresh array: the bias ``b`` is added
@@ -387,7 +390,7 @@ def _linear(out, x: Tensor, w: Tensor, b: Tensor | None, grads,
 
     def vjp(g):
         if leaky:
-            g = _leaky_vjp(out, g)
+            g = np.where(out > 0, g, np.asarray(LEAKY_SLOPE, out.dtype) * g)
         dxw = grads(g, x.requires_grad, w.requires_grad)
         if b is None:
             return dxw
@@ -447,8 +450,9 @@ def upconv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
                    x, w, b, grads, leaky)
 
 
-def fully_connected(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """(N, F) @ (F, K) + (K,)."""
+def fully_connected(x: Tensor, w: Tensor, b: Tensor | None = None,
+                    leaky=False) -> Tensor:
+    """(N, F) @ (F, K) + (K,), with ``leaky`` followed by the leaky ReLU."""
     if x.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
         raise ValueError(
             f"fully_connected shape mismatch: {x.data.shape} @ {w.data.shape}")
@@ -456,32 +460,12 @@ def fully_connected(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     out = np.concatenate([x.data[n:n + 1] @ w.data
                           for n in range(x.data.shape[0])])
     return _linear(out, x, w, b, lambda g, gx, gw: (
-        g @ w.data.T if gx else None, x.data.T @ g if gw else None))
+        g @ w.data.T if gx else None, x.data.T @ g if gw else None), leaky)
 
 
-LEAKY_SLOPE = 0.1
-
-
-def _leaky_vjp(out, g):
-    """Leaky ReLU VJP read from its output ``out``, which is > 0 exactly
-    where the input is, NaN included."""
-    return np.where(out > 0, g, np.asarray(LEAKY_SLOPE, out.dtype) * g)
-
-
-def activation(x: Tensor, kind: str) -> Tensor:
-    """kinds: 'leaky_relu' (slope 0.1) and 'exp'."""
-    if kind == "leaky_relu":
-        # equals where(x > 0, x, 0.1 x) bit for bit, -0.0, NaN, +-inf too
-        out = np.maximum(x.data, LEAKY_SLOPE * x.data)
-        return _op(out, (x,), lambda g: (_leaky_vjp(out, g),))
-    if kind == "exp":
-        out = np.exp(x.data)
-
-        def vjp(g):
-            return (g * out,)
-
-        return _op(out, (x,), vjp)
-    raise ValueError(f"unknown activation kind {kind!r}")
+def exp(x: Tensor) -> Tensor:
+    out = np.exp(x.data)
+    return _op(out, (x,), lambda g: (g * out,))
 
 
 def concat_channels(tensors: list[Tensor]) -> Tensor:

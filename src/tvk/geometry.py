@@ -3,8 +3,9 @@ triangulation and the bilinear warp.
 
 This module is the one place for camera math: the pixel-center grid
 (``Intrinsics.pixel_centers``), the map from an image point to its ray
-(``Intrinsics.unproject``) and back (``project``), and the two-ray
-triangulation (``triangulate``) that ``baseline`` uses too.
+(``Intrinsics.unproject``) and back (``project``), the two-ray
+triangulation (``triangulate``) that ``baseline`` uses too, and the one
+bilinear warp (``warp_batch``, on (N, C, H, W) batches in their own dtype).
 
 Conventions used throughout the package:
 
@@ -27,7 +28,8 @@ validity masks rather than sentinel values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -43,6 +45,16 @@ class DegenerateMotionError(ValueError):
     """Raised when an operation requires translation but the motion has none."""
 
 
+def check_integer_fields(obj) -> None:
+    """Raise ``ValueError`` naming the first field of the dataclass ``obj``
+    annotated ``int`` or ``tuple[int, ...]`` that holds any other value."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type.startswith(("int", "tuple[int")) and not all(
+                isinstance(v, numbers.Integral) for v in np.ravel(value)):
+            raise ValueError(f"{f.name}={value!r} is not an integer")
+
+
 @dataclass(frozen=True)
 class Intrinsics:
     """Pinhole intrinsics in normalized image units."""
@@ -55,6 +67,7 @@ class Intrinsics:
     height: int
 
     def __post_init__(self):
+        check_integer_fields(self)
         if not (self.fx > 0 and self.fy > 0):
             raise ValueError("focal lengths must be positive")
         if not (0 < self.cx < 1 and 0 < self.cy < 1):
@@ -337,16 +350,3 @@ def warp_batch(img2: np.ndarray, flow: np.ndarray
            + (g10 * (1 - ax) + g11 * ax) * ay)
     return (out * valid[:, None]).astype(img2.dtype), valid
 
-
-def warp_image(image2: np.ndarray, flow: FlowField) -> tuple[np.ndarray, np.ndarray]:
-    """``warp_batch`` of one (H, W) or (H, W, C) image, in float64.
-
-    Returns the warped array, in the layout of ``image2``, and the mask.
-    """
-    img = np.asarray(image2, dtype=np.float64)
-    chw = img[None] if img.ndim == 2 else img.transpose(2, 0, 1)
-    if flow.w.shape[:2] != chw.shape[1:]:
-        raise ValueError("flow and image resolutions differ")
-    out, valid = warp_batch(chw[None], flow.w.transpose(2, 0, 1)[None])
-    return (out[0, 0] if img.ndim == 2 else out[0].transpose(1, 2, 0)), \
-        valid[0]

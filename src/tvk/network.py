@@ -12,10 +12,10 @@ the first level's kernel) with skip connections and stride-2 transposed
 convolutions in the decoder. The depth/motion encoder-decoders
 carry an extra head (global average pool + 3 fully connected layers) that
 outputs the angle-axis rotation, a unit-norm translation and a positive
-depth scale factor. Every conv and upconv but an encoder-decoder's last
-runs with its bias and leaky ReLU fused into the op (``leaky=True``, see
-``autodiff``), so a training graph keeps one array and one node per layer;
-only the motion head's fully connected layers use ``autodiff.activation``.
+depth scale factor. Every layer but the last of an encoder-decoder and of
+its motion head runs with its bias and leaky ReLU fused into the op
+(``leaky=True``, see ``autodiff``), so a training graph keeps one array and
+one node per layer.
 
 The ``*_tensors`` methods return graph outputs, for training and for
 gradient checks. The ``*_forward`` methods, and ``predict`` through them,
@@ -39,6 +39,7 @@ from .geometry import (
     FlowField,
     Intrinsics,
     InverseDepthMap,
+    check_integer_fields,
     depth_from_flow_motion,
     flow_from_depth_motion,
     warp_batch,
@@ -62,6 +63,7 @@ class NetConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
+        check_integer_fields(self)
         for field in ("width", "height", "first_kernel", "kernel",
                       "refine_factor", "channels", "refine_channels"):
             if min(np.atleast_1d(getattr(self, field)), default=0) < 1:
@@ -212,13 +214,12 @@ class EncoderDecoder:
         motion = None
         if self.motion_head:
             g = ad.global_avg_pool(bottleneck)
-            act = lambda t: ad.activation(t, "leaky_relu")  # noqa: E731
-            g = act(ad.fully_connected(g, self.p["fc0.w"], self.p["fc0.b"]))
-            g = act(ad.fully_connected(g, self.p["fc1.w"], self.p["fc1.b"]))
-            g = ad.fully_connected(g, self.p["fc2.w"], self.p["fc2.b"])
+            for i in range(3):
+                g = ad.fully_connected(g, self.p[f"fc{i}.w"],
+                                       self.p[f"fc{i}.b"], leaky=i < 2)
             r = ad.slice_channels(g, 0, 3)
             t = ad.l2_normalize_rows(ad.slice_channels(g, 3, 6))
-            s = ad.activation(ad.slice_channels(g, 6, 7), "exp")
+            s = ad.exp(ad.slice_channels(g, 6, 7))
             motion = (r, t, s)
         return out, motion
 

@@ -12,26 +12,27 @@ come from a tiny ``baseline_range`` with ``min_parallax=0``, e.g.
 
 Randomness comes from counter-based Philox streams keyed by
 (dataset seed, sample index), so a (seed, config) pair fully determines
-the bytes of the emitted dataset file.
+the bytes of the emitted dataset file. Record i of a dataset is
+``render_pair(generate_scene(seed, config, index=i), config, sample_id=i)``:
+the ground truth is exact, so no pair is filtered out.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import asdict, dataclass
-from typing import Iterator
 
 import numpy as np
 
 from . import container
 from .geometry import (
     CameraMotion,
-    FlowField,
     Intrinsics,
     InverseDepthMap,
+    check_integer_fields,
     flow_from_depth_motion,
     pixel_rays,
     rotation_from_angle_axis,
-    warp_image,
 )
 
 RAY_EPS = 1e-6
@@ -66,6 +67,7 @@ class SynthConfig:
     max_tries: int = 200
 
     def __post_init__(self):
+        check_integer_fields(self)
         for field, ok in (
                 ("texture_octaves", self.texture_octaves >= 1),
                 ("max_tries", self.max_tries >= 1),
@@ -290,7 +292,10 @@ def _surface(hits, scene: SceneSpec, f, *args) -> np.ndarray:
 # --- scene generation --------------------------------------------------------
 
 def _sample_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=(int(seed) << 64) + index))
+    for name, value in (("seed", seed), ("index", index)):
+        if not (isinstance(value, numbers.Integral) and 0 <= value < 2**64):
+            raise ValueError(f"{name}={value!r} is not an integer in [0, 2**64)")
+    return np.random.Generator(np.random.Philox(key=(int(seed) << 64) + int(index)))
 
 
 def _unit(v):
@@ -460,17 +465,6 @@ def _occluded_in_second_view(s1, flow_w, R, t_raw, dirs1, s2):
     return hit & np.isfinite(z2buf) & (z2buf < z2p * (1 - 8e-3) - 1e-6)
 
 
-def photoconsistency_score(pair: SamplePair) -> float:
-    """Mean absolute color difference between img1 and flow-warped img2."""
-    warped, wvalid = warp_image(pair.img2.astype(np.float64),
-                                FlowField(pair.flow.astype(np.float64)))
-    valid = pair.valid_flow.astype(bool) & wvalid
-    if not valid.any():
-        return float("inf")
-    diff = np.abs(pair.img1.astype(np.float64) - warped)
-    return float(diff[valid].mean())
-
-
 # --- dataset I/O -------------------------------------------------------------
 
 # stored dtype of each SamplePair field, in record order; the full-resolution
@@ -507,46 +501,21 @@ def record_to_sample(rec: dict[str, np.ndarray]) -> SamplePair:
 
 
 def generate_dataset(path: str, seed: int, n_samples: int,
-                     config: SynthConfig | None = None,
-                     filter_threshold: float | None = None) -> dict:
-    """Write ``n_samples`` rendered pairs to ``path``; returns statistics.
-    Raises ``GenerationError`` once ``config.max_tries`` pairs in a row fail
-    the filter (a NaN threshold fails every pair)."""
+                     config: SynthConfig | None = None) -> None:
+    """Write the pairs of scene indices 0 .. ``n_samples`` - 1 to ``path``."""
     config = config or SynthConfig()
-    stats = {"accepted": 0, "rejected": 0}
-
-    def records() -> Iterator[dict[str, np.ndarray]]:
-        index = 0
-        in_a_row = 0
-        while stats["accepted"] < n_samples:
-            scene = generate_scene(seed, config, index=index)
-            pair = render_pair(scene, config, sample_id=index)
-            index += 1
-            # keep a pair whose warp disagreement is within the threshold
-            if (filter_threshold is not None
-                    and not photoconsistency_score(pair) <= filter_threshold):
-                stats["rejected"] += 1
-                in_a_row += 1
-                if in_a_row >= config.max_tries:
-                    raise GenerationError(
-                        f"filter threshold {filter_threshold} rejected "
-                        f"{in_a_row} pairs in a row (seed {seed})")
-                continue
-            in_a_row = 0
-            stats["accepted"] += 1
-            yield sample_to_record(pair)
-
+    records = (sample_to_record(render_pair(
+        generate_scene(seed, config, index=i), config, sample_id=i))
+        for i in range(n_samples))
     meta = {
         "kind": "sample-pair-v1",
         "seed": int(seed),
         "n_samples": int(n_samples),
         "prng": PRNG_NAME,
         "prng_key_scheme": "(seed << 64) + sample_index",
-        "filter_threshold": filter_threshold,
         "config": asdict(config),
     }
-    container.write_container(path, records(), n_samples, meta=meta)
-    return stats
+    container.write_container(path, records, n_samples, meta=meta)
 
 
 def load_dataset(path: str) -> tuple[list[SamplePair], dict]:

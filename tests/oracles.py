@@ -12,6 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from tvk.autodiff import Tensor, backward
+from tvk.geometry import warp_batch
+
+LEAKY_SLOPE = 0.1  # the network's leaky ReLU slope, from the paper
 
 
 def quat_from_angle_axis(r):
@@ -94,6 +97,21 @@ def bilinear_sample_scalar(img, x, y):
     ax, ay = x - x0, y - y0
     return ((img[y0, x0] * (1 - ax) + img[y0, x1] * ax) * (1 - ay)
             + (img[y1, x0] * (1 - ax) + img[y1, x1] * ax) * ay)
+
+
+def photoconsistency(pair) -> float:
+    """Mean absolute color difference between a ``SamplePair``'s img1 and
+    its img2 warped by its flow, over the pixels with valid flow whose
+    sample lies inside img2 (inf if there are none): a renderer check, low
+    when the rendered images and flow agree."""
+    warped, inside = warp_batch(
+        pair.img2.astype(np.float64).transpose(2, 0, 1)[None],
+        pair.flow.astype(np.float64).transpose(2, 0, 1)[None])
+    valid = pair.valid_flow.astype(bool) & inside[0]
+    if not valid.any():
+        return float("inf")
+    diff = np.abs(pair.img1.astype(np.float64) - warped[0].transpose(1, 2, 0))
+    return float(diff[valid].mean())
 
 
 @dataclass
@@ -488,6 +506,19 @@ def ransac_essential_loop(x1, x2, threshold=1e-4, max_iters=500, seed=0):
     if best_mask is None or best_count < 8:
         return None
     return eight_point_loop(x1[best_mask], x2[best_mask]), best_mask
+
+
+# --- the leaky ReLU as an op of its own -------------------------------------
+
+def leaky_relu(x: Tensor) -> Tensor:
+    """``where(x > 0, x, 0.1 x)`` as an op of its own: the unfused reference
+    for the ops' ``leaky=True``."""
+    pos = x.data > 0
+    out = np.where(pos, x.data, LEAKY_SLOPE * x.data)
+    if not x.requires_grad:
+        return Tensor(out)
+    return Tensor(out, requires_grad=True, _parents=(x,),
+                  _vjp=lambda g: (np.where(pos, g, LEAKY_SLOPE * g),))
 
 
 # --- finite-difference check of a VJP ----------------------------------------

@@ -6,7 +6,13 @@ import pytest
 from tvk import autodiff as ad
 from tvk.autodiff import Adam, ParameterStore, Tensor, backward
 
-from oracles import conv_direct, conv_dw_direct, gradcheck_vjp, upconv_direct
+from oracles import (
+    conv_direct,
+    conv_dw_direct,
+    gradcheck_vjp,
+    leaky_relu,
+    upconv_direct,
+)
 
 
 RNG = np.random.default_rng
@@ -223,7 +229,8 @@ def _widened(case):
 
 
 class TestFusedLeaky:
-    """conv2d/upconv2d with ``leaky=True`` equal the unfused composition."""
+    """conv2d/upconv2d/fully_connected with ``leaky=True`` equal the op
+    followed by the reference ``oracles.leaky_relu``."""
 
     @staticmethod
     def run(op, x, w, b, g, stride, padding, fused):
@@ -231,13 +238,38 @@ class TestFusedLeaky:
         if op == "conv":
             y = ad.conv2d(xt, wt, bt, stride=stride, padding=padding,
                           leaky=fused)
-        else:
+        elif op == "upconv":
             y = ad.upconv2d(xt, wt, bt, leaky=fused)
+        else:
+            y = ad.fully_connected(xt, wt, bt, leaky=fused)
         if not fused:
-            y = ad.activation(y, "leaky_relu")
+            y = leaky_relu(y)
         if g is not None:
             backward({y: g})
         return y.data, xt.grad, wt.grad, bt.grad
+
+    @classmethod
+    def check_bitwise(cls, op, x, w, dtype, rng, stride=None, padding=None):
+        """Sample 1 of ``x`` is zero, so its pre-activations are the bias,
+        but for the sign of a zero; ``rng`` draws the output gradient."""
+        # +-0.0, +-inf, NaN, and +-the smallest denormal: 0.1 times it
+        # rounds to +-0.0, so its leaky output is +-0.0 while the
+        # pre-activation is not zero
+        tiny = np.finfo(dtype).smallest_subnormal
+        b = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, 0.5],
+                     dtype=dtype)
+        args = (stride, padding)
+        with np.errstate(invalid="ignore"):
+            shape = cls.run(op, x, w, b, None, *args, False)[0].shape
+            g = rng.normal(size=shape).astype(dtype)
+            unfused = cls.run(op, x, w, b, g, *args, False)
+            fused = cls.run(op, x, w, b, g, *args, True)
+        out = unfused[0]
+        assert (out == 0).any() and np.isnan(out).any()
+        assert (np.signbit(out) & (out == 0)).any()  # from -tiny
+        assert np.isposinf(out).any() and np.isneginf(out).any()
+        for label, a, ref in zip(("out", "dx", "dw", "db"), fused, unfused):
+            assert a.dtype == dtype and a.tobytes() == ref.tobytes(), label
 
     @pytest.mark.parametrize("tiled", [False, True], ids=["whole", "tiled"])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32],
@@ -250,38 +282,36 @@ class TestFusedLeaky:
             monkeypatch.setattr(ad, "_TILE_LIMIT", 64)
         rng = RNG(40)
         x = rng.normal(size=xshape).astype(dtype)
-        x[1] = 0.0  # sample 1's pre-activations are the bias, but for
-        # the sign of a zero
+        x[1] = 0.0
         w = rng.normal(size=wshape).astype(dtype)
-        # +-0.0, +-inf, NaN, and +-the smallest denormal: 0.1 times it
-        # rounds to +-0.0, so its leaky output is +-0.0 while the
-        # pre-activation is not zero
-        tiny = np.finfo(dtype).smallest_subnormal
-        b = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, 0.5],
-                     dtype=dtype)
-        args = (stride, padding)
-        with np.errstate(invalid="ignore"):
-            shape = self.run(op, x, w, b, None, *args, False)[0].shape
-            g = rng.normal(size=shape).astype(dtype)
-            unfused = self.run(op, x, w, b, g, *args, False)
-            fused = self.run(op, x, w, b, g, *args, True)
-        out = unfused[0]
-        assert (out == 0).any() and np.isnan(out).any()
-        assert (np.signbit(out) & (out == 0)).any()  # from -tiny
-        assert np.isposinf(out).any() and np.isneginf(out).any()
-        for label, a, ref in zip(("out", "dx", "dw", "db"), fused, unfused):
-            assert a.dtype == dtype and a.tobytes() == ref.tobytes(), label
+        self.check_bitwise(op, x, w, dtype, rng, stride, padding)
 
-    @pytest.mark.parametrize("op", ["conv", "upconv"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32],
+                             ids=["f64", "f32"])
+    def test_fully_connected_bitwise_equal_to_fc_then_activation(self, dtype):
+        rng = RNG(42)
+        x = rng.normal(size=(3, 5)).astype(dtype)
+        x[1] = 0.0
+        w = rng.normal(size=(5, 8)).astype(dtype)
+        self.check_bitwise("fc", x, w, dtype, rng)
+
+    @pytest.mark.parametrize("op", ["conv", "upconv", "fc"])
     def test_gradcheck(self, op):
         rng = RNG(41)
-        x = rng.normal(size=(2, 2, 4, 5))
-        if op == "conv":
+        if op == "fc":
+            x = rng.normal(size=(4, 5))
+            w = rng.normal(size=(5, 3))
+
+            def fn(xt, wt, bt, leaky=True):
+                return ad.fully_connected(xt, wt, bt, leaky=leaky)
+        elif op == "conv":
+            x = rng.normal(size=(2, 2, 4, 5))
             w = rng.normal(size=(3, 2, 3, 3))
 
             def fn(xt, wt, bt, leaky=True):
                 return ad.conv2d(xt, wt, bt, padding=1, leaky=leaky)
         else:
+            x = rng.normal(size=(2, 2, 4, 5))
             w = rng.normal(size=(2, 3, 4, 4))
 
             def fn(xt, wt, bt, leaky=True):
@@ -316,32 +346,29 @@ class TestFullyConnected:
 
 class TestActivations:
     def test_leaky_values(self):
+        # the reference the fused leaky=True paths are compared against
         x = Tensor(np.array([-1.0, 2.0]))
-        out = ad.activation(x, "leaky_relu")
+        out = leaky_relu(x)
         assert np.allclose(out.data, [-0.1, 2.0])
         # 0.1 x for x <= 0 or NaN, else x; compared bit for bit
         special = [-1.0, 2.0, 0.0, -0.0, np.nan, np.inf, -np.inf]
         for dtype in (np.float64, np.float32):
             x = np.array(special, dtype=dtype)
-            out = ad.activation(Tensor(x), "leaky_relu").data
+            out = leaky_relu(Tensor(x)).data
             expected = np.array([-1.0 * dtype(0.1), 2.0, 0.0, -0.0, np.nan,
                                  np.inf, -np.inf], dtype=dtype)
             assert out.dtype == dtype
             assert out.tobytes() == expected.tobytes()
 
     def test_exp_at_zero(self):
-        assert ad.activation(Tensor(np.zeros(3)), "exp").data[0] == 1.0
+        assert ad.exp(Tensor(np.zeros(3))).data[0] == 1.0
 
     @pytest.mark.parametrize("kind", ["leaky_relu", "exp"])
     def test_gradcheck(self, kind):
         rng = RNG(12)
         x = rng.normal(size=(4, 5)) + 0.3  # keep away from the kink
-        err = gradcheck_vjp(lambda t: ad.activation(t, kind), [x], rng)
-        assert err < 1e-4
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            ad.activation(Tensor(np.zeros(2)), "tanh")
+        fn = leaky_relu if kind == "leaky_relu" else ad.exp
+        assert gradcheck_vjp(fn, [x], rng) < 1e-4
 
 
 class TestShapeOps:
@@ -674,7 +701,7 @@ class TestDeterminism:
         x = Tensor(rng.normal(size=(2, 2, 6, 6)))
         for _ in range(20):
             opt.zero_grad()
-            out = ad.activation(ad.conv2d(x, w, b, padding=1), "leaky_relu")
+            out = leaky_relu(ad.conv2d(x, w, b, padding=1))
             backward({out: np.ones_like(out.data)})
             opt.step()
         return w.data.copy(), b.data.copy()

@@ -3,7 +3,7 @@ from dataclasses import fields, is_dataclass, replace
 import numpy as np
 import pytest
 
-from tvk import synthdata
+from tvk import container
 from tvk.geometry import (
     CameraMotion,
     FlowField,
@@ -21,13 +21,12 @@ from tvk.synthdata import (
     generate_dataset,
     generate_scene,
     load_dataset,
-    photoconsistency_score,
     record_to_sample,
     render_pair,
     sample_to_record,
 )
 
-from oracles import normals_from_depth
+from oracles import normals_from_depth, photoconsistency
 
 CFG_SMALL = SynthConfig(include_full=False)
 # small-baseline pairs: a tiny baseline and no parallax requirement
@@ -93,6 +92,32 @@ class TestGenerateScene:
                 * np.linalg.norm(scene.motion_t_raw)
             assert np.mean(pair.xi > xi_bg * (1 + 1e-9)) >= cfg.min_coverage
 
+    @pytest.mark.parametrize("seed, index, name", [
+        (-1, 0, "seed"), (2**64, 0, "seed"), (0, -1, "index"),
+        (0, 2**64, "index"), (1.5, 0, "seed"), (0, 1.5, "index")])
+    def test_seed_and_index_outside_the_key_range_raise(self, seed, index,
+                                                        name):
+        # the Philox key is (seed << 64) + index: index 2**64 of seed s
+        # would be index 0 of seed s + 1, and seed 1.5 was seed 1
+        with pytest.raises(ValueError, match=f"{name}="):
+            generate_scene(seed, CFG_SMALL, index=index)
+
+    def test_scene_constraints_that_no_draw_meets_raise(self):
+        # the background never counts toward the coverage
+        config = replace(CFG_SMALL, min_coverage=1.0, max_tries=2)
+        with pytest.raises(GenerationError, match="in 2 tries"):
+            generate_scene(0, config)
+
+    def test_largest_seed_and_index_generate(self):
+        last = 2**64 - 1
+        scene = generate_scene(last, CFG_SMALL, index=last)
+        assert scene.seed == last and len(scene.primitives) >= 1
+
+    def test_numpy_integers_key_the_same_scene(self):
+        a = generate_scene(np.uint64(4), CFG_SMALL, index=np.int64(2))
+        b = generate_scene(4, CFG_SMALL, index=2)
+        assert a.motion_r.tobytes() == b.motion_r.tobytes()
+
     def test_many_scenes_satisfy_constraints(self):
         # rejection sampling always lands on a valid scene
         for i in range(100):
@@ -114,7 +139,10 @@ class TestGenerateScene:
     ("min_parallax", float("nan"), 0.0), ("min_parallax", float("inf"), 0.0),
     ("forward_bias", float("nan"), 0.0),
     ("background_distance", 1.0, 5.001), ("background_distance", 5.0, 5.001),
-    ("background_distance", float("inf"), 5.001)])
+    ("background_distance", float("inf"), 5.001),
+    ("texture_octaves", 1.5, 1), ("max_tries", 2.5, 2),
+    ("full_factor", 1.5, 1), ("width", 64.0, 64),
+    ("n_primitives", (1.5, 3), (1, 3))])
 def test_config_rejects_a_value_that_fails_late_or_renders_black(field, bad,
                                                                  edge):
     with pytest.raises(ValueError, match=field):
@@ -227,14 +255,14 @@ class TestPhotoconsistency:
         for i in range(5):
             scene = generate_scene(55, CFG_SMALL, index=i)
             pair = render_pair(scene, CFG_SMALL)
-            assert photoconsistency_score(pair) < 0.02
+            assert photoconsistency(pair) < 0.02
 
     def test_corrupted_flow_scores_high(self):
         rng = np.random.default_rng(0)
         scene = generate_scene(56, CFG_SMALL, index=0)
         pair = render_pair(scene, CFG_SMALL)
         pair.flow = rng.uniform(-0.3, 0.3, size=pair.flow.shape)
-        assert photoconsistency_score(pair) > 0.03
+        assert photoconsistency(pair) > 0.03
 
     def test_zero_motion_scores_zero(self):
         cfg = CFG_SMALL_BASELINE
@@ -242,17 +270,18 @@ class TestPhotoconsistency:
         scene.motion_r = np.zeros(3)
         scene.motion_t_raw = np.zeros(3)
         pair = render_pair(scene, cfg)
-        assert photoconsistency_score(pair) == 0.0
+        assert photoconsistency(pair) == 0.0
 
 
 class TestDatasetIO:
     def test_round_trip(self, tmp_path):
         path = str(tmp_path / "ds.tvk")
-        stats = generate_dataset(path, seed=5, n_samples=4, config=CFG_SMALL)
-        assert stats["accepted"] == 4
+        assert generate_dataset(path, seed=5, n_samples=4,
+                                config=CFG_SMALL) is None
         samples, meta = load_dataset(path)
         assert len(samples) == 4
-        assert meta["seed"] == 5
+        assert meta["seed"] == 5 and meta["n_samples"] == 4
+        assert "filter_threshold" not in meta
         assert meta["prng"] == "philox4x64"
         assert samples[0].img1.shape == (CFG_SMALL.height, CFG_SMALL.width, 3)
 
@@ -263,35 +292,24 @@ class TestDatasetIO:
         generate_dataset(p2, seed=9, n_samples=3, config=CFG_SMALL)
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
-    def test_filter_reports_rejections(self, tmp_path):
-        # pair 0 of seed 2 scores 0.00552, above the threshold; pairs 1-3
-        # pass, so the rejected pair is skipped and generation goes on
-        path = str(tmp_path / "f.tvk")
-        stats = generate_dataset(path, 2, 3, SynthConfig(include_full=False),
-                                 filter_threshold=0.0045)
-        assert stats == {"accepted": 3, "rejected": 1}
-        samples, _ = load_dataset(path)
-        assert [s.sample_id for s in samples] == [1, 2, 3]
+    def test_record_i_is_the_pair_of_scene_index_i(self, tmp_path):
+        path = str(tmp_path / "ds.tvk")
+        generate_dataset(path, 3, 4, CFG_SMALL)
+        records, _ = container.read_all(path)
+        assert len(records) == 4
+        for i, record in enumerate(records):
+            expected = sample_to_record(render_pair(
+                generate_scene(3, CFG_SMALL, index=i), CFG_SMALL, sample_id=i))
+            assert list(record) == list(expected)
+            for name, value in expected.items():
+                assert record[name].dtype == value.dtype, name
+                assert record[name].shape == value.shape, name
+                assert record[name].tobytes() == value.tobytes(), name
 
-    @pytest.mark.parametrize("threshold", [0.0045, float("nan")])
-    def test_filter_rejecting_every_pair_raises(self, tmp_path, monkeypatch,
-                                                threshold):
-        # every pair is rejected; a stub that stops after max_tries + 1
-        # scores turns an endless loop into a failure instead of a hang
-        config = SynthConfig(include_full=False, max_tries=3)
-        calls = []
-
-        def reject(pair):
-            calls.append(pair.sample_id)
-            assert len(calls) <= config.max_tries + 1, "no GenerationError"
-            return 1.0
-
-        monkeypatch.setattr(synthdata, "photoconsistency_score", reject)
-        path = tmp_path / "never.tvk"
-        with pytest.raises(GenerationError, match="3 pairs in a row"):
-            generate_dataset(str(path), 0, 1, config,
-                             filter_threshold=threshold)
-        assert calls == [0, 1, 2]
+    def test_seed_outside_the_key_range_raises_and_leaves_no_file(
+            self, tmp_path):
+        with pytest.raises(ValueError, match="seed="):
+            generate_dataset(str(tmp_path / "ds.tvk"), 2**64, 2, CFG_SMALL)
         assert list(tmp_path.iterdir()) == []
 
     def test_record_conversion_preserves_quantized_images(self):

@@ -201,7 +201,12 @@ def test_ablation_toggle_switches_off_its_terms(toggle, off):
     ("weight_decay", float("nan"), 0.0), ("val_fraction", 1.5, 0.0),
     ("grad_loss_start", -3, 0), ("kernel", -1, 1), ("first_kernel", -3, 1),
     ("channels", (), (16,)), ("refine_channels", (), (8,)),
-    ("refine_factor", 0, 1), ("width", 0, 16)])
+    ("refine_factor", 0, 1), ("width", 0, 16),
+    ("seed", 1.5, 1), ("batch_size", 2.5, 2), ("phase1_steps", 1.5, 1),
+    ("replay_passes", 1.5, 1), ("log_every", 1.0, 1),
+    ("grad_loss_start", 0.5, 0), ("iterations", 1.5, 1),
+    ("channels", (16.5, 32), (16, 32)), ("kernel", 3.0, 3),
+    ("width", "64", 64)])
 def test_train_config_rejects_a_value_that_fails_late_or_does_nothing(
         field, bad, edge):
     config = TrainConfig if field in TrainConfig.__dataclass_fields__ \

@@ -8,9 +8,10 @@ Two trees that print the same lines give bitwise the same outputs for:
 
 * ``dataset``: the seed-7, 12-pair dataset file of the default
   ``SynthConfig``;
-* ``dataset records``: that file's contents as read back: each record's
-  field names, dtypes, shapes and bytes, plus the meta JSON. A change to the
-  header's bytes alone changes ``dataset`` but not this line;
+* ``dataset records``: that file's records as read back: each record's
+  field names, dtypes, shapes and bytes. A change to the header alone (its
+  bytes or its meta) changes ``dataset`` but not this line;
+* ``dataset meta``: that file's meta JSON as read back, with sorted keys;
 * ``predict <dtype> b<batch>``: every iteration's ``Prediction`` fields
   (plus ``refined_xi``) of ``predict`` with 3 iterations and refinement of
   ``TwoViewNet(NetConfig(dtype=dtype), seed=3)`` on the first 8 pairs, at
@@ -67,13 +68,14 @@ def file_digest(path: str) -> str:
         return digest([f.read()])
 
 
-def records_digest(path: str) -> str:
+def dataset_digests(path: str) -> tuple[str, str]:
+    """(records digest, meta digest) of a TVK1 file."""
     records, meta = container.read_all(path)
-    chunks = [json.dumps(meta, sort_keys=True).encode()]
+    chunks = []
     for record in records:
         for name, arr in record.items():
             chunks += [f"{name} {arr.dtype} {arr.shape}".encode(), arr]
-    return digest(chunks)
+    return digest(chunks), digest([json.dumps(meta, sort_keys=True).encode()])
 
 
 def predict_digest(samples, K, dtype: str, batch: int) -> str:
@@ -121,7 +123,8 @@ def main() -> None:
         synthdata.generate_dataset(data, DATA_SEED, DATA_PAIRS,
                                    synthdata.SynthConfig())
         print("dataset", file_digest(data))
-        print("dataset records", records_digest(data))
+        for part, value in zip(("records", "meta"), dataset_digests(data)):
+            print("dataset", part, value)
         samples, meta = synthdata.load_dataset(data)
         K = training.intrinsics_from_meta(meta)
         for dtype in ("float32", "float64"):
