@@ -45,11 +45,14 @@ class DegenerateMotionError(ValueError):
     """Raised when an operation requires translation but the motion has none."""
 
 
-def check_integer_fields(obj) -> None:
+def check_field_types(obj) -> None:
     """Raise ``ValueError`` naming the first field of the dataclass ``obj``
-    annotated ``int`` or ``tuple[int, ...]`` that holds any other value."""
+    annotated ``int`` or ``tuple[int, ...]`` that holds a non-integer, or
+    annotated ``bool`` that holds anything but a bool."""
     for f in fields(obj):
         value = getattr(obj, f.name)
+        if f.type == "bool" and not isinstance(value, (bool, np.bool_)):
+            raise ValueError(f"{f.name}={value!r} is not a bool")
         if f.type.startswith(("int", "tuple[int")) and not all(
                 isinstance(v, numbers.Integral) for v in np.ravel(value)):
             raise ValueError(f"{f.name}={value!r} is not an integer")
@@ -67,7 +70,7 @@ class Intrinsics:
     height: int
 
     def __post_init__(self):
-        check_integer_fields(self)
+        check_field_types(self)
         if not (self.fx > 0 and self.fy > 0):
             raise ValueError("focal lengths must be positive")
         if not (0 < self.cx < 1 and 0 < self.cy < 1):

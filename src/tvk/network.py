@@ -39,7 +39,7 @@ from .geometry import (
     FlowField,
     Intrinsics,
     InverseDepthMap,
-    check_integer_fields,
+    check_field_types,
     depth_from_flow_motion,
     flow_from_depth_motion,
     warp_batch,
@@ -63,7 +63,7 @@ class NetConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
-        check_integer_fields(self)
+        check_field_types(self)
         for field in ("width", "height", "first_kernel", "kernel",
                       "refine_factor", "channels", "refine_channels"):
             if min(np.atleast_1d(getattr(self, field)), default=0) < 1:

@@ -4,7 +4,10 @@ Scenes are random collections of textured planes, boxes and spheres in
 front of a background plane of unbounded extent (a plane whose half
 extents are infinite). Both views are rendered by casting rays against
 the analytic primitives, which yields exact depth, normals and (through
-the geometry module) optical flow. Translations are normalized to unit
+the geometry module) optical flow. Each cast is textured in one pass:
+every hit point gets its primitive's multi-octave value noise, whose 8
+lattice corners share 2 hash products per axis, bitwise equal to coloring
+each primitive's points on their own. Translations are normalized to unit
 length with depths rescaled accordingly, so the stored inverse depth
 lives in the |t| = 1 frame used everywhere else. Small-baseline pairs
 come from a tiny ``baseline_range`` with ``min_parallax=0``, e.g.
@@ -29,7 +32,7 @@ from .geometry import (
     CameraMotion,
     Intrinsics,
     InverseDepthMap,
-    check_integer_fields,
+    check_field_types,
     flow_from_depth_motion,
     pixel_rays,
     rotation_from_angle_axis,
@@ -67,7 +70,7 @@ class SynthConfig:
     max_tries: int = 200
 
     def __post_init__(self):
-        check_integer_fields(self)
+        check_field_types(self)
         for field, ok in (
                 ("texture_octaves", self.texture_octaves >= 1),
                 ("max_tries", self.max_tries >= 1),
@@ -144,48 +147,67 @@ _MIX2 = np.uint64(0xC2B2AE3D27D4EB4F)
 _MIX3 = np.uint64(0x165667B19E3779F9)
 
 
-def _hash_u64(ix, iy, iz, seed):
-    with np.errstate(over="ignore"):
-        h = (ix.astype(np.uint64) * _MIX1
-             ^ iy.astype(np.uint64) * _MIX2
-             ^ iz.astype(np.uint64) * _MIX3) + np.uint64(seed)
-        # splitmix64 finalizer
-        h = (h ^ (h >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        h = (h ^ (h >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        h = h ^ (h >> np.uint64(31))
-    return (h >> np.uint64(11)).astype(np.float64) / float(1 << 53)
+# points per block of the texture pass: the noise's temporaries of one
+# block stay in cache, while one pass over a full-resolution view does not
+_TEXTURE_BLOCK = 4096
 
 
-def _value_noise(p: np.ndarray, seed: int) -> np.ndarray:
-    """Single-octave trilinear value noise at points (..., 3), in [0, 1)."""
+def _hash_u64(hx, hy, hz, seed):
+    """Uniform [0, 1) from the per-axis lattice products and the seed."""
+    h = hx ^ hy ^ hz
+    h += seed
+    # splitmix64 finalizer
+    h ^= h >> np.uint64(30)
+    h *= np.uint64(0xBF58476D1CE4E5B9)
+    h ^= h >> np.uint64(27)
+    h *= np.uint64(0x94D049BB133111EB)
+    h ^= h >> np.uint64(31)
+    h >>= np.uint64(11)
+    return h.astype(np.float64) / float(1 << 53)
+
+
+def _value_noise(p: np.ndarray, seed: np.ndarray) -> np.ndarray:
+    """Trilinear value noise in [0, 1) at points (N, 3), one uint64 seed each."""
     i = np.floor(p).astype(np.int64)
     f = p - i
     f = f * f * (3.0 - 2.0 * f)  # smoothstep fade
-    out = np.zeros(p.shape[:-1])
-    for dx in (0, 1):
-        for dy in (0, 1):
-            for dz in (0, 1):
-                v = _hash_u64(i[..., 0] + dx, i[..., 1] + dy, i[..., 2] + dz,
-                              seed)
-                wgt = ((f[..., 0] if dx else 1 - f[..., 0])
-                       * (f[..., 1] if dy else 1 - f[..., 1])
-                       * (f[..., 2] if dz else 1 - f[..., 2]))
-                out += v * wgt
+    # per axis, the (2, N) lattice products and weights of offsets 0 and 1,
+    # broadcast to the 8 corners as (dx, dy, dz, N)
+    hx, hy, hz = ((i[:, a] + np.arange(2)[:, None]).astype(np.uint64) * mix
+                  for a, mix in enumerate((_MIX1, _MIX2, _MIX3)))
+    wx, wy, wz = (np.stack([1 - f[:, a], f[:, a]]) for a in range(3))
+    corners = (_hash_u64(hx[:, None, None], hy[:, None], hz, seed)
+               * (wx[:, None, None] * wy[:, None] * wz))
+    out = np.zeros(len(p))
+    for c in corners.reshape(8, -1):  # in (dx, dy, dz) order
+        out += c
     return out
 
 
-def _texture(points: np.ndarray, prim: Primitive, octaves: int) -> np.ndarray:
-    """Multi-octave noise color in [0, 1] for surface points (..., 3)."""
-    p = (points - prim.center) * prim.tex_scale
-    acc = np.zeros(points.shape[:-1])
-    amp = 1.0
-    total = 0.0
-    for o in range(octaves):
-        acc += amp * _value_noise(p * (2.0 ** o), prim.tex_seed + o)
-        total += amp
-        amp *= 0.5
-    tval = (acc / total)[..., None]
-    return np.clip(prim.color_a + (prim.color_b - prim.color_a) * tval, 0.0, 1.0)
+def _texture(hits, scene: SceneSpec, octaves: int) -> np.ndarray:
+    """Multi-octave noise color in [0, 1] at the hit points of a ``_cast``
+    result, each in its primitive's texture frame; 0 on a miss."""
+    _, idx, points = hits
+    prims = [*scene.primitives, scene.background]
+    center, scale, color_a, color_b = (
+        np.array([getattr(q, name) for q in prims], dtype=np.float64)
+        for name in ("center", "tex_scale", "color_a", "color_b"))
+    seed = np.array([q.tex_seed for q in prims], dtype=np.uint64)
+    k_all, p_all = idx.reshape(-1), points.reshape(-1, 3)
+    out = np.empty(p_all.shape)
+    for start in range(0, len(k_all), _TEXTURE_BLOCK):
+        k = k_all[start:start + _TEXTURE_BLOCK]
+        p = (p_all[start:start + _TEXTURE_BLOCK] - center[k]) * scale[k, None]
+        acc, amp, total = np.zeros(len(k)), 1.0, 0.0
+        for o in range(octaves):
+            acc += amp * _value_noise(p * (2.0 ** o), seed[k] + np.uint64(o))
+            total += amp
+            amp *= 0.5
+        tval = (acc / total)[:, None]
+        out[start:start + _TEXTURE_BLOCK] = np.clip(
+            color_a[k] + (color_b[k] - color_a[k]) * tval, 0.0, 1.0)
+    out[k_all < 0] = 0.0  # a miss (index -1) was colored as the background
+    return out.reshape(points.shape)
 
 
 # --- ray casting -------------------------------------------------------------
@@ -275,18 +297,6 @@ def _cast(origin: np.ndarray, dirs: np.ndarray, scene: SceneSpec):
         best_idx[closer] = k
     p = origin + dirs * np.where(np.isfinite(best), best, 0.0)[..., None]
     return best, best_idx, p
-
-
-def _surface(hits, scene: SceneSpec, f, *args) -> np.ndarray:
-    """``f(points, prim, *args)`` at the hit points of each primitive of a
-    ``_cast`` result, 0 on a miss."""
-    _, idx, p = hits
-    out = np.zeros(p.shape)
-    for k, prim in enumerate([*scene.primitives, scene.background]):
-        sel = idx == k
-        if sel.any():
-            out[sel] = f(p[sel], prim, *args)
-    return out
 
 
 # --- scene generation --------------------------------------------------------
@@ -402,8 +412,10 @@ def render_pair(scene: SceneSpec, config: SynthConfig,
     xi = np.where(hit1, 1.0 / np.where(hit1, s1, 1.0), 0.0)
 
     # orient normals toward the camera
-    norm1 = _surface(hits1, scene,
-                     lambda p, prim: _KINDS[prim.kind][1](p, prim))
+    norm1 = np.zeros(dirs1.shape)
+    for k, prim in enumerate([*scene.primitives, scene.background]):
+        sel = hits1[1] == k
+        norm1[sel] = _KINDS[prim.kind][1](hits1[2][sel], prim)
     flip = np.einsum("hwk,hwk->hw", norm1, dirs1) > 0
     norm1[flip] = -norm1[flip]
     norm1[~hit1] = (0, 0, -1.0)
@@ -417,7 +429,7 @@ def render_pair(scene: SceneSpec, config: SynthConfig,
                        scene)
         hit1f = np.isfinite(hits1f[0])
         xi_full = np.where(hit1f, 1.0 / np.where(hit1f, hits1f[0], 1.0), 0.0)
-        img1_full = _surface(hits1f, scene, _texture, octaves)
+        img1_full = _texture(hits1f, scene, octaves)
 
     # normalize the scale: |t| = 1, inverse depths multiplied by |t_raw|
     if zero_baseline:
@@ -437,8 +449,8 @@ def render_pair(scene: SceneSpec, config: SynthConfig,
         flow_valid = flow_valid & ~_occluded_in_second_view(
             s1, flow.w, R, t_raw, dirs1, hits2[0])
     return SamplePair(
-        img1=_surface(hits1, scene, _texture, octaves),
-        img2=_surface(hits2, scene, _texture, octaves),
+        img1=_texture(hits1, scene, octaves),
+        img2=_texture(hits2, scene, octaves),
         xi=xi,
         normals=norm1,
         flow=flow.w,

@@ -82,7 +82,7 @@ import numpy as np
 
 from . import container
 from .autodiff import Adam, backward, immutable
-from .geometry import Intrinsics, check_integer_fields
+from .geometry import Intrinsics, check_field_types
 from .losses import DEFAULT_SPACINGS, LossWeights, total_loss
 from .metrics import (
     endpoint_error,
@@ -120,7 +120,7 @@ class TrainConfig:
     use_confidence: bool = True
 
     def __post_init__(self):
-        check_integer_fields(self)
+        check_field_types(self)
         for field, ok in (
                 # Philox keys lie in [0, 2**128); _batches uses seed << 32
                 ("seed", 0 <= self.seed < 2**96),

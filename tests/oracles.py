@@ -7,6 +7,7 @@ second route.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,6 +113,57 @@ def photoconsistency(pair) -> float:
         return float("inf")
     diff = np.abs(pair.img1.astype(np.float64) - warped[0].transpose(1, 2, 0))
     return float(diff[valid].mean())
+
+
+_U64 = (1 << 64) - 1
+
+
+def _splitmix64_unit(ix, iy, iz, seed):
+    """Lattice hash of the value noise, in [0, 1): each integer coordinate
+    times its odd constant, the three XORed, plus the seed, then the
+    splitmix64 finalizer; Python ints masked to 64 bits throughout."""
+    h = ((ix * 0x9E3779B185EBCA87) ^ (iy * 0xC2B2AE3D27D4EB4F)
+         ^ (iz * 0x165667B19E3779F9)) & _U64
+    h = (h + seed) & _U64
+    h = ((h ^ (h >> 30)) * 0xBF58476D1CE4E5B9) & _U64
+    h = ((h ^ (h >> 27)) * 0x94D049BB133111EB) & _U64
+    h ^= h >> 31
+    return (h >> 11) / (1 << 53)
+
+
+def texture_reference(point, prim, octaves: int) -> np.ndarray:
+    """Color of one surface point of a ``Primitive``, one scalar at a time.
+
+    The point goes to the texture frame ``(point - center) * tex_scale``.
+    Octave o (amplitude 2**-o) samples trilinear value noise at that point
+    times 2**o with hash seed ``tex_seed + o``: the 8 lattice corners' hashes
+    weighted by the smoothstep-faded fractional part. The amplitude-weighted
+    mean t of the octaves blends ``color_a + (color_b - color_a) * t``,
+    clipped to [0, 1]."""
+    q = [(float(point[a]) - float(prim.center[a])) * float(prim.tex_scale)
+         for a in range(3)]
+    acc = total = 0.0
+    amp = 1.0
+    for o in range(octaves):
+        x = [c * 2.0 ** o for c in q]
+        i = [math.floor(c) for c in x]
+        f = [c - n for c, n in zip(x, i)]
+        f = [c * c * (3.0 - 2.0 * c) for c in f]
+        noise = 0.0
+        for dx in (0, 1):
+            for dy in (0, 1):
+                for dz in (0, 1):
+                    weight = ((f[0] if dx else 1 - f[0])
+                              * (f[1] if dy else 1 - f[1])
+                              * (f[2] if dz else 1 - f[2]))
+                    noise += weight * _splitmix64_unit(
+                        i[0] + dx, i[1] + dy, i[2] + dz, prim.tex_seed + o)
+        acc += amp * noise
+        total += amp
+        amp *= 0.5
+    t = acc / total
+    return np.array([min(max(a + (b - a) * t, 0.0), 1.0)
+                     for a, b in zip(prim.color_a, prim.color_b)])
 
 
 @dataclass

@@ -25,8 +25,9 @@ from tvk.synthdata import (
     render_pair,
     sample_to_record,
 )
+from tvk.synthdata import _cast
 
-from oracles import normals_from_depth, photoconsistency
+from oracles import normals_from_depth, photoconsistency, texture_reference
 
 CFG_SMALL = SynthConfig(include_full=False)
 # small-baseline pairs: a tiny baseline and no parallax requirement
@@ -142,7 +143,8 @@ class TestGenerateScene:
     ("background_distance", float("inf"), 5.001),
     ("texture_octaves", 1.5, 1), ("max_tries", 2.5, 2),
     ("full_factor", 1.5, 1), ("width", 64.0, 64),
-    ("n_primitives", (1.5, 3), (1, 3))])
+    ("n_primitives", (1.5, 3), (1, 3)), ("include_full", "no", False),
+    ("include_full", 1, np.bool_(True))])
 def test_config_rejects_a_value_that_fails_late_or_renders_black(field, bad,
                                                                  edge):
     with pytest.raises(ValueError, match=field):
@@ -248,6 +250,65 @@ class TestRenderPair:
         pair = render_pair(scene, cfg)
         assert pair.img1_full.shape == (cfg.height * 4, cfg.width * 4, 3)
         assert pair.xi_full.shape == (cfg.height * 4, cfg.width * 4)
+
+
+class TestTexture:
+    """``render_pair``'s images against ``texture_reference``, one scalar
+    value-noise color per sampled pixel, at the hit points of each view's
+    cast (0 where the ray misses)."""
+
+    def compare(self, scene, cfg, n_per_view=70):
+        pair = render_pair(scene, cfg)
+        K = cfg.intrinsics()
+        R = rotation_from_angle_axis(scene.motion_r)
+        views = ((pair.img1, np.zeros(3), pixel_rays(K)),
+                 (pair.img2, -R.T @ scene.motion_t_raw, pixel_rays(K) @ R),
+                 (pair.img1_full, np.zeros(3),
+                  pixel_rays(K.scaled(cfg.full_factor))))
+        prims = [*scene.primitives, scene.background]
+        rng = np.random.default_rng(0)
+        got, want, missed = [], [], 0
+        for img, origin, dirs in views:
+            _, idx, points = _cast(origin, dirs, scene)
+            H, W = idx.shape
+            for flat in rng.choice(H * W, n_per_view, replace=False):
+                r, c = divmod(int(flat), W)
+                got.append(img[r, c])
+                if idx[r, c] < 0:
+                    missed += 1
+                    want.append(np.zeros(3))
+                else:
+                    want.append(texture_reference(
+                        points[r, c], prims[idx[r, c]], cfg.texture_octaves))
+        got, want = np.array(got), np.array(want)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        # and bitwise equal: the vectorized pass does the same float and
+        # uint64 operations in the same order as the scalar reference
+        assert np.array_equal(got, want)
+        return missed
+
+    def test_three_octaves_match_the_scalar_reference(self):
+        cfg = SynthConfig(texture_octaves=3)
+        assert self.compare(generate_scene(11, cfg, index=0), cfg) == 0
+
+    def test_missed_rays_read_zero(self):
+        def prim(kind, center, size, seed):
+            return Primitive(
+                kind=kind, center=np.array(center), rotation=np.full(3, 0.3),
+                size=np.array(size), color_a=np.array([0.1, 0.5, 0.9]),
+                color_b=np.array([0.9, 0.2, 0.4]), tex_seed=seed,
+                tex_scale=1.7)
+
+        # a background of finite extent: rays past its edges hit nothing
+        background = prim("plane", [0.0, 0.0, 8.0], [4.0, 3.0, np.inf], 2**62)
+        background.rotation = np.zeros(3)
+        scene = SceneSpec(
+            seed=0, primitives=[prim("sphere", [0.3, 0.0, 3.0], [0.8] * 3, 1),
+                                prim("box", [-0.6, 0.2, 4.0], [0.5] * 3, 2),
+                                prim("plane", [0.0, -0.5, 3.5], [1, 0.4, 0], 3)],
+            background=background, motion_r=np.array([0.0, 0.05, 0.0]),
+            motion_t_raw=np.array([0.2, 0.0, 0.05]))
+        assert self.compare(scene, SynthConfig()) > 20
 
 
 class TestPhotoconsistency:

@@ -206,7 +206,9 @@ def test_ablation_toggle_switches_off_its_terms(toggle, off):
     ("replay_passes", 1.5, 1), ("log_every", 1.0, 1),
     ("grad_loss_start", 0.5, 0), ("iterations", 1.5, 1),
     ("channels", (16.5, 32), (16, 32)), ("kernel", 3.0, 3),
-    ("width", "64", 64)])
+    ("width", "64", 64), ("use_normals", "no", False),
+    ("use_grad_loss", 1, np.bool_(True)), ("single_image", 0.0, False),
+    ("use_flow_confidence_input", None, np.bool_(True))])
 def test_train_config_rejects_a_value_that_fails_late_or_does_nothing(
         field, bad, edge):
     config = TrainConfig if field in TrainConfig.__dataclass_fields__ \

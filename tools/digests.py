@@ -12,6 +12,8 @@ Two trees that print the same lines give bitwise the same outputs for:
   field names, dtypes, shapes and bytes. A change to the header alone (its
   bytes or its meta) changes ``dataset`` but not this line;
 * ``dataset meta``: that file's meta JSON as read back, with sorted keys;
+* ``render octaves=3 include_full=False``: every field of ``render_pair``
+  on scene indices 0-3 of seed 7 at those non-default settings, unquantized;
 * ``predict <dtype> b<batch>``: every iteration's ``Prediction`` fields
   (plus ``refined_xi``) of ``predict`` with 3 iterations and refinement of
   ``TwoViewNet(NetConfig(dtype=dtype), seed=3)`` on the first 8 pairs, at
@@ -35,6 +37,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import fields
 
 import numpy as np
 
@@ -47,6 +50,7 @@ from tvk.network import NetConfig, TwoViewNet  # noqa: E402
 
 DATA_SEED = 7
 DATA_PAIRS = 12
+RENDER_PAIRS = 4
 PREDICT_PAIRS = 8
 MODEL_SEED = 3
 CLASSICAL_SEEDS = range(20)
@@ -76,6 +80,19 @@ def dataset_digests(path: str) -> tuple[str, str]:
         for name, arr in record.items():
             chunks += [f"{name} {arr.dtype} {arr.shape}".encode(), arr]
     return digest(chunks), digest([json.dumps(meta, sort_keys=True).encode()])
+
+
+def render_digest() -> str:
+    config = synthdata.SynthConfig(texture_octaves=3, include_full=False)
+    chunks = []
+    for i in range(RENDER_PAIRS):
+        pair = synthdata.render_pair(
+            synthdata.generate_scene(DATA_SEED, config, index=i), config, i)
+        for f in fields(pair):
+            value = getattr(pair, f.name)
+            if value is not None:
+                chunks += [f.name.encode(), np.asarray(value)]
+    return digest(chunks)
 
 
 def predict_digest(samples, K, dtype: str, batch: int) -> str:
@@ -125,6 +142,7 @@ def main() -> None:
         print("dataset", file_digest(data))
         for part, value in zip(("records", "meta"), dataset_digests(data)):
             print("dataset", part, value)
+        print("render octaves=3 include_full=False", render_digest())
         samples, meta = synthdata.load_dataset(data)
         K = training.intrinsics_from_meta(meta)
         for dtype in ("float32", "float64"):
