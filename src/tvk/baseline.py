@@ -15,7 +15,12 @@ capped residuals) must check that argument again. Matches are
 triangulated by ``geometry.triangulate``, for the cheirality vote and the
 refinement's start; dense depth by triangulating a flow field with a known
 motion is ``geometry.depth_from_flow_motion``, which uses the same
-triangulation.
+triangulation. The LM step uses the problem's structure (Triggs et al.,
+2000): only the image-2 Jacobian rows vary, U and the camera gradient are
+one GEMM each over them, the damped 3x3 point blocks are inverted in
+closed form, and the Schur complement is GEMMs over (5, 3N) reshapes of
+W V^-1 and W. Its sums run in another order than the dense per-point
+reference in ``tests/oracles.py``; motions agree with it within 1e-8.
 Serves as the comparison baseline for the learned model, and as an oracle
 when fed ground-truth flow and motion.
 
@@ -239,13 +244,12 @@ def decompose_essential(E: np.ndarray, corr: Correspondences) -> CameraMotion:
 
 
 def _tangent_basis(t: np.ndarray) -> np.ndarray:
-    """Orthonormal (3, 2) basis of the plane perpendicular to unit t."""
-    a = np.array([1.0, 0.0, 0.0])
-    if abs(t[0]) > 0.9:
-        a = np.array([0.0, 1.0, 0.0])
-    b1 = np.cross(t, a)
+    """Orthonormal (3, 2) basis of the plane perpendicular to unit t: b1 =
+    t x e_x (t x e_y when t is near e_x), normalized, and b2 = t x b1."""
+    b1 = (np.array([-t[2], 0.0, t[0]]) if abs(t[0]) > 0.9
+          else np.array([0.0, t[2], -t[1]]))
     b1 /= np.linalg.norm(b1)
-    b2 = np.cross(t, b1)
+    b2 = t[[1, 2, 0]] * b1[[2, 0, 1]] - t[[2, 0, 1]] * b1[[1, 2, 0]]
     return np.stack([b1, b2], axis=1)
 
 
@@ -275,41 +279,47 @@ def _ba_residuals(R, t, a, xi, x1, x2):
     return res, Q
 
 
-def _ba_jacobian_blocks(R, t, a, xi, Q, B):
-    """Per-point Jacobian blocks for the two-frame adjustment.
+def _ba_jacobian(R, t, xi, Q, B):
+    """Image-2 rows of the two-frame adjustment's Jacobian, (N, 2, 8), as a
+    view of an (8, 2, N) array. Columns: rotation update (3), translation
+    tangent (2), then the point's a_x, a_y and xi; each is d(u, v)/dQ =
+    [[1, 0, -u], [0, 1, -v]] / z times dQ: dr x RP for a rotation update
+    dr, B, R[:, :2] / xi and -RP / xi. The image-1 rows are 0 over the
+    camera and [I 0] over the point."""
+    q = Q.T.copy()
+    iz = 1.0 / q[2]
+    uv = q[:2] * iz
+    RP = q - t[:, None]
+    s0, s1, s2 = RP
+    J = np.empty((8, 2, Q.shape[0]))
+    J[0, 0] = -iz * uv[0] * s1
+    J[0, 1] = -iz * (s2 + uv[1] * s1)
+    J[1, 0] = iz * (s2 + uv[0] * s0)
+    J[1, 1] = iz * uv[1] * s0
+    J[2, 0] = -iz * s1
+    J[2, 1] = iz * s0
+    J[3:5] = iz * (B[:2].T[:, :, None] - B[2][:, None, None] * uv)
+    w = iz / xi
+    J[5:7] = w * (R[:2, :2].T[:, :, None] - R[2, :2][:, None, None] * uv)
+    J[7] = -w * (RP[:2] - uv * s2)
+    return J.transpose(2, 1, 0)
 
-    Returns (Jc, Jp): camera block (N, 4, 5) over (rotation update 3,
-    translation tangent 2) and point block (N, 4, 3) over (a_x, a_y, xi).
-    """
-    n = a.shape[0]
-    inv_z = 1.0 / Q[:, 2]
-    A = np.zeros((n, 2, 3))
-    A[:, 0, 0] = inv_z
-    A[:, 1, 1] = inv_z
-    A[:, 0, 2] = -Q[:, 0] * inv_z ** 2
-    A[:, 1, 2] = -Q[:, 1] * inv_z ** 2
-    RP = Q - t  # R @ P
-    skew = np.zeros((n, 3, 3))
-    skew[:, 0, 1] = -RP[:, 2]
-    skew[:, 0, 2] = RP[:, 1]
-    skew[:, 1, 0] = RP[:, 2]
-    skew[:, 1, 2] = -RP[:, 0]
-    skew[:, 2, 0] = -RP[:, 1]
-    skew[:, 2, 1] = RP[:, 0]
 
-    Jc = np.zeros((n, 4, 5))
-    Jc[:, 2:4, 0:3] = -np.matmul(A, skew)
-    Jc[:, 2:4, 3:5] = np.matmul(A, B)
-
-    Jp = np.zeros((n, 4, 3))
-    Jp[:, 0, 0] = 1.0
-    Jp[:, 1, 1] = 1.0
-    # dQ/da = R[:, :2] / xi ; dQ/dxi = -R (a,1)^T / xi^2 = -RP / xi
-    dQ_da = R[None, :, :2] / xi[:, None, None]
-    dQ_dxi = -RP / xi[:, None]
-    Jp[:, 2:4, 0:2] = np.matmul(A, dQ_da)
-    Jp[:, 2:4, 2] = np.einsum("nij,nj->ni", A, dQ_dxi)
-    return Jc, Jp
+def _sym3_inverse(M):
+    """Inverses of symmetric 3x3 blocks stored as (3, 3, N), by adjugate
+    over determinant; None when a determinant is zero or not finite."""
+    a, b, c, d, e, f = M[0, 0], M[0, 1], M[0, 2], M[1, 1], M[1, 2], M[2, 2]
+    adj = np.empty_like(M)
+    adj[0, 0] = d * f - e * e
+    adj[0, 1] = adj[1, 0] = c * e - b * f
+    adj[0, 2] = adj[2, 0] = b * e - c * d
+    adj[1, 1] = a * f - c * c
+    adj[1, 2] = adj[2, 1] = b * c - a * e
+    adj[2, 2] = a * d - b * b
+    det = a * adj[0, 0] + b * adj[0, 1] + c * adj[0, 2]
+    if not np.all(np.isfinite(det) & (det != 0.0)):
+        return None
+    return adj / det
 
 
 def refine_motion(motion: CameraMotion, corr: Correspondences,
@@ -322,8 +332,9 @@ def refine_motion(motion: CameraMotion, corr: Correspondences,
     error in both images is minimized. The per-point blocks are
     eliminated by a Schur complement, so each step solves a 5x5 system.
     The translation stays unit norm via 2D tangent-plane updates. Stops
-    on gradient norm < 1e-10, step norm < 1e-12 or the iteration cap; if
-    no improving step exists the input is returned with ``no_progress``.
+    when no gradient component exceeds 1e-10 in magnitude, on step norm
+    < 1e-12 or at the iteration cap; if no improving step exists the input
+    is returned with ``no_progress``.
     Matches that triangulate behind either camera under the starting
     motion are left out: their inverse depth has no valid start, and a
     few of them can dominate the cost and pull the motion away.
@@ -340,67 +351,62 @@ def refine_motion(motion: CameraMotion, corr: Correspondences,
         raise EstimationError(
             f"refinement needs at least 8 matches in front of both cameras, "
             f"got {int(front.sum())} of {n}")
-    x1 = active.x1[front]
-    x2 = active.x2[front]
+    x1, x2 = active.x1[front], active.x2[front]
     a = x1.copy()
     xi = 1.0 / np.clip(z1[front], 1e-6, None)
 
     res, Q = _ba_residuals(R, t, a, xi, x1, x2)
-    cost = float(np.sum(res ** 2))
-    initial_cost = cost
+    cost = initial_cost = float(np.sum(res ** 2))
     lam = 1e-6
-    accepted_any = False
-    stalled = False
+    accepted_any = stalled = False
     iters = 0
     for iters in range(1, max_iters + 1):
         B = _tangent_basis(t)
-        Jc, Jp = _ba_jacobian_blocks(R, t, a, xi, Q, B)
-        # normal-equation blocks: U (5x5), V_k (3x3), W_k (5x3)
-        U = np.einsum("nri,nrj->ij", Jc, Jc)
-        V = np.einsum("nri,nrj->nij", Jp, Jp)
-        W = np.einsum("nri,nrj->nij", Jc, Jp)
-        gc = np.einsum("nri,nr->i", Jc, res)
-        gp = np.einsum("nri,nr->ni", Jp, res)
+        # (column, row, point) layout: every product below runs over N
+        J = _ba_jacobian(R, t, xi, Q, B).transpose(2, 1, 0)
+        Jc, Jp, r = J[:5], J[5:], res.T.copy()
+        # normal-equation blocks U (5x5), V_k (3x3), W_k (5x3) and the
+        # gradient; the image-1 rows add diag(1, 1, 0) to V_k and res1 to gp
+        U = Jc.reshape(5, -1) @ Jc.reshape(5, -1).T
+        gc = Jc.reshape(5, -1) @ r[2:].reshape(-1)
+        V = (Jp[:, None] * Jp[None]).sum(2)
+        V[[0, 1], [0, 1]] += 1.0
+        W = (Jc[:, None] * Jp[None]).sum(2).reshape(5, -1)
+        gp = (Jp * r[2:]).sum(1)
+        gp[:2] += r[:2]
         if max(np.abs(gc).max(), np.abs(gp).max()) < 1e-10:
             break
-        improved = False
-        tiny_step = False
+        improved = tiny_step = False
         for _ in range(25):
             Ud = U + lam * np.diag(np.diag(U) + 1e-12)
-            Vd = V + lam * (V * np.eye(3) + 1e-12 * np.eye(3))
-            try:
-                Vinv = np.linalg.inv(Vd)
-            except np.linalg.LinAlgError:
+            Vinv = _sym3_inverse(V + lam * (V + 1e-12) * np.eye(3)[:, :, None])
+            if Vinv is None:
                 lam *= 4.0
                 continue
-            WVinv = np.matmul(W, Vinv)
-            S = Ud - np.einsum("nij,nkj->ik", WVinv, W)
-            rhs = -(gc - np.einsum("nij,nj->i", WVinv, gp))
+            WVinv = (W.reshape(5, 3, 1, -1) * Vinv).sum(1).reshape(5, -1)
+            S = Ud - WVinv @ W.T
+            rhs = WVinv @ gp.reshape(-1) - gc
             try:
                 dc = np.linalg.solve(S, rhs)
             except np.linalg.LinAlgError:
                 lam *= 4.0
                 continue
-            dp = -np.einsum("nij,nj->ni", Vinv,
-                            gp + np.einsum("nji,j->ni", W, dc))
-            step_norm = np.sqrt(float(dc @ dc) + float(np.sum(dp ** 2)))
-            if step_norm < 1e-12:
+            dp = -(Vinv * (gp + (dc @ W).reshape(3, -1))).sum(1)
+            if np.sqrt(float(dc @ dc) + float(np.sum(dp ** 2))) < 1e-12:
                 tiny_step = True
                 break
             R_new = rotation_from_angle_axis(dc[0:3]) @ R
             t_new = t + B @ dc[3:5]
             t_new /= np.linalg.norm(t_new)
-            a_new = a + dp[:, 0:2]
-            xi_new = np.clip(xi + dp[:, 2], 1e-9, None)
-            res_new, Q_new = _ba_residuals(R_new, t_new, a_new, xi_new,
-                                           x1, x2)
+            a_new = a + dp[:2].T
+            xi_new = np.clip(xi + dp[2], 1e-9, None)
+            res_new, Q_new = _ba_residuals(R_new, t_new, a_new, xi_new, x1, x2)
             cost_new = float(np.sum(res_new ** 2))
             if cost_new < cost:
                 R, t, a, xi = R_new, t_new, a_new, xi_new
                 res, Q, cost = res_new, Q_new, cost_new
                 lam = max(lam / 3.0, 1e-12)
-                improved = True
-                accepted_any = True
+                improved = accepted_any = True
                 break
             lam *= 4.0
         if not improved:

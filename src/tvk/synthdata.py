@@ -237,6 +237,8 @@ def _intersect_plane_rect(o, d, prim):
     with np.errstate(divide="ignore", invalid="ignore"):
         s = np.where(np.abs(denom) > 1e-12, num / denom, np.inf)
     s = np.where(s > RAY_EPS, s, np.inf)
+    if np.isinf(prim.size[:2]).all():  # unbounded: every hit is inside
+        return s
     p = o + d * np.where(np.isfinite(s), s, 0.0)[..., None]
     local = (p - prim.center) @ R
     inside = (np.abs(local[..., 0]) <= prim.size[0]) & \

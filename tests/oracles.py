@@ -13,7 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from tvk.autodiff import Tensor, backward
-from tvk.geometry import warp_batch
+from tvk.baseline import (EstimationError, RefineResult, _ba_residuals,
+                          _front_depths)
+from tvk.geometry import (CameraMotion, angle_axis_from_rotation,
+                          rotation_from_angle_axis, warp_batch)
 
 LEAKY_SLOPE = 0.1  # the network's leaky ReLU slope, from the paper
 
@@ -558,6 +561,129 @@ def ransac_essential_loop(x1, x2, threshold=1e-4, max_iters=500, seed=0):
     if best_mask is None or best_count < 8:
         return None
     return eight_point_loop(x1[best_mask], x2[best_mask]), best_mask
+
+
+# --- two-view bundle adjustment on dense per-point blocks --------------------
+
+def tangent_basis_cross(t):
+    """The (3, 2) tangent basis of unit t by ``np.cross``: t x e_x (t x e_y
+    when t is near e_x), normalized, then t x that."""
+    a = np.array([1.0, 0.0, 0.0])
+    if abs(t[0]) > 0.9:
+        a = np.array([0.0, 1.0, 0.0])
+    b1 = np.cross(t, a)
+    b1 /= np.linalg.norm(b1)
+    return np.stack([b1, np.cross(t, b1)], axis=1)
+
+
+def ba_jacobian_blocks_reference(R, t, xi, Q, B):
+    """All four residual rows of every point: the camera block (N, 4, 5) over
+    (rotation update 3, translation tangent 2) and the point block (N, 4, 3)
+    over (a_x, a_y, xi), built from d(projection)/dQ times dQ/d(parameter)."""
+    n = Q.shape[0]
+    inv_z = 1.0 / Q[:, 2]
+    A = np.zeros((n, 2, 3))
+    A[:, 0, 0] = inv_z
+    A[:, 1, 1] = inv_z
+    A[:, 0, 2] = -Q[:, 0] * inv_z ** 2
+    A[:, 1, 2] = -Q[:, 1] * inv_z ** 2
+    RP = Q - t
+    skew = np.zeros((n, 3, 3))
+    skew[:, 0, 1] = -RP[:, 2]
+    skew[:, 0, 2] = RP[:, 1]
+    skew[:, 1, 0] = RP[:, 2]
+    skew[:, 1, 2] = -RP[:, 0]
+    skew[:, 2, 0] = -RP[:, 1]
+    skew[:, 2, 1] = RP[:, 0]
+    Jc = np.zeros((n, 4, 5))
+    Jc[:, 2:4, 0:3] = -np.matmul(A, skew)
+    Jc[:, 2:4, 3:5] = np.matmul(A, B)
+    Jp = np.zeros((n, 4, 3))
+    Jp[:, 0, 0] = 1.0
+    Jp[:, 1, 1] = 1.0
+    Jp[:, 2:4, 0:2] = np.matmul(A, R[None, :, :2] / xi[:, None, None])
+    Jp[:, 2:4, 2] = np.einsum("nij,nj->ni", A, -RP / xi[:, None])
+    return Jc, Jp
+
+
+def refine_motion_reference(motion, corr, inliers=None, max_iters=100):
+    """``baseline.refine_motion`` with the per-point normal equations formed
+    by einsum over the full four-row blocks and each damped point block
+    inverted by LAPACK: the same algorithm, damping schedule and stopping
+    rules, with its sums in another order. It shares the problem with
+    ``baseline`` (the residuals, the start, the result type) and replaces
+    the step: Jacobian, normal equations and Schur solve."""
+    active = corr if inliers is None else corr.subset(inliers)
+    if len(active) < 8:
+        raise EstimationError("refinement needs at least 8 matches")
+    m = motion.normalized()
+    R = rotation_from_angle_axis(m.r)
+    t = m.t.copy()
+    z1, front = _front_depths(R, t, active)
+    if front.sum() < 8:
+        raise EstimationError("refinement needs at least 8 matches in front "
+                              "of both cameras")
+    x1, x2 = active.x1[front], active.x2[front]
+    a = x1.copy()
+    xi = 1.0 / np.clip(z1[front], 1e-6, None)
+    res, Q = _ba_residuals(R, t, a, xi, x1, x2)
+    cost = initial_cost = float(np.sum(res ** 2))
+    lam = 1e-6
+    accepted_any = stalled = False
+    iters = 0
+    for iters in range(1, max_iters + 1):
+        B = tangent_basis_cross(t)
+        Jc, Jp = ba_jacobian_blocks_reference(R, t, xi, Q, B)
+        U = np.einsum("nri,nrj->ij", Jc, Jc)
+        V = np.einsum("nri,nrj->nij", Jp, Jp)
+        W = np.einsum("nri,nrj->nij", Jc, Jp)
+        gc = np.einsum("nri,nr->i", Jc, res)
+        gp = np.einsum("nri,nr->ni", Jp, res)
+        if max(np.abs(gc).max(), np.abs(gp).max()) < 1e-10:
+            break
+        improved = tiny_step = False
+        for _ in range(25):
+            Ud = U + lam * np.diag(np.diag(U) + 1e-12)
+            Vd = V + lam * (V * np.eye(3) + 1e-12 * np.eye(3))
+            try:
+                Vinv = np.linalg.inv(Vd)
+            except np.linalg.LinAlgError:
+                lam *= 4.0
+                continue
+            WVinv = np.matmul(W, Vinv)
+            S = Ud - np.einsum("nij,nkj->ik", WVinv, W)
+            rhs = -(gc - np.einsum("nij,nj->i", WVinv, gp))
+            try:
+                dc = np.linalg.solve(S, rhs)
+            except np.linalg.LinAlgError:
+                lam *= 4.0
+                continue
+            dp = -np.einsum("nij,nj->ni", Vinv,
+                            gp + np.einsum("nji,j->ni", W, dc))
+            if np.sqrt(float(dc @ dc) + float(np.sum(dp ** 2))) < 1e-12:
+                tiny_step = True
+                break
+            R_new = rotation_from_angle_axis(dc[0:3]) @ R
+            t_new = t + B @ dc[3:5]
+            t_new /= np.linalg.norm(t_new)
+            a_new = a + dp[:, 0:2]
+            xi_new = np.clip(xi + dp[:, 2], 1e-9, None)
+            res_new, Q_new = _ba_residuals(R_new, t_new, a_new, xi_new, x1, x2)
+            cost_new = float(np.sum(res_new ** 2))
+            if cost_new < cost:
+                R, t, a, xi = R_new, t_new, a_new, xi_new
+                res, Q, cost = res_new, Q_new, cost_new
+                lam = max(lam / 3.0, 1e-12)
+                improved = accepted_any = True
+                break
+            lam *= 4.0
+        if not improved:
+            stalled = not tiny_step
+            break
+    if stalled and not accepted_any:
+        return RefineResult(motion, initial_cost, initial_cost, iters, True)
+    return RefineResult(CameraMotion(angle_axis_from_rotation(R), t),
+                        initial_cost, cost, iters, False)
 
 
 # --- the leaky ReLU as an op of its own -------------------------------------

@@ -30,12 +30,15 @@ from tvk.metrics import l1_inv, motion_angular_errors
 from tvk.synthdata import SynthConfig, generate_scene, render_pair
 
 from oracles import (
+    ba_jacobian_blocks_reference,
     eight_point_loop,
     inverse_motion,
     ransac_essential_loop,
     ransac_hypotheses_loop,
     rotation_oracle,
+    refine_motion_reference,
     sampson_distance_loop,
+    tangent_basis_cross,
 )
 
 
@@ -366,8 +369,8 @@ class TestRefine:
         assert out.final_cost <= out.initial_cost + 1e-15
 
     def test_jacobian_matches_finite_differences(self):
-        from tvk.baseline import (_ba_jacobian_blocks, _ba_residuals,
-                                  _front_depths, _tangent_basis)
+        from tvk.baseline import (_ba_jacobian, _ba_residuals, _front_depths,
+                                  _tangent_basis)
         rng = np.random.default_rng(13)
         n = 12
         corr, _ = make_matches(rng, n, R_TEST, T_TEST, noise=1e-3)
@@ -378,12 +381,15 @@ class TestRefine:
         xi = 1.0 / np.clip(z1, 1e-6, None)
         res0, Q = _ba_residuals(R, t, a, xi, corr.x1, corr.x2)
         B = _tangent_basis(t)
-        Jc, Jp = _ba_jacobian_blocks(R, t, a, xi, Q, B)
-        # assemble the dense Jacobian over (camera 5, points 3 each)
+        J2 = _ba_jacobian(R, t, xi, Q, B)
+        assert J2.shape == (n, 2, 8)
+        # assemble the dense Jacobian over (camera 5, points 3 each): the
+        # image-1 rows are the constant [0 | I 0], the image-2 rows are J2
         J = np.zeros((4 * n, 5 + 3 * n))
         for k in range(n):
-            J[4 * k:4 * k + 4, 0:5] = Jc[k]
-            J[4 * k:4 * k + 4, 5 + 3 * k:8 + 3 * k] = Jp[k]
+            J[4 * k:4 * k + 2, 5 + 3 * k:7 + 3 * k] = np.eye(2)
+            J[4 * k + 2:4 * k + 4, 0:5] = J2[k, :, 0:5]
+            J[4 * k + 2:4 * k + 4, 5 + 3 * k:8 + 3 * k] = J2[k, :, 5:8]
 
         def residuals_at(delta):
             Rn = rotation_from_angle_axis(delta[0:3]) @ R
@@ -403,6 +409,56 @@ class TestRefine:
             num[:, k] = (residuals_at(d) - residuals_at(-d)) / (2 * step)
         denom = np.maximum(np.abs(num), 1e-4)
         assert (np.abs(num - J) / denom).max() < 1e-5
+
+    def test_damped_schur_step_matches_dense_solve(self, monkeypatch):
+        # every trial step of two iterations, read off the parameters that
+        # refine_motion evaluates, against the dense solve of
+        # (H + lam (diag(H) + 1e-12 I)) delta = -J^T r with H = J^T J, at
+        # the damping the schedule gives (x 1/3 on acceptance, x 4 if not)
+        residuals = baseline._ba_residuals
+        rng = np.random.default_rng(16)
+        n = 12
+        corr, _ = make_matches(rng, n, R_TEST, T_TEST, noise=1e-3)
+        evaluated = []
+
+        def spy(R, t, a, xi, x1, x2):
+            res, Q = residuals(R, t, a, xi, x1, x2)
+            evaluated.append(((R, t, a, xi), float(np.sum(res ** 2))))
+            return res, Q
+
+        def dense_step(R, t, a, xi, lam):
+            res, Q = residuals(R, t, a, xi, corr.x1, corr.x2)
+            B = tangent_basis_cross(t)
+            Jc, Jp = ba_jacobian_blocks_reference(R, t, xi, Q, B)
+            J = np.zeros((4 * n, 5 + 3 * n))
+            for k in range(n):
+                J[4 * k:4 * k + 4, 0:5] = Jc[k]
+                J[4 * k:4 * k + 4, 5 + 3 * k:8 + 3 * k] = Jp[k]
+            H = J.T @ J
+            delta = np.linalg.solve(H + lam * np.diag(np.diag(H) + 1e-12),
+                                    -J.T @ res.reshape(-1))
+            dp = delta[5:].reshape(n, 3)
+            t_new = t + B @ delta[3:5]
+            return (rotation_from_angle_axis(delta[0:3]) @ R,
+                    t_new / np.linalg.norm(t_new), a + dp[:, 0:2],
+                    xi + dp[:, 2])
+
+        monkeypatch.setattr(baseline, "_ba_residuals", spy)
+        refine_motion(CameraMotion(R_TEST + 0.01, T_TEST + 0.02), corr,
+                      max_iters=2)
+        (base, cost), lam, accepted = evaluated[0], 1e-6, 0
+        for trial, trial_cost in evaluated[1:]:
+            for got, want, was in zip(trial, dense_step(*base, lam), base):
+                step = np.abs(want - was).max()
+                assert step > 0
+                assert np.abs(got - want).max() <= 1e-9 * step
+            if trial_cost < cost:
+                base, cost, lam = trial, trial_cost, lam / 3.0
+                accepted += 1
+            else:
+                lam *= 4.0
+        # the second iteration starts away from a = x1, so res1 is not 0
+        assert accepted == 2
 
     def test_monte_carlo_noise_improvement(self):
         # half-pixel noise at a 640-wide image in normalized units; the
@@ -464,6 +520,65 @@ class TestRefine:
         flipped = CameraMotion(R_TEST, -np.asarray(T_TEST))
         with pytest.raises(EstimationError, match="in front of both cameras"):
             refine_motion(flipped, corr)
+
+
+class TestStructuredStep:
+    def test_closed_form_block_inverse_matches_lapack(self):
+        from tvk.baseline import _sym3_inverse
+        rng = np.random.default_rng(17)
+        A = rng.normal(size=(200, 3, 3))
+        M = A @ A.transpose(0, 2, 1) + 1e-3 * np.eye(3)
+        got = _sym3_inverse(M.transpose(1, 2, 0)).transpose(2, 0, 1)
+        want = np.linalg.inv(M)
+        err = np.abs(got - want).max(axis=(1, 2))
+        assert np.all(err <= 1e-10 * np.abs(want).max(axis=(1, 2)))
+
+    def test_closed_form_block_inverse_flags_singular_blocks(self):
+        from tvk.baseline import _sym3_inverse
+        M = np.tile(np.eye(3)[:, :, None], (1, 1, 4))
+        assert _sym3_inverse(M) is not None
+        singular = M.copy()
+        singular[2, 2, 1] = 0.0  # a point block with no depth information
+        assert _sym3_inverse(singular) is None
+        nan = M.copy()
+        nan[0, 1, 3] = nan[1, 0, 3] = np.nan
+        assert _sym3_inverse(nan) is None
+
+    def test_rendered_pairs_match_dense_reference(self):
+        # the pipeline's inputs to refine_motion on seeds 0-3 x 12 pairs of
+        # ground-truth flow plus N(0, 5e-4) noise, as in tools/digests.py
+        cfg = SynthConfig(include_full=False)
+        K = cfg.intrinsics()
+        compared = 0
+        for seed in range(4):
+            rng = np.random.Generator(np.random.Philox(key=seed))
+            for i in range(12):
+                s = render_pair(generate_scene(seed, cfg, index=i), cfg, i)
+                flow = s.flow + rng.normal(0.0, 5e-4, s.flow.shape)
+                corr = sample_correspondences(FlowField(flow), s.valid_flow,
+                                              400, i, K)
+                try:
+                    E, inliers = ransac_essential(corr, seed=i)
+                    start = decompose_essential(E, corr.subset(inliers))
+                except EstimationError:
+                    continue
+                out = []
+                for refine in (refine_motion, refine_motion_reference):
+                    try:
+                        out.append(refine(start, corr, inliers))
+                    except EstimationError as e:
+                        out.append(type(e))
+                got, want = out
+                if isinstance(want, type) or isinstance(got, type):
+                    assert got is want
+                    continue
+                compared += 1
+                assert np.abs(got.motion.r - want.motion.r).max() <= 1e-8
+                assert np.abs(got.motion.t - want.motion.t).max() <= 1e-8
+                assert got.no_progress == want.no_progress
+                if max(got.iterations, want.iterations) < 100:
+                    assert got.iterations == want.iterations
+        assert compared >= 40
 
 
 K_BASE = Intrinsics(fx=0.89, fy=1.19, cx=0.5, cy=0.5, width=64, height=48)
