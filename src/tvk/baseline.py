@@ -83,7 +83,7 @@ def _hartley_normalize(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     distance to sqrt(2). Returns the points and the (m, 3, 3) transforms."""
     c = pts.mean(axis=1)
     d = pts - c[:, None, :]
-    rms = np.sqrt(np.mean(np.sum(d ** 2, axis=2), axis=1))
+    rms = np.sqrt(np.mean(d[..., 0] ** 2 + d[..., 1] ** 2, axis=1))
     s = np.sqrt(2.0) / np.maximum(rms, 1e-12)
     T = np.zeros((pts.shape[0], 3, 3))
     T[:, 0, 0] = T[:, 1, 1] = s
@@ -128,7 +128,9 @@ def _sampson(E: np.ndarray, x1h: np.ndarray, x2h: np.ndarray) -> np.ndarray:
     k essential matrices (k, 3, 3)."""
     Ex1 = x1h @ E.transpose(0, 2, 1)
     Etx2 = x2h @ E
-    num = np.sum(x2h * Ex1, axis=2) ** 2
+    # the epipolar products summed left to right, as np.sum does over 3 terms
+    num = (x2h[:, 0] * Ex1[..., 0] + x2h[:, 1] * Ex1[..., 1]
+           + x2h[:, 2] * Ex1[..., 2]) ** 2
     den = (Ex1[..., 0] ** 2 + Ex1[..., 1] ** 2
            + Etx2[..., 0] ** 2 + Etx2[..., 1] ** 2)
     return num / np.maximum(den, 1e-30)

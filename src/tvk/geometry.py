@@ -154,6 +154,16 @@ def _check_finite(name: str, x: np.ndarray) -> None:
         raise ValueError(f"{name} contains non-finite values")
 
 
+def last_axis_norm(x: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(x, axis=-1)`` for a last axis of length 2-7, bitwise:
+    the squares are added one component at a time, left to right, as
+    numpy's reduction adds so few terms, without its per-row overhead."""
+    sq = x[..., 0] * x[..., 0]
+    for k in range(1, x.shape[-1]):
+        sq = sq + x[..., k] * x[..., k]
+    return np.sqrt(sq)
+
+
 def rotation_from_angle_axis(r: np.ndarray) -> np.ndarray:
     """Rodrigues' formula; Taylor fallback below the small-angle threshold."""
     r = np.asarray(r, dtype=np.float64).reshape(3)

@@ -26,6 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import last_axis_norm
+
 # Guard for the scale-invariant gradient denominator; inverse depth 0
 # (points at infinity) must not produce NaNs.
 EPS_DENOM = 1e-9
@@ -89,7 +91,7 @@ def l2_loss(f, f_gt, mask=None) -> LossValue:
     """Sum of the L2 norms of f - f_gt along the last axis over valid
     pixels; a 1-D f is one vector."""
     r = _residual(f, f_gt, mask)
-    n = np.linalg.norm(r, axis=-1)
+    n = last_axis_norm(r)
     safe = np.where(n > 0, n, 1.0)
     return LossValue(value=float(np.sum(n)), grads={"f": r / safe[..., None]})
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CameraMotion, rotation_from_angle_axis
+from .geometry import CameraMotion, last_axis_norm, rotation_from_angle_axis
 
 CSV_FIELDS = ["dataset", "method", "l1_inv", "sc_inv", "l1_rel",
               "rot_deg", "trans_deg", "epe"]
@@ -90,7 +90,7 @@ def depth_error_report(z, z_gt, mask=None) -> DepthErrorReport:
 def endpoint_error(flow, flow_gt, mask=None) -> float:
     """Mean Euclidean flow difference in normalized image units."""
     wv, gv = _masked(flow, flow_gt, mask)
-    return float(np.mean(np.linalg.norm(wv - gv, axis=-1)))
+    return float(np.mean(last_axis_norm(wv - gv)))
 
 
 def motion_angular_errors(pred: CameraMotion, gt: CameraMotion) -> MotionErrorReport:

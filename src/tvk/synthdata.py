@@ -4,10 +4,12 @@ Scenes are random collections of textured planes, boxes and spheres in
 front of a background plane of unbounded extent (a plane whose half
 extents are infinite). Both views are rendered by casting rays against
 the analytic primitives, which yields exact depth, normals and (through
-the geometry module) optical flow. Each cast is textured in one pass:
-every hit point gets its primitive's multi-octave value noise, whose 8
-lattice corners share 2 hash products per axis, bitwise equal to coloring
-each primitive's points on their own. Translations are normalized to unit
+the geometry module) optical flow. A cast tests each primitive only on
+the rays that pass near it, which gives exactly the hits of testing every
+ray (see ``_cast``). Each cast is textured in one pass: every hit point
+gets its primitive's multi-octave value noise, whose 8 lattice corners
+share 2 hash products per axis, bitwise equal to coloring each
+primitive's points on their own. Translations are normalized to unit
 length with depths rescaled accordingly, so the stored inverse depth
 lives in the |t| = 1 frame used everywhere else. Small-baseline pairs
 come from a tiny ``baseline_range`` with ``min_parallax=0``, e.g.
@@ -22,8 +24,10 @@ the ground truth is exact, so no pair is filtered out.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +38,7 @@ from .geometry import (
     InverseDepthMap,
     check_field_types,
     flow_from_depth_motion,
+    last_axis_norm,
     pixel_rays,
     rotation_from_angle_axis,
 )
@@ -108,6 +113,21 @@ class Primitive:
         if self.kind == "sphere":
             return float(self.size[0])
         return float(np.linalg.norm(self.size))
+
+    @cached_property
+    def rotation_matrix(self) -> np.ndarray:
+        """The rotation matrix of ``rotation``, built at its first use: a
+        primitive is cast against many times, and its angle-axis is not
+        reassigned after that."""
+        return rotation_from_angle_axis(self.rotation)
+
+    def cull_radius(self) -> float:
+        """Radius about ``center`` that holds every hit point: the sphere's
+        radius, or the half diagonal of the box or of the plane's rectangle
+        (a plane does not use size[2])."""
+        if self.kind == "sphere":
+            return float(self.size[0])
+        return math.hypot(*self.size[:2 if self.kind == "plane" else 3])
 
 
 @dataclass
@@ -226,11 +246,11 @@ def _intersect_sphere(o, d, prim):
 
 def _sphere_normal(p, prim):
     n = p - prim.center
-    return n / np.linalg.norm(n, axis=-1, keepdims=True)
+    return n / last_axis_norm(n)[..., None]
 
 
 def _intersect_plane_rect(o, d, prim):
-    R = rotation_from_angle_axis(prim.rotation)
+    R = prim.rotation_matrix
     n = R[:, 2]
     denom = np.einsum("...k,k->...", d, n)
     num = float((prim.center - o) @ n)
@@ -247,12 +267,11 @@ def _intersect_plane_rect(o, d, prim):
 
 
 def _plane_normal(p, prim):
-    R = rotation_from_angle_axis(prim.rotation)
-    return np.broadcast_to(R[:, 2], p.shape)
+    return np.broadcast_to(prim.rotation_matrix[:, 2], p.shape)
 
 
 def _intersect_box(o, d, prim):
-    R = rotation_from_angle_axis(prim.rotation)
+    R = prim.rotation_matrix
     ol = (o - prim.center) @ R
     dl = d @ R
     # huge finite slopes instead of inf keep the slab test NaN-free
@@ -261,21 +280,27 @@ def _intersect_box(o, d, prim):
     inv = 1.0 / safe
     t1 = (-prim.size - ol) * inv
     t2 = (prim.size - ol) * inv
-    tmin = np.minimum(t1, t2).max(axis=-1)
-    tmax = np.maximum(t1, t2).min(axis=-1)
+    near, far = np.minimum(t1, t2), np.maximum(t1, t2)
+    # the overlap of the three slabs, one axis at a time (max and min are
+    # exact, so this is near.max(-1) and far.min(-1))
+    tmin = np.maximum(np.maximum(near[..., 0], near[..., 1]), near[..., 2])
+    tmax = np.minimum(np.minimum(far[..., 0], far[..., 1]), far[..., 2])
     hit = (tmax >= tmin) & (tmin > RAY_EPS)
     return np.where(hit, tmin, np.inf)
 
 
 def _box_normal(p, prim):
-    R = rotation_from_angle_axis(prim.rotation)
+    R = prim.rotation_matrix
     local = (p - prim.center) @ R
     rel = np.abs(local) / prim.size
-    axis = np.argmax(rel, axis=-1)
-    sign = np.take_along_axis(local, axis[..., None], axis=-1)[..., 0]
-    n_local = np.zeros(p.shape)
-    np.put_along_axis(n_local, axis[..., None],
-                      np.where(sign >= 0, 1.0, -1.0)[..., None], axis=-1)
+    r0, r1, r2 = rel[..., 0], rel[..., 1], rel[..., 2]
+    # the face of the first axis of largest rel, as np.argmax picks it
+    on0 = (r0 >= r1) & (r0 >= r2)
+    on1 = ~on0 & (r1 >= r2)
+    n_local = np.empty(p.shape)
+    for a, on in enumerate((on0, on1, ~(on0 | on1))):
+        n_local[..., a] = np.where(
+            on, np.where(local[..., a] >= 0, 1.0, -1.0), 0.0)
     return n_local @ R.T
 
 
@@ -284,21 +309,50 @@ _KINDS = {"plane": (_intersect_plane_rect, _plane_normal),
           "box": (_intersect_box, _box_normal),
           "sphere": (_intersect_sphere, _sphere_normal)}
 
+# widening of a primitive's cull sphere, relative to its radius plus its
+# distance from the ray origin
+_CULL_MARGIN = 1e-6
+
 
 def _cast(origin: np.ndarray, dirs: np.ndarray, scene: SceneSpec):
     """Nearest-hit ray cast against the primitives, then the background.
     Returns (s, index, points): the ray distance (inf on a miss), the index
     of the hit primitive (``len(scene.primitives)`` for the background, -1
-    on a miss) and the hit points."""
-    best = np.full(dirs.shape[:-1], np.inf)
-    best_idx = np.full(dirs.shape[:-1], -1, dtype=np.int64)
-    for k, prim in enumerate([*scene.primitives, scene.background]):
-        s = _KINDS[prim.kind][0](origin, dirs, prim)
-        closer = s < best
-        best = np.where(closer, s, best)
-        best_idx[closer] = k
-    p = origin + dirs * np.where(np.isfinite(best), best, 0.0)[..., None]
-    return best, best_idx, p
+    on a miss) and the hit points.
+
+    Each primitive is tested only on the rays whose line passes within its
+    ``cull_radius`` of its center, widened by ``_CULL_MARGIN`` times (that
+    radius + the center's distance from the origin); the other rays keep
+    s = inf for it. An infinite radius (the unbounded background) keeps
+    every ray. The cull gives exactly the result of testing every ray:
+    every point an intersector reports lies within the cull radius, up to
+    rounding of relative size 1e-15 and the box test's 1e-12 slopes, both
+    far inside the margin, so no culled ray could have hit. Each kept ray
+    goes through the same arithmetic as without the cull: elementwise, or
+    3x3 products of its own row. ``tests/oracles.py::cast_every_ray`` is
+    the cast without the cull."""
+    d = dirs.reshape(-1, 3)
+    prims = [*scene.primitives, scene.background]
+    c = np.array([q.center for q in prims]) - origin
+    cc = np.einsum("ij,ij->i", c, c)
+    radius = np.array([q.cull_radius() for q in prims])
+    widened = radius + _CULL_MARGIN * (radius + np.sqrt(cc))
+    # a ray's line passes within r of a center c iff (c.d)^2 >= (|c|^2 -
+    # r^2) |d|^2; with r = inf the right side is -inf
+    near = np.square(c @ d.T) >= np.multiply.outer(
+        cc - widened * widened, np.einsum("ij,ij->i", d, d))
+    best = np.full(len(d), np.inf)
+    best_idx = np.full(len(d), -1, dtype=np.int64)
+    for k, prim in enumerate(prims):
+        rays = np.flatnonzero(near[k])
+        s = _KINDS[prim.kind][0](origin, d.take(rays, axis=0), prim)
+        closer = s < best.take(rays)
+        rays = rays[closer]
+        best[rays] = s[closer]
+        best_idx[rays] = k
+    p = origin + d * np.where(np.isfinite(best), best, 0.0)[:, None]
+    return (best.reshape(dirs.shape[:-1]), best_idx.reshape(dirs.shape[:-1]),
+            p.reshape(dirs.shape))
 
 
 # --- scene generation --------------------------------------------------------

@@ -17,6 +17,7 @@ from tvk.baseline import (EstimationError, RefineResult, _ba_residuals,
                           _front_depths)
 from tvk.geometry import (CameraMotion, angle_axis_from_rotation,
                           rotation_from_angle_axis, warp_batch)
+from tvk.synthdata import RAY_EPS, _KINDS
 
 LEAKY_SLOPE = 0.1  # the network's leaky ReLU slope, from the paper
 
@@ -116,6 +117,51 @@ def photoconsistency(pair) -> float:
         return float("inf")
     diff = np.abs(pair.img1.astype(np.float64) - warped[0].transpose(1, 2, 0))
     return float(diff[valid].mean())
+
+
+def cast_every_ray(origin, dirs, scene):
+    """Nearest hit of each ray of ``dirs`` (..., 3), with no culling: every
+    ``_KINDS`` intersector runs on every ray, in primitive order, then the
+    background; a later primitive takes a ray only at a strictly smaller
+    distance. Returns (s, index, points) as ``synthdata._cast`` does."""
+    best = np.full(dirs.shape[:-1], np.inf)
+    best_idx = np.full(dirs.shape[:-1], -1, dtype=np.int64)
+    for k, prim in enumerate([*scene.primitives, scene.background]):
+        s = _KINDS[prim.kind][0](origin, dirs, prim)
+        closer = s < best
+        best = np.where(closer, s, best)
+        best_idx[closer] = k
+    p = origin + dirs * np.where(np.isfinite(best), best, 0.0)[..., None]
+    return best, best_idx, p
+
+
+def intersect_box_reduce(o, d, prim):
+    """Ray distances to a box by the slab test, the three slabs' overlap
+    taken by ``max`` / ``min`` reductions over the last axis."""
+    R = rotation_from_angle_axis(prim.rotation)
+    ol = (o - prim.center) @ R
+    dl = d @ R
+    safe = np.where(np.abs(dl) > 1e-12, dl, np.where(dl >= 0, 1e-12, -1e-12))
+    inv = 1.0 / safe
+    t1 = (-prim.size - ol) * inv
+    t2 = (prim.size - ol) * inv
+    tmin = np.minimum(t1, t2).max(axis=-1)
+    tmax = np.maximum(t1, t2).min(axis=-1)
+    return np.where((tmax >= tmin) & (tmin > RAY_EPS), tmin, np.inf)
+
+
+def box_normal_argmax(p, prim):
+    """Outward normal of the box face a surface point lies on: the local
+    axis of largest |local| / size, the first one on ties (``np.argmax``),
+    signed by the local coordinate."""
+    R = rotation_from_angle_axis(prim.rotation)
+    local = (p - prim.center) @ R
+    axis = np.argmax(np.abs(local) / prim.size, axis=-1)
+    sign = np.take_along_axis(local, axis[..., None], axis=-1)[..., 0]
+    n_local = np.zeros(p.shape)
+    np.put_along_axis(n_local, axis[..., None],
+                      np.where(sign >= 0, 1.0, -1.0)[..., None], axis=-1)
+    return n_local @ R.T
 
 
 _U64 = (1 << 64) - 1

@@ -25,9 +25,10 @@ from tvk.synthdata import (
     render_pair,
     sample_to_record,
 )
-from tvk.synthdata import _cast
+from tvk.synthdata import _CULL_MARGIN, _box_normal, _cast, _intersect_box
 
-from oracles import normals_from_depth, photoconsistency, texture_reference
+from oracles import (box_normal_argmax, cast_every_ray, intersect_box_reduce,
+                     normals_from_depth, photoconsistency, texture_reference)
 
 CFG_SMALL = SynthConfig(include_full=False)
 # small-baseline pairs: a tiny baseline and no parallax requirement
@@ -310,6 +311,174 @@ class TestTexture:
             motion_t_raw=np.array([0.2, 0.0, 0.05]))
         assert self.compare(scene, SynthConfig()) > 20
 
+
+def _prim(kind, center, size, rotation, seed=1):
+    return Primitive(kind=kind, center=np.array(center, dtype=np.float64),
+                     rotation=np.array(rotation, dtype=np.float64),
+                     size=np.array(size, dtype=np.float64),
+                     color_a=np.full(3, 0.2), color_b=np.full(3, 0.8),
+                     tex_seed=seed, tex_scale=1.5)
+
+
+def _same_bytes(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+# the sign patterns of a box's 8 corners
+_CORNER_SIGNS = np.array(np.meshgrid(*[[-1.0, 1.0]] * 3)).reshape(3, -1).T
+
+
+def _half_extents(prim):
+    """A box's half extents; a rectangle's, with 0 across its plane."""
+    return prim.size if prim.kind == "box" else np.array([*prim.size[:2], 0.0])
+
+
+def _lines_at_distance(origin, center, rho, n=12):
+    """n ray directions from ``origin`` whose lines pass exactly ``rho``
+    from ``center`` (|center - origin| > rho), around the view axis."""
+    c = center - origin
+    u = np.cross(c, [0.0, 1.0, 0.0])
+    u /= np.linalg.norm(u)
+    v = np.cross(c, u)
+    v /= np.linalg.norm(v)
+    w = rho * np.linalg.norm(c) / np.sqrt(c @ c - rho * rho)
+    ang = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
+    return c + w * (np.cos(ang)[:, None] * u + np.sin(ang)[:, None] * v)
+
+
+class TestCast:
+    """``_cast`` tests each primitive only on the rays near it;
+    ``cast_every_ray`` tests every ray. The two agree bitwise."""
+
+    @pytest.mark.parametrize("seed", [0, 5, 9, 13])
+    def test_culled_cast_matches_every_ray_at_full_resolution(self, seed):
+        cfg = SynthConfig()
+        scene = generate_scene(seed, cfg, index=seed % 3)
+        R = rotation_from_angle_axis(scene.motion_r)
+        dirs = pixel_rays(cfg.intrinsics().scaled(cfg.full_factor))
+        for origin, d in ((np.zeros(3), dirs),
+                          (-R.T @ scene.motion_t_raw, dirs @ R)):
+            _same_bytes(_cast(origin, d, scene),
+                        cast_every_ray(origin, d, scene))
+
+    @staticmethod
+    def scene():
+        prims = [_prim("sphere", [0.4, -0.2, 3.0], [0.7] * 3, [0, 0, 0]),
+                 _prim("box", [-0.7, 0.3, 4.0], [0.5, 0.3, 0.4],
+                       [0.3, -0.2, 0.5]),
+                 _prim("plane", [0.2, 0.6, 3.5], [0.6, 0.4, 0.9],
+                       [0.4, 0.1, -0.3])]
+        # finite extent: bounding_radius is inf (size[2]), the rectangle not
+        background = _prim("plane", [0.0, 0.0, 8.0], [4.0, 3.0, np.inf],
+                           [0.05, -0.03, 0.0])
+        return SceneSpec(seed=0, primitives=prims, background=background,
+                         motion_r=np.zeros(3),
+                         motion_t_raw=np.array([0.2, 0.0, 0.0]))
+
+    def test_grazing_rays_and_a_finite_background(self):
+        scene = self.scene()
+        prims, background = scene.primitives, scene.background
+        for origin in (np.zeros(3), np.array([0.3, -0.1, 0.2])):
+            dirs = []
+            for prim in [*prims, background]:
+                rho = prim.cull_radius()
+                margin = _CULL_MARGIN * (
+                    rho + np.linalg.norm(prim.center - origin))
+                # inside, on and outside the cull sphere, and on either side
+                # of its widened edge
+                for e in (-1e-3, -1e-9, 0.0, 1e-9, 0.999 * margin / rho,
+                          1.001 * margin / rho, 1e-3):
+                    dirs.append(_lines_at_distance(
+                        origin, prim.center, rho * (1 + e)))
+                if prim.kind != "sphere":  # at the corners: edge hits
+                    R = rotation_from_angle_axis(prim.rotation)
+                    dirs.append(prim.center - origin
+                                + (_CORNER_SIGNS * _half_extents(prim)) @ R.T)
+            dirs = np.concatenate(dirs)
+            got = _cast(origin, dirs, scene)
+            _same_bytes(got, cast_every_ray(origin, dirs, scene))
+            assert set(np.unique(got[1])) == {-1, 0, 1, 2, 3}
+
+    def test_lines_past_a_corner_at_the_cull_radius(self):
+        """A line through a point just inside a corner of a box or of a
+        rectangle, square to the line from the center to that corner,
+        passes at the cull radius and meets the primitive at the corner
+        alone: a cull radius even slightly too small drops the hit."""
+        scene = self.scene()
+        hits = 0
+        for k, prim in enumerate([*scene.primitives, scene.background]):
+            if prim.kind == "sphere":
+                continue
+            R = rotation_from_angle_axis(prim.rotation)
+            for sgn in _CORNER_SIGNS:
+                q = prim.center + (1 - 1e-9) * (R @ (sgn * _half_extents(prim)))
+                u = R[:, 2] if prim.kind == "plane" else \
+                    np.cross(q - prim.center, R[:, 2])
+                u /= np.linalg.norm(u)
+                origin = q + 4.0 * u
+                dirs = np.array([-u, q - origin])
+                got = _cast(origin, dirs, scene)
+                _same_bytes(got, cast_every_ray(origin, dirs, scene))
+                hits += int(np.sum(got[1] == k))
+        assert hits >= 32
+
+
+class TestBoxExactness:
+    """``_intersect_box`` and ``_box_normal`` take the slab overlap and the
+    face axis per component; the reductions they replace must give the
+    same bits."""
+
+    # dyadic center and half extents: an axis-aligned box's corner and edge
+    # points have exact local coordinates, so their face ratios tie exactly
+    aligned = _prim("box", [0.25, -0.125, 3.0], [0.5, 0.25, 0.75], [0, 0, 0])
+    tilted = _prim("box", [0.25, -0.125, 3.0], [0.5, 0.25, 0.75],
+                   [0.3, -0.2, 0.5])
+
+    def test_slab_overlap_matches_the_reductions(self):
+        rng = np.random.default_rng(0)
+        grid = np.array(np.meshgrid(*[[-1.0, 0.0, 1.0]] * 3)).reshape(3, -1).T
+        corners_and_edges = grid[(grid != 0).sum(axis=1) >= 2]
+        # directions in the box frame, parallel to one or two slabs: exactly
+        # (0) and below the 1e-12 slope floor
+        parallel = np.array([[0.0, 0.0, 1.0], [0.1, 0.0, 1.0],
+                             [0.0, -0.05, 1.0], [1e-13, 0.0, 1.0],
+                             [-1e-13, 1e-13, 1.0], [0.3, -0.0, 1.0],
+                             [0.0, 0.6, 1.0]])
+        for prim in (self.aligned, self.tilted):
+            R = rotation_from_angle_axis(prim.rotation)
+            # origins in the box frame: before it on its z axis (the world
+            # origin for the aligned box), off to a side, and inside
+            for local in ([-0.25, 0.125, -3.0], [1.2, 0.7, -2.8],
+                          0.3 * prim.size):
+                origin = prim.center + R @ local
+                toward = (prim.center + (corners_and_edges * prim.size) @ R.T
+                          - origin)
+                d = np.concatenate([toward, parallel @ R.T,
+                                    rng.normal(size=(200, 3)) + [0, 0, 3]])
+                got = _intersect_box(origin, d, prim)
+                want = intersect_box_reduce(origin, d, prim)
+                assert got.tobytes() == want.tobytes()
+                if local[2] == -3.0:  # edge hits and parallel hits
+                    assert np.isfinite(got[:len(toward)]).sum() >= 8
+                    assert np.isfinite(got[len(toward):][:7]).sum() >= 3
+                elif local[2] > 0:  # inside: no entry point lies ahead
+                    assert np.isinf(got).all()
+
+    def test_face_choice_takes_the_first_axis_on_ties(self):
+        for prim in (self.aligned, self.tilted):
+            R = rotation_from_angle_axis(prim.rotation)
+            grid = np.array(np.meshgrid(*[[-1.0, -0.4, 0.0, 0.4, 1.0]] * 3)
+                            ).reshape(3, -1).T
+            on_surface = grid[(np.abs(grid) == 1).any(axis=1)]
+            p = prim.center + (on_surface * prim.size) @ R.T
+            got, want = _box_normal(p, prim), box_normal_argmax(p, prim)
+            assert got.tobytes() == want.tobytes()
+            if prim is self.aligned:  # its corners and edges tie exactly
+                rel = np.abs(p - prim.center) / prim.size
+                ties = (rel == rel.max(axis=1, keepdims=True)).sum(axis=1)
+                assert (ties == 2).any() and (ties == 3).any()
 
 class TestPhotoconsistency:
     def test_rendered_pair_scores_low(self):

@@ -14,6 +14,10 @@ Two trees that print the same lines give bitwise the same outputs for:
 * ``dataset meta``: that file's meta JSON as read back, with sorted keys;
 * ``render octaves=3 include_full=False``: every field of ``render_pair``
   on scene indices 0-3 of seed 7 at those non-default settings, unquantized;
+* ``render octaves=2 include_full=True``: the same at the default
+  settings, so the full-resolution ``img1_full`` and ``xi_full`` are hashed
+  before the dataset's uint8 / float32 cast, which can hide a last-bit
+  change;
 * ``predict <dtype> b<batch>``: every iteration's ``Prediction`` fields
   (plus ``refined_xi``) of ``predict`` with 3 iterations and refinement of
   ``TwoViewNet(NetConfig(dtype=dtype), seed=3)`` on the first 8 pairs, at
@@ -82,8 +86,7 @@ def dataset_digests(path: str) -> tuple[str, str]:
     return digest(chunks), digest([json.dumps(meta, sort_keys=True).encode()])
 
 
-def render_digest() -> str:
-    config = synthdata.SynthConfig(texture_octaves=3, include_full=False)
+def render_digest(config: synthdata.SynthConfig) -> str:
     chunks = []
     for i in range(RENDER_PAIRS):
         pair = synthdata.render_pair(
@@ -142,7 +145,11 @@ def main() -> None:
         print("dataset", file_digest(data))
         for part, value in zip(("records", "meta"), dataset_digests(data)):
             print("dataset", part, value)
-        print("render octaves=3 include_full=False", render_digest())
+        for config in (synthdata.SynthConfig(texture_octaves=3,
+                                              include_full=False),
+                       synthdata.SynthConfig()):
+            print(f"render octaves={config.texture_octaves} "
+                  f"include_full={config.include_full}", render_digest(config))
         samples, meta = synthdata.load_dataset(data)
         K = training.intrinsics_from_meta(meta)
         for dtype in ("float32", "float64"):
