@@ -2,16 +2,19 @@
 
 Robust essential-matrix estimation (normalized 8-point inside RANSAC),
 motion recovery by cheirality, Levenberg-Marquardt refinement of the
-reprojection error. RANSAC solves and scores its hypotheses in fixed-size
-blocks (one stacked 8-point solve and one batched Sampson pass each),
-drawing a block's minimal samples at its start, in the order of one draw
-per hypothesis; ``eight_point`` and ``sampson_distance`` are batch-of-one
-calls of the same helpers, so the blocks give bitwise the results of
-scoring one hypothesis at a time. RANSAC stops after the first block in
-which a hypothesis counts every match as an inlier. The stop is exact
-because the returned E and mask depend only on the winning mask, and any
-later winner would have the same all-True mask; a scoring change (MSAC,
-capped residuals) must check that argument again. Matches are
+reprojection error. RANSAC solves and scores its hypotheses in blocks
+(one stacked 8-point solve and one batched Sampson pass each) whose sizes
+double from 8 up to ``_RANSAC_BLOCK``, drawing a block's minimal samples at
+its start, in the order of one draw per hypothesis; ``eight_point`` and
+``sampson_distance`` are batch-of-one calls of the same helpers, so blocks
+of any sizes give bitwise the results of scoring one hypothesis at a time.
+RANSAC stops after the first block in which a hypothesis counts every
+match as an inlier. The stop is exact wherever a block ends, because the
+returned E and mask depend only on the winning mask, and any later winner
+would have the same all-True mask; a scoring change (MSAC, capped
+residuals) must check that argument again. Small first blocks solve few
+hypotheses when the all-inlier one comes early; the cap keeps the numpy
+call count low when none comes. Matches are
 triangulated by ``geometry.triangulate``, for the cheirality vote and the
 refinement's start; dense depth by triangulating a flow field with a known
 motion is ``geometry.depth_from_flow_motion``, which uses the same
@@ -73,8 +76,11 @@ class Correspondences:
         return Correspondences(self.x1[idx], self.x2[idx])
 
 
-# Hypotheses scored together in ``ransac_essential``. Larger blocks cut
-# numpy call overhead further but hold more (block, n, 3) temporaries.
+# ``ransac_essential`` scores blocks of 8, 16, 32, ... hypotheses, at most
+# this many: small first blocks stop soon after an early all-inlier
+# hypothesis, and the cap keeps the numpy calls per hypothesis low when no
+# stop comes, without larger (block, n, 3) temporaries. Any schedule gives
+# the one-at-a-time result, so the sizes change speed only.
 _RANSAC_BLOCK = 50
 
 
@@ -161,24 +167,31 @@ def ransac_essential(corr: Correspondences, threshold: float = 1e-4,
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Robust essential matrix; returns (E, inlier mask). Deterministic.
 
-    Hypotheses are solved and scored in blocks of ``_RANSAC_BLOCK``: one
-    stacked 8-point solve and one batched Sampson pass per block. A block's
-    minimal samples are drawn at its start, one
-    ``rng.choice(n, 8, replace=False)`` per hypothesis from a Philox
-    generator keyed by ``seed``, so hypothesis k gets the k-th draw. A
-    degenerate minimal sample is skipped but uses up its draw. The
-    hypothesis with the most inliers (squared Sampson distance below
-    ``threshold``) wins; among equal counts the lowest mean inlier distance
-    wins, and among equal means the earlier hypothesis. The mean is taken
-    only for hypotheses that can still win. The returned E is the 8-point
-    fit to the winner's inliers.
+    Hypotheses are solved and scored in blocks of 8, 16, 32, ... and then
+    ``_RANSAC_BLOCK`` hypotheses: one stacked 8-point solve and one batched
+    Sampson pass per block. A block's minimal samples are drawn at its
+    start, one ``rng.choice(n, 8, replace=False)`` per hypothesis from a
+    Philox generator keyed by ``seed``, so hypothesis k gets the k-th draw
+    whatever the block sizes. A degenerate minimal sample is skipped but
+    uses up its draw. The hypothesis with the most inliers (squared Sampson
+    distance below ``threshold``) wins; among equal counts the lowest mean
+    inlier distance wins, and among equal means the earlier hypothesis.
+    The mean is taken only for hypotheses that can still win. The returned
+    E is the 8-point fit to the winner's inliers.
 
     At most ``max_iters`` hypotheses are tried, and none after the first
     block in which one counts all ``n`` matches as inliers. That gives the
-    result of trying all ``max_iters``: no count exceeds ``n``, a later
-    winner would tie at ``n`` with the same all-True mask, and E and the
-    mask depend only on that mask.
+    result of trying all ``max_iters``, wherever the block ends: no count
+    exceeds ``n``, a later winner would tie at ``n`` with the same all-True
+    mask, and E and the mask depend only on that mask. So the schedule
+    changes speed only. ``max_iters`` must be at least 1, and ``threshold``
+    finite and positive.
     """
+    if not max_iters >= 1:
+        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
+    if not (np.isfinite(threshold) and threshold > 0):
+        raise ValueError(f"threshold must be finite and positive, "
+                         f"got {threshold}")
     n = len(corr)
     if n < 8:
         raise EstimationError(f"need at least 8 correspondences, got {n}")
@@ -187,11 +200,13 @@ def ransac_essential(corr: Correspondences, threshold: float = 1e-4,
     best_mask = None
     best_count = -1
     best_score = np.inf
-    for start in range(0, max_iters, _RANSAC_BLOCK):
-        if best_count == n:
-            break
-        idx = np.array([rng.choice(n, size=8, replace=False) for _ in
-                        range(min(_RANSAC_BLOCK, max_iters - start))])
+    start, size = 0, 8
+    while start < max_iters and best_count < n:
+        block = min(size, max_iters - start)
+        start += block
+        size = min(2 * size, _RANSAC_BLOCK)
+        idx = np.array([rng.choice(n, size=8, replace=False)
+                        for _ in range(block)])
         E = _eight_point(corr.x1[idx], corr.x2[idx])
         if not len(E):
             continue

@@ -170,6 +170,18 @@ class TestRansac:
                 ransac_essential(Correspondences(np.zeros((n, 2)),
                                                  np.zeros((n, 2))), seed=0)
 
+    @pytest.mark.parametrize("max_iters", [0, -1])
+    def test_no_iterations_raises(self, max_iters):
+        corr, _ = make_matches(np.random.default_rng(9), 20, R_TEST, T_TEST)
+        with pytest.raises(ValueError, match="max_iters"):
+            ransac_essential(corr, max_iters=max_iters)
+
+    @pytest.mark.parametrize("threshold", [0.0, -1e-4, np.nan, np.inf])
+    def test_threshold_not_finite_and_positive_raises(self, threshold):
+        corr, _ = make_matches(np.random.default_rng(9), 20, R_TEST, T_TEST)
+        with pytest.raises(ValueError, match="threshold"):
+            ransac_essential(corr, threshold=threshold)
+
 
 class TestBlockScoring:
     """The block-scored RANSAC equals the one-hypothesis-at-a-time loop in
@@ -239,7 +251,8 @@ class TestBlockScoring:
         assert np.array_equal(mask, masks[winner])
         self.assert_matches_loop(corr, max_iters=137, seed=6)
 
-    @pytest.mark.parametrize("max_iters", [1, 49, 51, 137])
+    @pytest.mark.parametrize("max_iters",
+                             [1, 7, 8, 9, 24, 25, 49, 51, 56, 57, 137])
     def test_partial_last_block(self, max_iters):
         rng = np.random.default_rng(50)
         corr, _ = make_matches(rng, 90, R_TEST, T_TEST, noise=3e-4,
@@ -262,20 +275,23 @@ class TestBlockScoring:
 
 class TestEarlyExit:
     """RANSAC stops after the block in which one hypothesis counts every
-    match as an inlier; the result stays the full loop's bitwise."""
+    match as an inlier; the result stays the full loop's bitwise. Blocks
+    hold 8, 16, 32, then 50 hypotheses, so they end after hypotheses 8, 24,
+    56, 106, ... (counting from 1)."""
 
     @pytest.fixture
     def solved(self, monkeypatch):
-        """Number of hypotheses ``_eight_point`` is asked to solve."""
-        rows = [0]
+        """Hypotheses ``_eight_point`` is asked to solve, and its calls."""
+        count = {"rows": 0, "calls": 0}
         solve = baseline._eight_point
 
         def counting(x1, x2):
-            rows[0] += len(x1)
+            count["rows"] += len(x1)
+            count["calls"] += 1
             return solve(x1, x2)
 
         monkeypatch.setattr(baseline, "_eight_point", counting)
-        return rows
+        return count
 
     @staticmethod
     def matches(outliers=0.0):
@@ -284,6 +300,12 @@ class TestEarlyExit:
                                outliers=outliers)
         return corr
 
+    @staticmethod
+    def first_full_count(corr, seed):
+        hyps = ransac_hypotheses_loop(corr.x1, corr.x2, max_iters=60,
+                                      seed=seed)
+        return next(i for i, h in enumerate(hyps) if h and h[0] == len(corr))
+
     def assert_equals_loop(self, corr, **kw):
         E, mask = ransac_essential(corr, **kw)
         loop = ransac_essential_loop(corr.x1, corr.x2, **kw)
@@ -291,18 +313,35 @@ class TestEarlyExit:
         assert np.array_equal(E, loop[0])
         return mask
 
-    def test_all_inliers_solve_one_block(self, solved):
-        mask = self.assert_equals_loop(self.matches(), seed=8)
+    def test_all_inliers_stop_after_the_block_of_the_first_full_count(
+            self, solved):
+        corr = self.matches()
+        assert self.first_full_count(corr, seed=8) == 14
+        mask = self.assert_equals_loop(corr, seed=8)
         assert mask.all()
-        # 50 hypotheses plus the final fit to the inliers
-        assert solved[0] == baseline._RANSAC_BLOCK + 1
+        # blocks of 8 and 16 hypotheses plus the final fit to the inliers
+        assert solved == {"rows": 24 + 1, "calls": 2 + 1}
 
     def test_outliers_solve_every_hypothesis(self, solved):
         mask = self.assert_equals_loop(self.matches(outliers=0.3), seed=8)
         assert not mask.all()
-        assert solved[0] == 500 + 1
+        # 8 + 16 + 32 + 8 x 50 + 44: blocks stay large when no stop comes
+        assert solved == {"rows": 500 + 1, "calls": 12 + 1}
 
-    @pytest.mark.parametrize("max_iters", [1, 49, 137])
+    @pytest.mark.parametrize("seed,first,rows,calls", [
+        (26, 7, 8, 1),    # the last hypothesis of block 1
+        (55, 8, 24, 2),   # the first of block 2
+        (18, 23, 24, 2),  # the last of block 2
+        (3, 24, 56, 3),   # the first of block 3
+    ])
+    def test_exit_at_a_block_edge(self, solved, seed, first, rows, calls):
+        corr = self.matches()
+        assert self.first_full_count(corr, seed) == first
+        mask = self.assert_equals_loop(corr, seed=seed)
+        assert mask.all()
+        assert solved == {"rows": rows + 1, "calls": calls + 1}
+
+    @pytest.mark.parametrize("max_iters", [1, 7, 8, 49, 137])
     def test_exit_within_the_cap(self, solved, max_iters):
         corr = self.matches()
         # the first hypothesis of seed 20 already counts every match
@@ -310,7 +349,7 @@ class TestEarlyExit:
         assert hyps[0][0] == len(corr)
         mask = self.assert_equals_loop(corr, max_iters=max_iters, seed=20)
         assert mask.all()
-        assert solved[0] == min(max_iters, baseline._RANSAC_BLOCK) + 1
+        assert solved == {"rows": min(max_iters, 8) + 1, "calls": 2}
 
 
 class TestDecompose:

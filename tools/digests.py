@@ -1,8 +1,15 @@
 """Print SHA-256 prefixes of the package's deterministic outputs.
 
-Run from anywhere, with no options::
+Run from anywhere::
 
-    python tools/digests.py
+    python tools/digests.py          # print the 14 lines (about 10 s)
+    python tools/digests.py --check  # also compare them with digests.txt
+
+``--check`` names every line that differs from the golden file
+``tools/digests.txt`` and prints the numpy and BLAS versions, so a host
+with other BLAS kernels is not read as a code change; it exits 1 on any
+difference. A change that moves outputs on purpose rewrites that file, so
+its diff shows which outputs moved.
 
 Two trees that print the same lines give bitwise the same outputs for:
 
@@ -60,6 +67,8 @@ MODEL_SEED = 3
 CLASSICAL_SEEDS = range(20)
 CLASSICAL_PAIRS = 12
 NOISE_SIGMA = 5e-4
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                      "digests.txt")
 _FIELDS = ("flow", "flow_confidence", "xi", "normals", "r", "t", "s",
            "refined_xi")
 
@@ -137,25 +146,32 @@ def classical_motions() -> list:
     return out
 
 
-def main() -> None:
+def classical_digest() -> str:
+    return digest([m[2].encode() if len(m) == 3 else np.concatenate(m[2:])
+                   for m in classical_motions()])
+
+
+def digest_lines():
+    """Yield (name, digest) for every line, in the printed order."""
     with tempfile.TemporaryDirectory() as tmp:
         data = os.path.join(tmp, "data.tvk")
         synthdata.generate_dataset(data, DATA_SEED, DATA_PAIRS,
                                    synthdata.SynthConfig())
-        print("dataset", file_digest(data))
+        yield "dataset", file_digest(data)
         for part, value in zip(("records", "meta"), dataset_digests(data)):
-            print("dataset", part, value)
+            yield f"dataset {part}", value
         for config in (synthdata.SynthConfig(texture_octaves=3,
                                               include_full=False),
                        synthdata.SynthConfig()):
-            print(f"render octaves={config.texture_octaves} "
-                  f"include_full={config.include_full}", render_digest(config))
+            yield (f"render octaves={config.texture_octaves} "
+                   f"include_full={config.include_full}",
+                   render_digest(config))
         samples, meta = synthdata.load_dataset(data)
         K = training.intrinsics_from_meta(meta)
         for dtype in ("float32", "float64"):
             for batch in (1, PREDICT_PAIRS):
-                print(f"predict {dtype} b{batch}",
-                      predict_digest(samples, K, dtype, batch))
+                yield (f"predict {dtype} b{batch}",
+                       predict_digest(samples, K, dtype, batch))
         out = os.path.join(tmp, "run")
         config = training.TrainConfig(
             seed=MODEL_SEED, batch_size=8, phase1_steps=2, phase2_steps=3,
@@ -164,12 +180,50 @@ def main() -> None:
                          config, out).train()
         for name in ("phase1.tvk", "phase2.tvk", "final.tvk",
                      "loss_curves.csv"):
-            print(name, file_digest(os.path.join(out, name)))
-    motions = classical_motions()
-    print("classical", digest(
-        [m[2].encode() if len(m) == 3 else np.concatenate(m[2:])
-         for m in motions]))
+            yield name, file_digest(os.path.join(out, name))
+    yield "classical", classical_digest()
+
+
+def read_golden() -> dict:
+    """{name: digest} of the golden file's lines."""
+    with open(GOLDEN) as f:
+        return dict(line.rsplit(" ", 1) for line in f.read().splitlines())
+
+
+def differences(golden: dict, lines: dict) -> list:
+    """One message per line that is missing, extra or differs."""
+    return [f"{name}: expected {golden.get(name, '(none)')}, "
+            f"got {lines.get(name, '(none)')}"
+            for name in list(golden) + [k for k in lines if k not in golden]
+            if golden.get(name) != lines.get(name)]
+
+
+def versions() -> str:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas.get('name')} {blas.get('version')}"
+    except (TypeError, KeyError):  # numpy < 1.25 has no dict mode
+        blas = "unknown"
+    return f"numpy {np.__version__}, BLAS {blas}"
+
+
+def main(argv: list) -> int:
+    if argv not in ([], ["--check"]):
+        print("usage: python tools/digests.py [--check]", file=sys.stderr)
+        return 2
+    lines = {}
+    for name, value in digest_lines():
+        lines[name] = value
+        print(name, value, flush=True)
+    if not argv:
+        return 0
+    diff = differences(read_golden(), lines)
+    print(f"{len(diff)} of {len(lines)} lines differ from tools/digests.txt; "
+          f"{versions()}")
+    for message in diff:
+        print("differs:", message)
+    return 1 if diff else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(sys.argv[1:]))
