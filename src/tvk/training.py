@@ -15,11 +15,12 @@ All six phases (p1a-p1d, p2, p3) run through one loop, ``Trainer._train``.
 Each step sets the learning rate, runs the phase's forward (its graph
 outputs and one ground truth per sample), evaluates ``_batch_loss``, runs
 ``zero_grad``, ``backward`` and ``Adam.step``, and logs every ``log_every``
-steps through ``_log``; phase 2 also gets the step's outputs after the
-optimizer step, for its replay pool. ``_PHASES`` holds each phase's batch
-seed and loss terms. A non-finite output the loss reads (checked before the
-loss runs), loss value or trained parameter's gradient raises
-``NonFiniteError``, which names the phase, the step and the tensor.
+steps through ``_log``. Phase 2's forward puts its outputs into the replay
+pool as soon as it has them; nothing reads the pool before the next forward.
+``_PHASES`` holds each phase's batch seed and loss terms. A non-finite
+output the loss reads (checked before the loss runs), loss value or trained
+parameter's gradient raises ``NonFiniteError``, which names the phase, the
+step and the tensor.
 
 Losses bridge into the graph as seed gradients: ``_batch_loss`` runs
 ``losses.total_loss`` per sample on the detached outputs and injects the
@@ -30,28 +31,28 @@ full-resolution depth raised peak memory and took longer.
 A frozen stage runs once per training sample, not once per visit, and a
 phase runs no stage it does not need. The flow-only phases (p1a, p1c) run
 only the flow net, through
-``TwoViewNet.bootstrap_flow_tensors`` / ``iterative_flow_tensors``. The
-predictions of frozen stages are memoized per training sample: the
-bootstrap output from p1c on, and the final low-resolution prediction
-(bootstrap plus ``iterations`` iterative steps) in phase 3. A miss is
-computed by ``TwoViewNet.bootstrap_forward`` / ``iterative_forward``, which
-build no graph (``autodiff.no_grad``). The memo saves
-work only where a training-sample index repeats while its entry is valid:
-within a batch, or in a later step of p1c, p1d, phase 2 or phase 3 (the
-bootstrap entries) or of phase 3 (the final ones). Draws that do not
-repeat cost what recomputing costs.
+``TwoViewNet.bootstrap_flow_tensors`` / ``iterative_flow_tensors``.
+``Trainer._frozen(idx, iterations)`` gives the low-resolution prediction of
+training samples after ``iterations`` iterative steps, memoized per sample:
+the bootstrap output (key 0) from p1c on, and the final prediction (key
+``NetConfig.iterations``) in phase 3. A miss is computed by
+``TwoViewNet.bootstrap_forward`` / ``iterative_forward``, which build no
+graph (``autodiff.no_grad``); a key above 0 takes its misses' bootstrap from
+key 0. The memo saves work only where a training-sample index repeats while
+its key is valid: within a batch, or in a later step of p1c, p1d, phase 2 or
+phase 3 (key 0) or of phase 3 (the final key). Draws that do not repeat cost
+what recomputing costs.
 
-An entry holds the weight arrays of the stages that computed it and is
-valid while each of them ``is`` the current array and is
-``autodiff.immutable``; parameter arrays are read-only and every update
-replaces them, and since the entry keeps the old arrays alive their ids
-cannot be reused. An array that is writeable or a view (one assigned from
-outside) could change in place, so an entry made with one is recomputed
-on every use. A stale or missing entry is recomputed, all misses of a
-batch in one batch.
-Because every op is batch invariant (see ``autodiff``), an entry equals a
-fresh prediction of that sample, in any batch, bitwise, so training writes
-what recomputing would.
+Each key holds one snapshot, the weight arrays of the stages it reads, and
+its entries are valid while each array of the snapshot ``is`` the current
+one and is ``autodiff.immutable``; otherwise the key starts again empty.
+Parameter arrays are read-only and every update replaces them, and since
+the snapshot keeps the old arrays alive their ids cannot be reused. An
+array that is writeable or a view (one assigned from outside) could change
+in place, so a key whose snapshot holds one is emptied on every lookup. All
+misses of a lookup are computed in one batch. Because every op is batch
+invariant (see ``autodiff``), an entry equals a fresh prediction of that
+sample, in any batch, bitwise, so training writes what recomputing would.
 
 The memo holds at most one bootstrap and one final entry per training
 sample, each about 197 KB (a float64 ``Prediction`` at 64x48): at most
@@ -64,11 +65,15 @@ activations and gradients of each layer once it has passed it (see
 neither beside them nor beside a subgraph no ``backward`` walked (p1b's and
 p1d's frozen flow net). Phase 3's full-resolution refinement step sets the
 peak: at batch 8 with the default ``NetConfig``, traced numpy memory rises
-about 114 MiB above its level at the phase's start, against 58 MiB in
-phase 2 and at most 31 MiB in phase 1.
+about 114 MiB above its level at the phase's start, against 59 MiB in
+phase 2 (its new replay entries live through the step's backward) and at
+most 31 MiB in phase 1.
 
 A phase-1 phase whose loss weights are all zero (``use_flow_loss=False``
 leaves p1a and p1c nothing to train on) is skipped and logs nothing.
+``train`` checks the dataset before phase 1 writes anything: a missing
+full-resolution field raises ``MissingFieldError``, and a field or ``K``
+without the net's resolution raises ``FieldShapeError``.
 """
 
 from __future__ import annotations
@@ -76,14 +81,14 @@ from __future__ import annotations
 import collections
 import csv
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from . import container
 from .autodiff import Adam, backward, immutable
 from .geometry import Intrinsics, check_field_types
-from .losses import DEFAULT_SPACINGS, LossWeights, total_loss
+from .losses import LossWeights, total_loss
 from .metrics import (
     endpoint_error,
     l1_inv,
@@ -152,6 +157,10 @@ class MissingFieldError(ValueError):
     """Dataset lacks a ground-truth field required by the training phase."""
 
 
+class FieldShapeError(ValueError):
+    """A dataset field or ``K`` does not have the net's resolution."""
+
+
 class NonFiniteError(FloatingPointError):
     """A training step produced a NaN or an infinity in ``tensor``: an
     output key, ``"loss"`` or the name of a trained parameter's gradient."""
@@ -197,8 +206,8 @@ def _ground_truth(sample: SamplePair) -> dict:
             "valid_flow": sample.valid_flow}
 
 
-def _batch_loss(weights: LossWeights, tensors: dict, gts: list[dict],
-                spacings) -> tuple[float, dict]:
+def _batch_loss(weights: LossWeights, tensors: dict,
+                gts: list[dict]) -> tuple[float, dict]:
     """Mean per-sample ``total_loss`` of a batch and its seed gradients.
 
     ``tensors`` holds batched graph outputs under the keys of
@@ -218,7 +227,7 @@ def _batch_loss(weights: LossWeights, tensors: dict, gts: list[dict],
                 a = a.transpose(1, 2, 0)
             a = a.astype(np.float64)
             pred[_LOSS_NAMES[key]] = float(a) if key == "s" else a
-        out = total_loss(pred, gt, weights, spacings=spacings)
+        out = total_loss(pred, gt, weights)
         value += out.value
         for key, a in data.items():
             if _LOSS_NAMES[key] not in out.grads:
@@ -261,12 +270,9 @@ class Trainer:
         if not self.train_set:
             raise ValueError("dataset too small for the requested split")
         self.loss_log: list[dict] = []
-        # frozen stages -> {training-sample index: (weight arrays of those
-        # stages at compute time, Prediction)}
-        self._memo: dict[tuple, dict] = {}
-        self.spacings = tuple(
-            h for h in DEFAULT_SPACINGS
-            if h < max(model.cfg.height, model.cfg.width))
+        # iterative steps -> (weight arrays of the stages those steps read,
+        # {training-sample index: Prediction})
+        self._memo: dict[int, tuple] = {}
 
     # --- helpers ---------------------------------------------------------
 
@@ -295,63 +301,61 @@ class Trainer:
             w = replace(w, grad_flow=0.0)
         return w
 
-    def _require_full_fields(self):
+    def _require_fields(self):
+        """Every training sample has the full-resolution fields, and every
+        field, like ``K``, has the net's resolution (``refine_factor`` times
+        it for ``*_full``)."""
         if any(s.xi_full is None or s.img1_full is None
                for s in self.train_set):
             raise MissingFieldError(
                 "refinement training needs full-resolution fields "
                 "(img1_full, xi_full) in the dataset")
+        cfg = self.model.cfg
+        low = (cfg.height, cfg.width)
+        full = (cfg.height * cfg.refine_factor, cfg.width * cfg.refine_factor)
+        shapes = [("K", (self.K.height, self.K.width))] + [
+            (f.name, np.shape(getattr(s, f.name))[:2])
+            for s in self.train_set for f in fields(s)
+            if np.ndim(getattr(s, f.name)) >= 2]
+        for name, got in shapes:
+            want = full if name.endswith("_full") else low
+            if got != want:
+                raise FieldShapeError(f"{name} has height and width {got}, "
+                                      f"but the net needs {want}")
 
     # --- frozen predictions, memoized per training sample ------------------
 
-    def _frozen(self, stages: tuple, idx, compute) -> list[Prediction]:
-        """Predictions of the frozen ``stages`` for training samples ``idx``,
-        from the memo (see the module docstring); stale and missing entries
-        are computed together by one ``compute(misses)`` call."""
-        arrays = [p.data for c in stages
+    def _frozen(self, idx, iterations: int) -> list[Prediction]:
+        """Low-resolution ``predict`` of training samples ``idx`` after
+        ``iterations`` iterative steps (0: the bootstrap output), from the
+        memo (see the module docstring); the misses run in one batch."""
+        stages = ("boot_flow", "boot_dm", "iter_flow", "iter_dm")
+        arrays = [p.data for c in stages[:4 if iterations else 2]
                   for p in self.model.component_parameters(c).values()]
-        memo = self._memo.setdefault(stages, {})
-
-        def fresh(i):
-            entry = memo.get(i)
-            return entry is not None and all(
-                a is b and immutable(a) for a, b in zip(entry[0], arrays))
-
+        snapshot, memo = self._memo.get(iterations, (None, None))
+        if memo is None or not all(
+                a is b and immutable(a) for a, b in zip(snapshot, arrays)):
+            memo = {}
+            self._memo[iterations] = (arrays, memo)
         misses = [i for i in dict.fromkeys(int(i) for i in idx)
-                  if not fresh(i)]
+                  if i not in memo]
         if misses:
-            for i, pred in zip(misses, compute(misses)):
-                memo[i] = (arrays, pred)
-        return [memo[int(i)][1] for i in idx]
-
-    def _bootstrap(self, idx) -> list[Prediction]:
-        """``bootstrap_forward`` of training samples ``idx``, memoized."""
-        def compute(misses):
-            return self.model.bootstrap_forward(
-                *_images([self.train_set[i] for i in misses]))
-
-        return self._frozen(("boot_flow", "boot_dm"), idx, compute)
-
-    def _final(self, idx) -> list[Prediction]:
-        """Low-resolution ``predict`` of training samples ``idx``, memoized."""
-        def compute(misses):
             imgs = _images([self.train_set[i] for i in misses])
-            preds = self._bootstrap(misses)
-            for _ in range(self.model.cfg.iterations):
-                preds = self.model.iterative_forward(*imgs, preds, self.K)
-            return preds
-
-        return self._frozen(("boot_flow", "boot_dm", "iter_flow", "iter_dm"),
-                            idx, compute)
+            if iterations:
+                preds = self._frozen(misses, 0)
+                for _ in range(iterations):
+                    preds = self.model.iterative_forward(*imgs, preds, self.K)
+            else:
+                preds = self.model.bootstrap_forward(*imgs)
+            memo.update(zip(misses, preds))
+        return [memo[int(i)] for i in idx]
 
     # --- phases ------------------------------------------------------------
 
-    def _train(self, phase: str, params: dict, steps: int, forward,
-               after=None) -> Adam:
+    def _train(self, phase: str, params: dict, steps: int, forward) -> Adam:
         """The one training loop (module docstring): ``steps`` Adam steps of
         ``params``. ``forward(batch, idx)`` returns the graph outputs and
-        one ground truth per sample; ``after(tensors)`` runs after each
-        optimizer step."""
+        one ground truth per sample."""
         cfg = self.config
         opt = Adam(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
         for step, (batch, idx) in enumerate(
@@ -361,15 +365,13 @@ class Trainer:
             _require_finite(phase, step, {k: tensors[k].data
                                           for k in _LOSS_NAMES if k in tensors})
             value, seeds = _batch_loss(self._weights_for(phase, step),
-                                       tensors, gts, self.spacings)
+                                       tensors, gts)
             _require_finite(phase, step, {"loss": value})
             opt.zero_grad()
             backward({tensors[k]: g for k, g in seeds.items()})
             _require_finite(phase, step, {name: p.grad for name, p in
                                           params.items() if p.grad is not None})
             opt.step()
-            if after is not None:
-                after(tensors)
             if step % cfg.log_every == 0:
                 self._log(phase, step, value)
             # the next forward must not run beside this step's outputs and
@@ -400,7 +402,7 @@ class Trainer:
 
         def iterative(net):
             return lambda batch, idx: net(*_images(batch),
-                                          self._bootstrap(idx), self.K)
+                                          self._frozen(idx, 0), self.K)
 
         for phase, component, forward in (
                 ("p1a_boot_flow", "boot_flow",
@@ -419,35 +421,31 @@ class Trainer:
         cfg = self.config
         params = {**model.component_parameters("iter_flow"),
                   **model.component_parameters("iter_dm")}
-        pool: collections.deque = collections.deque()
-        entries: list[tuple] = []  # (index, sample, previous, age) of a step
+        pool: collections.deque = collections.deque()  # (sample, prev, age)
 
         def forward(batch, idx):
-            entries[:] = [(int(i), s, p, 0)
-                          for i, s, p in zip(idx, batch, self._bootstrap(idx))]
-            for _ in range(min(len(pool), cfg.batch_size * cfg.replay_passes)):
-                entries.append(pool.popleft())
-            samples = [e[1] for e in entries]
-            return (model.iterative_tensors(*_images(samples),
-                                            [e[2] for e in entries], self.K),
-                    [_ground_truth(s) for s in samples])
+            entries = [(s, p, 0) for s, p in zip(batch, self._frozen(idx, 0))]
+            entries += [pool.popleft() for _ in range(
+                min(len(pool), cfg.batch_size * cfg.replay_passes))]
+            samples = [e[0] for e in entries]
+            tensors = model.iterative_tensors(*_images(samples),
+                                              [e[1] for e in entries], self.K)
+            pool.extend((s, pred, age + 1) for (s, _p, age), pred in zip(
+                entries, model.tensors_to_predictions(tensors))
+                if age < cfg.replay_passes)
+            return tensors, [_ground_truth(s) for s in samples]
 
-        def replay(tensors):
-            for (i, s, _p, age), pred in zip(
-                    entries, model.tensors_to_predictions(tensors)):
-                if age + 1 <= cfg.replay_passes:
-                    pool.append((i, s, pred, age + 1))
-
-        self._train("p2_iterative", params, cfg.phase2_steps, forward, replay)
+        self._train("p2_iterative", params, cfg.phase2_steps, forward)
         self.save_checkpoint("phase2.tvk")
 
     def phase3(self):
         """Refinement training; all other weights fixed."""
-        self._require_full_fields()
+        self._require_fields()
 
         def forward(batch, idx):
             return ({"xi": self.model.refine_tensors(
-                        [s.img1_full for s in batch], self._final(idx))},
+                        [s.img1_full for s in batch],
+                        self._frozen(idx, self.model.cfg.iterations))},
                     [{"xi": s.xi_full} for s in batch])
 
         self._train("p3_refine", self.model.component_parameters("refine"),
@@ -456,7 +454,7 @@ class Trainer:
         self.save_checkpoint("final.tvk")
 
     def train(self):
-        self._require_full_fields()  # fail before phase 1 writes anything
+        self._require_fields()  # fail before phase 1 writes anything
         self.phase1()
         self.phase2()
         self.phase3()

@@ -1,7 +1,8 @@
 """``tools/digests.py`` against its golden file ``tools/digests.txt``.
 
-Only the ``classical`` line is recomputed here (a few seconds); the full
-set runs as ``python tools/digests.py --check``.
+The ``classical`` line (a few seconds) and the trimmed lines (about 1 s)
+are recomputed here; the full set runs as ``python tools/digests.py
+--check``.
 """
 
 import importlib.util
@@ -18,9 +19,16 @@ def test_classical_line_matches_the_golden_file():
     assert digests.classical_digest() == digests.read_golden()["classical"]
 
 
+def test_trimmed_lines_match_the_golden_file():
+    lines = dict(digests.trimmed_lines())
+    assert len(lines) == 3
+    golden = digests.read_golden()
+    assert digests.differences({k: golden.get(k) for k in lines}, lines) == []
+
+
 def test_golden_file_holds_every_line_once():
     golden = digests.read_golden()
-    assert len(golden) == 14
+    assert len(golden) == 17
     assert "render octaves=3 include_full=False" in golden
     assert all(len(v) == 16 for v in golden.values())
 

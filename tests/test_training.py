@@ -7,7 +7,7 @@ import pytest
 from tvk.autodiff import Tensor
 from tvk.container import save_arrays
 from tvk.geometry import Intrinsics
-from tvk.losses import LossWeights, total_loss
+from tvk.losses import DEFAULT_SPACINGS, LossWeights, total_loss
 from tvk.network import XI_FLOOR, NetConfig, TwoViewNet
 from tvk.synthdata import SynthConfig, generate_dataset, load_dataset
 from tvk.metrics import (endpoint_error, l1_inv, l1_rel,
@@ -68,7 +68,6 @@ PHASE_WEIGHTS = {
               {"xi", "normals", "r", "t", "s"}),
     "p2": (ALL, {"flow", "conf", "xi", "normals", "r", "t", "s"}),
 }
-SPACINGS = (1, 2, 4, 8)
 
 
 def unit_rows(rng, n):
@@ -95,7 +94,7 @@ def batch_case(rng, n=3, H=16, W=16):
     return out, gts
 
 
-def oracle(weights, out, gts, spacings):
+def oracle(weights, out, gts):
     """Mean of per-sample total_loss; each gradient put back in its slot."""
     n = len(gts)
     value, seeds = 0.0, {}
@@ -106,7 +105,7 @@ def oracle(weights, out, gts, spacings):
         pred.update({key: out[key][k] for key in ("r", "t") if key in out})
         pred["xi"] = out["xi"][k, 0]
         pred["s"] = float(out["s"][k, 0]) if "s" in out else 1.0
-        res = total_loss(pred, gt, weights, spacings)
+        res = total_loss(pred, gt, weights, DEFAULT_SPACINGS)
         value += res.value / n
         for name, g in res.grads.items():
             key = "conf" if name == "flow_confidence" else name
@@ -131,8 +130,8 @@ class TestBatchLoss:
         weights, seeded = PHASE_WEIGHTS[phase]
         out, gts = batch_case(np.random.default_rng(5))
         tensors = {k: Tensor(v) for k, v in out.items()}
-        value, seeds = _batch_loss(weights, tensors, gts, SPACINGS)
-        want_value, want_seeds = oracle(weights, out, gts, SPACINGS)
+        value, seeds = _batch_loss(weights, tensors, gts)
+        want_value, want_seeds = oracle(weights, out, gts)
         assert set(seeds) == seeded == set(want_seeds)
         assert_close(value, want_value)
         for key in seeded:
@@ -147,9 +146,8 @@ class TestBatchLoss:
                for _ in range(3)]
         weights = LossWeights(normal=0.0, flow=0.0, flow_confidence=0.0,
                               rotation=0.0, translation=0.0, grad_flow=0.0)
-        value, seeds = _batch_loss(weights, {"xi": Tensor(out["xi"])}, gts,
-                                   SPACINGS)
-        want_value, want_seeds = oracle(weights, out, gts, SPACINGS)
+        value, seeds = _batch_loss(weights, {"xi": Tensor(out["xi"])}, gts)
+        want_value, want_seeds = oracle(weights, out, gts)
         assert set(seeds) == {"xi"}
         assert_close(value, want_value)
         assert_close(seeds["xi"], want_seeds["xi"])
@@ -249,6 +247,48 @@ def test_missing_full_resolution_fields_fail_before_phase1(tiny_samples,
     assert list(out_dir.iterdir()) == [] and trainer.loss_log == []
     with pytest.raises(MissingFieldError):
         trainer.phase3()
+
+
+@pytest.mark.parametrize("full_factor, K, message", [
+    (2, K_TINY, r"img1_full has height and width \(32, 32\), but the net "
+                r"needs \(64, 64\)"),
+    (4, replace(K_TINY, width=32),
+     r"K has height and width \(16, 32\), but the net needs \(16, 16\)")],
+    ids=["img1_full", "K"])
+def test_resolution_mismatch_fails_before_phase1(tmp_path, full_factor, K,
+                                                 message):
+    path = str(tmp_path / "data.tvk")
+    generate_dataset(path, 2, 4, SynthConfig(width=16, height=16,
+                                             full_factor=full_factor))
+    samples, _ = load_dataset(path)
+    out_dir = tmp_path / "out"
+    trainer = Trainer(TwoViewNet(TINY, seed=1), samples, K,
+                      TrainConfig(batch_size=2, phase1_steps=1,
+                                  phase2_steps=1, phase3_steps=1),
+                      str(out_dir))
+    with pytest.raises(training.FieldShapeError, match=message):
+        trainer.train()
+    assert list(out_dir.iterdir()) == [] and trainer.loss_log == []
+
+
+def test_phase3_grad_loss_takes_every_spacing_of_the_full_resolution_grid(
+        tiny_samples, tmp_path):
+    # the net's grid is 16x16, the refined depth's 64x64: spacing 16 fits
+    # only the latter, and phase 3's loss must keep it
+    model = TwoViewNet(TINY, seed=1)
+    trainer = Trainer(model, tiny_samples, K_TINY,
+                      TrainConfig(batch_size=2, phase3_steps=1),
+                      str(tmp_path))
+    batch, _ = next(trainer._batches(training._PHASES["p3_refine"][0], 1))
+    preds = model.predict([s.img1 for s in batch], [s.img2 for s in batch],
+                          K_TINY, img1_full=[s.img1_full for s in batch])
+    weights = trainer._weights_for("p3_refine", 0)
+    want = np.mean([total_loss({"xi": p.refined_xi, "s": 1.0},
+                               {"xi": s.xi_full}, weights,
+                               DEFAULT_SPACINGS).value
+                    for p, s in zip(preds, batch)])
+    trainer.phase3()
+    assert float(trainer.loss_log[0]["loss"]) == pytest.approx(want, rel=1e-8)
 
 
 # --- the hooks a subclass may override (the benchmark's trainer does) -------
@@ -386,14 +426,14 @@ def test_memo_entry_is_the_sample_alone_until_its_weights_change(
         calls.append(len(img1)) or forward(img1, img2)))
 
     idx = np.array([2, 0, 2])
-    got = trainer._bootstrap(idx)
+    got = trainer._frozen(idx, 0)
     assert calls == [2]  # the misses, together and once each
     for i, pred in zip(idx, got):
         s = trainer.train_set[i]
         assert_same_prediction(pred, forward([s.img1], [s.img2])[0])
-    assert trainer._bootstrap([0])[0] is got[1] and calls == [2]
+    assert trainer._frozen([0], 0)[0] is got[1] and calls == [2]
 
-    final = trainer._final([1])[0]
+    final = trainer._frozen([1], TINY.iterations)[0]
     assert calls == [2, 1]  # sample 1's bootstrap was not memoized yet
     s = trainer.train_set[1]
     assert_same_prediction(final, model.predict([s.img1], [s.img2], K_TINY)[0])
@@ -403,13 +443,14 @@ def test_memo_entry_is_the_sample_alone_until_its_weights_change(
     new = bias.data + 1.0
     new.setflags(write=False)
     bias.data = new  # an update replaces the array with a read-only one
-    again = trainer._bootstrap([0])[0]
+    again = trainer._frozen([0], 0)[0]
     assert calls == [1] and again is not got[1]
     s = trainer.train_set[0]
     assert_same_prediction(again, forward([s.img1], [s.img2])[0])
     assert again.s != got[1].s
-    assert trainer._bootstrap([0])[0] is again and calls == [1]
-    assert trainer._final([1])[0] is not final  # its bootstrap changed too
+    assert trainer._frozen([0], 0)[0] is again and calls == [1]
+    # its bootstrap changed too
+    assert trainer._frozen([1], TINY.iterations)[0] is not final
     assert calls == [1, 1]
 
 
@@ -427,14 +468,47 @@ def test_memo_entry_made_with_a_mutable_array_is_recomputed(
         view = base.view()
         view.setflags(write=False)
         bias.data = view  # read-only, but changes with its writeable base
-    first = trainer._bootstrap([0])[0]
+    first = trainer._frozen([0], 0)[0]
     base += 1.0  # the same array, changed in place
-    again = trainer._bootstrap([0])[0]
+    again = trainer._frozen([0], 0)[0]
     s = trainer.train_set[0]
     assert_same_prediction(
         again, model.bootstrap_forward([s.img1], [s.img2])[0])
     assert again.s != first.s
 
+
+def test_replay_pool_feeds_back_each_prediction_up_to_replay_passes_times(
+        tiny_samples, tmp_path, monkeypatch):
+    model = TwoViewNet(TINY, seed=1)
+    config = TrainConfig(batch_size=2, replay_passes=2, phase2_steps=4)
+    trainer = Trainer(model, tiny_samples, K_TINY, config, str(tmp_path))
+    steps = []  # (img1, img2, prev, predictions out) of every forward
+    forward = model.iterative_tensors
+
+    def spy(img1, img2, prev, K):
+        out = forward(img1, img2, prev, K)
+        steps.append((img1, img2, prev, model.tensors_to_predictions(out)))
+        return out
+
+    monkeypatch.setattr(model, "iterative_tensors", spy)
+    trainer.phase2()
+    assert len(steps) == 4
+    pool = []  # (img1, prediction, passes since its bootstrap), oldest first
+    for img1, img2, prev, outs in steps:
+        fresh = config.batch_size
+        n_replayed = min(len(pool), fresh * config.replay_passes)
+        assert len(prev) == fresh + n_replayed
+        for j in range(fresh):  # the bootstrap output of the step's draws
+            assert_same_prediction(
+                prev[j], model.bootstrap_forward([img1[j]], [img2[j]])[0])
+        replayed, pool = pool[:n_replayed], pool[n_replayed:]
+        for j, (image, previous, _) in enumerate(replayed, fresh):
+            assert img1[j] is image
+            assert_same_prediction(prev[j], previous)  # its last output
+        ages = [0] * fresh + [age for _, _, age in replayed]
+        pool += [(img1[j], outs[j], age + 1) for j, age in enumerate(ages)
+                 if age < config.replay_passes]
+    assert max(age for _, _, age in pool) == config.replay_passes
 
 def test_flow_only_phases_never_run_their_depth_motion_net(
         tiny_samples, tmp_path, monkeypatch):

@@ -2,7 +2,7 @@
 
 Run from anywhere::
 
-    python tools/digests.py          # print the 14 lines (about 10 s)
+    python tools/digests.py          # print the 17 lines (about 10 s)
     python tools/digests.py --check  # also compare them with digests.txt
 
 ``--check`` names every line that differs from the golden file
@@ -34,7 +34,14 @@ Two trees that print the same lines give bitwise the same outputs for:
   2/3/2, ``grad_loss_start=1``, ``log_every=1``);
 * ``classical``: the motions ``estimate_motion_from_flow`` gives on seeds
   0-19 x 12 pairs of ground-truth flow plus N(0, 5e-4) noise (a pair that
-  raises contributes its exception's type name).
+  raises contributes its exception's type name);
+* ``trimmed dataset``, ``trimmed predict float32 b1``, ``trimmed train``:
+  a trimmed set that is quick enough for every test run
+  (``trimmed_lines``, about 1 s): the seed-7, 4-pair dataset file of the
+  default ``SynthConfig``; batch-1 ``predict`` as above on its first 2
+  pairs; and the four files of a seed-3 ``Trainer.train()`` of the
+  default net on it (batch 2, steps 1/2/1, ``grad_loss_start=0``,
+  ``log_every=1``), hashed in one line.
 
 The classical line changes whenever the last bits of a motion do;
 ``classical_motions`` returns the motions themselves, for comparing two
@@ -63,6 +70,8 @@ DATA_SEED = 7
 DATA_PAIRS = 12
 RENDER_PAIRS = 4
 PREDICT_PAIRS = 8
+TRIMMED_PAIRS = 4
+TRIMMED_PREDICT_PAIRS = 2
 MODEL_SEED = 3
 CLASSICAL_SEEDS = range(20)
 CLASSICAL_PAIRS = 12
@@ -71,6 +80,7 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "digests.txt")
 _FIELDS = ("flow", "flow_confidence", "xi", "normals", "r", "t", "s",
            "refined_xi")
+_TRAIN_FILES = ("phase1.tvk", "phase2.tvk", "final.tvk", "loss_curves.csv")
 
 
 def digest(chunks) -> str:
@@ -112,7 +122,7 @@ def predict_digest(samples, K, dtype: str, batch: int) -> str:
     ``predict`` gives the same digest at every batch size."""
     model = TwoViewNet(NetConfig(dtype=dtype), seed=MODEL_SEED)
     chunks = []
-    for start in range(0, PREDICT_PAIRS, batch):
+    for start in range(0, len(samples), batch):
         part = samples[start:start + batch]
         history = model.predict([s.img1 for s in part], [s.img2 for s in part],
                                 K, n_iters=3,
@@ -123,6 +133,15 @@ def predict_digest(samples, K, dtype: str, batch: int) -> str:
                 chunks += [np.asarray(getattr(preds[n], f)) for f in _FIELDS
                            if getattr(preds[n], f) is not None]
     return digest(chunks)
+
+
+def train_run(samples, K, out: str, **config) -> list:
+    """Paths of the files a seed-``MODEL_SEED`` ``Trainer.train()`` of the
+    default net writes into ``out``."""
+    config = training.TrainConfig(seed=MODEL_SEED, log_every=1, **config)
+    training.Trainer(TwoViewNet(NetConfig(), seed=MODEL_SEED), samples, K,
+                     config, out).train()
+    return [os.path.join(out, name) for name in _TRAIN_FILES]
 
 
 def classical_motions() -> list:
@@ -170,18 +189,33 @@ def digest_lines():
         K = training.intrinsics_from_meta(meta)
         for dtype in ("float32", "float64"):
             for batch in (1, PREDICT_PAIRS):
-                yield (f"predict {dtype} b{batch}",
-                       predict_digest(samples, K, dtype, batch))
-        out = os.path.join(tmp, "run")
-        config = training.TrainConfig(
-            seed=MODEL_SEED, batch_size=8, phase1_steps=2, phase2_steps=3,
-            phase3_steps=2, grad_loss_start=1, log_every=1)
-        training.Trainer(TwoViewNet(NetConfig(), seed=MODEL_SEED), samples, K,
-                         config, out).train()
-        for name in ("phase1.tvk", "phase2.tvk", "final.tvk",
-                     "loss_curves.csv"):
-            yield name, file_digest(os.path.join(out, name))
+                yield (f"predict {dtype} b{batch}", predict_digest(
+                    samples[:PREDICT_PAIRS], K, dtype, batch))
+        paths = train_run(samples, K, os.path.join(tmp, "run"), batch_size=8,
+                          phase1_steps=2, phase2_steps=3, phase3_steps=2,
+                          grad_loss_start=1)
+        for path in paths:
+            yield os.path.basename(path), file_digest(path)
     yield "classical", classical_digest()
+    yield from trimmed_lines()
+
+
+def trimmed_lines():
+    """Yield (name, digest) for the trimmed lines, in the printed order."""
+    with tempfile.TemporaryDirectory() as tmp:
+        data = os.path.join(tmp, "data.tvk")
+        synthdata.generate_dataset(data, DATA_SEED, TRIMMED_PAIRS,
+                                   synthdata.SynthConfig())
+        yield "trimmed dataset", file_digest(data)
+        samples, meta = synthdata.load_dataset(data)
+        K = training.intrinsics_from_meta(meta)
+        yield "trimmed predict float32 b1", predict_digest(
+            samples[:TRIMMED_PREDICT_PAIRS], K, "float32", 1)
+        paths = train_run(samples, K, os.path.join(tmp, "run"), batch_size=2,
+                          phase1_steps=1, phase2_steps=2, phase3_steps=1,
+                          grad_loss_start=0)
+        yield "trimmed train", digest(
+            [file_digest(path).encode() for path in paths])
 
 
 def read_golden() -> dict:
