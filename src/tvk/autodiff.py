@@ -8,19 +8,21 @@ feature maps and (N, K) for vectors. Everything runs on plain numpy
 arrays; convolutions lower to GEMM via im2col so BLAS does the heavy
 lifting.
 
-Lowering. Every convolution walks one im2col, ``_im2col``: it pads the
-input once into a pre-zeroed buffer and yields the patch matrix in tiles
-of one sample's output rows that fit in L2, so a sample's GEMMs do not
-depend on the batch it is in. ``_conv`` multiplies each tile by the
-kernel (a forward), by the output gradient (a kernel gradient), or both in
-the same walk. The input gradient of ``conv2d`` writes the output
-gradient, zero-stuffed and padded, into one buffer with a single strided
-assignment and convolves it with the flipped kernel. ``upconv2d`` is only
-the decoders' x2 upconv (4x4, stride 2, padding 1). Its forward runs as
-four 2x2 convs, one per output phase, over windows of one padded input;
-its flipped kernel is laid out for all four phases with one copy. Its VJP
-is the conv it is the adjoint of (Dumoulin & Visin, arXiv:1603.07285):
-dx and dw come from one walk over the once-padded output gradient.
+Lowering. Every convolution reads one read-only patch view (N, C, kh, kw,
+Ho, Wo), an ``ndarray`` that ``_im2col`` builds on the input padded once.
+Its callers walk it in tiles of one sample's output rows that fit in L2
+(``_row_tiles``), so a sample's GEMMs do not depend on the batch it is in;
+reshaping a tile's view copies out its patch matrix. ``_conv`` multiplies
+each tile by the kernel (a forward), by the output gradient (a kernel
+gradient), or both in the same walk. The input gradient of ``conv2d``
+writes the output gradient, zero-stuffed and padded, into one buffer with
+a single strided assignment and convolves it with the flipped kernel.
+``upconv2d`` is only the decoders' x2 upconv (4x4, stride 2, padding 1).
+Its forward is four 2x2 convs, one per output phase, on windows of one 3x3
+patch view, in one walk over its tiles; its flipped kernel is laid out for
+all four phases with one copy. Its VJP is the conv it is the adjoint of
+(Dumoulin & Visin, arXiv:1603.07285): dx and dw come from one walk over
+the once-padded output gradient.
 Like the per-sample tiles, ``fully_connected``'s one GEMM per row keeps a
 result independent of the batch: BLAS may block a multi-row product
 differently from a single row, and the motion head's rounding then
@@ -243,35 +245,26 @@ _TILE_LIMIT = 1 << 16
 
 
 def _im2col(x, kshape, stride, padding):
-    """Output size (Ho, Wo) of a conv of ``x`` with kernels of ``kshape``,
-    and an iterator over the row tiles of its patch matrix.
-
-    A tile is ``(n, r0, r1, cols)``: the (C*kh*kw, (r1-r0)*Wo) patch matrix
-    of sample n's output rows r0:r1, at most _TILE_LIMIT elements or one
-    output row. A tile never spans samples, so each GEMM gets as many
-    columns at batch 8 as at batch 1. ``x`` is padded once per call, and
-    one read-only patch view (N, C, kh, kw, Ho, Wo) of it serves every
-    tile: reshaping a tile of its output rows copies out the tile.
-    """
+    """The read-only patch view (N, C, kh, kw, Ho, Wo) of a conv of ``x``
+    with kernels of ``kshape``: an ``ndarray`` over ``x`` padded once."""
     (sh, sw), (ph, pw) = stride, padding
     _, C, kh, kw = kshape
-    xp = _pad4(x, ph, ph, pw, pw)
+    xp = np.ascontiguousarray(_pad4(x, ph, ph, pw, pw))  # for np.ndarray
     N, _, Hp, Wp = xp.shape
-    Ho, Wo = (Hp - kh) // sh + 1, (Wp - kw) // sw + 1
     s0, s1, s2, s3 = xp.strides
-    view = np.lib.stride_tricks.as_strided(
-        xp, (N, C, kh, kw, Ho, Wo), (s0, s1, s2, s3, s2 * sh, s3 * sw),
-        writeable=False)
-    rows = max(1, _TILE_LIMIT // (C * kh * kw * Wo))
+    view = np.ndarray((N, C, kh, kw, (Hp - kh) // sh + 1, (Wp - kw) // sw + 1),
+                      xp.dtype, xp, strides=(s0, s1, s2, s3, s2 * sh, s3 * sw))
+    view.flags.writeable = False
+    return view
 
-    def tiles():
-        for n in range(N):
-            for r0 in range(0, Ho, rows):
-                r1 = min(r0 + rows, Ho)
-                yield n, r0, r1, view[n, ..., r0:r1, :].reshape(
-                    C * kh * kw, (r1 - r0) * Wo)
 
-    return (Ho, Wo), tiles()
+def _row_tiles(N, Ho, Wo, k):
+    """``(n, r0, r1)`` per tile: output rows r0:r1 of sample n, whose patch
+    matrix (k by (r1-r0)*Wo) holds at most _TILE_LIMIT elements or one row.
+    A tile never spans samples: a GEMM is the same at batch 8 as at 1."""
+    rows = max(1, _TILE_LIMIT // (k * Wo))
+    return [(n, r0, min(r0 + rows, Ho))
+            for n in range(N) for r0 in range(0, Ho, rows)]
 
 
 def _conv(x, kshape, stride, padding, w=None, dy=None):
@@ -279,15 +272,17 @@ def _conv(x, kshape, stride, padding, w=None, dy=None):
     is the conv of ``x`` with the kernels ``w``, and ``dw`` the kernel
     gradient for the output gradient ``dy``; each is None if its operand
     is."""
-    O = kshape[0]
-    (Ho, Wo), tiles = _im2col(x, kshape, stride, padding)
+    O, k = kshape[0], kshape[1] * kshape[2] * kshape[3]
+    view = _im2col(x, kshape, stride, padding)
+    N, Ho, Wo = x.shape[0], view.shape[4], view.shape[5]
     out = dw = None
     if w is not None:
-        w2 = w.reshape(O, -1)
-        out = np.empty((x.shape[0], O, Ho, Wo), dtype=np.result_type(x, w))
+        w2 = w.reshape(O, k)
+        out = np.empty((N, O, Ho, Wo), dtype=np.result_type(x, w))
     if dy is not None:
-        dw = np.zeros((O, np.prod(kshape[1:])), dtype=np.result_type(x, dy))
-    for n, r0, r1, cols in tiles:
+        dw = np.zeros((O, k), dtype=np.result_type(x, dy))
+    for n, r0, r1 in _row_tiles(N, Ho, Wo, k):
+        cols = view[n, ..., r0:r1, :].reshape(k, (r1 - r0) * Wo)
         if out is not None:  # the GEMM writes into a view of ``out``
             np.matmul(w2, cols, out=out[n, :, r0:r1].reshape(O, -1))
         if dw is not None:
@@ -336,21 +331,31 @@ def _flipped(w):
     return np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
 
 
-def _conv_dx_polyphase_2x(dy, wf):
-    """Stride-2, 4x4, pad-1 transposed conv via per-phase 2x2 convs.
+def _upconv_phases(x, wf):
+    """Stride-2, 4x4, pad-1 transposed conv of ``x`` by output phases.
 
-    ``wf`` is ``_phase_kernels`` of the kernel. Output phase (u, v) is a
-    2x2 conv over a window of the once-padded ``dy``, so the zero-stuffed
-    intermediate (3/4 of it zeros) is never built.
+    ``wf`` is ``_phase_kernels`` of the kernel. The patches of phase (u, v)
+    are the window [u:u+2, v:v+2] of one 3x3 patch view of the once-padded
+    ``x``, so the zero-stuffed intermediate (3/4 zeros) is never built. A
+    tile's four GEMMs fill a sample's phase-major buffer, and after its last
+    tile a strided copy per phase interleaves it into the output (one copy
+    of all four phases loops over v, of length 2, innermost: 3-5x slower).
     """
-    N, _, Ho, Wo = dy.shape
-    dyp = _pad4(dy, 1, 1, 1, 1)
-    out = np.empty((N, wf.shape[2], 2 * Ho, 2 * Wo), dtype=dy.dtype)
-    for u in (0, 1):
-        for v in (0, 1):
-            window = dyp[:, :, u:u + Ho + 1, v:v + Wo + 1]
-            out[:, :, u::2, v::2] = _conv(window, wf[u, v].shape, (1, 1),
-                                          (0, 0), w=wf[u, v])[0]
+    N, O, H, W = x.shape
+    C = wf.shape[2]
+    view = _im2col(x, (C, O, 3, 3), (1, 1), (1, 1))  # (N, O, 3, 3, H, W)
+    w2 = wf.reshape(2, 2, C, 4 * O)
+    phases = np.empty((2, 2, C, H, W), dtype=np.result_type(x, wf))
+    out = np.empty((N, C, 2 * H, 2 * W), dtype=x.dtype)
+    for n, r0, r1 in _row_tiles(N, H, W, 4 * O):
+        tile = view[n, :, :, :, r0:r1]
+        for u in (0, 1):
+            for v in (0, 1):
+                np.matmul(w2[u, v],
+                          tile[:, u:u + 2, v:v + 2].reshape(4 * O, -1),
+                          out=phases[u, v, :, r0:r1].reshape(C, -1))
+                if r1 == H:
+                    out[n, :, u::2, v::2] = phases[u, v]
     return out
 
 
@@ -389,8 +394,9 @@ def _linear(out, x: Tensor, w: Tensor, b: Tensor | None, grads,
     parents = (x, w) if b is None else (x, w, b)
 
     def vjp(g):
-        if leaky:
-            g = np.where(out > 0, g, np.asarray(LEAKY_SLOPE, out.dtype) * g)
+        if leaky:  # g times its slope, 0.1 or 1, looked up without a branch
+            g = g * np.array((LEAKY_SLOPE, 1), out.dtype)[
+                (out > 0).view(np.uint8)]
         dxw = grads(g, x.requires_grad, w.requires_grad)
         if b is None:
             return dxw
@@ -446,7 +452,7 @@ def upconv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
         return _conv(g, kshape, (2, 2), (1, 1), w.data if gx else None,
                      x.data if gw else None)
 
-    return _linear(_conv_dx_polyphase_2x(x.data, _layout(w, _phase_kernels)),
+    return _linear(_upconv_phases(x.data, _layout(w, _phase_kernels)),
                    x, w, b, grads, leaky)
 
 

@@ -18,10 +18,10 @@ its motion head runs with its bias and leaky ReLU fused into the op
 one node per layer.
 
 The ``*_tensors`` methods return graph outputs, for training and for
-gradient checks. The ``*_forward`` methods, and ``predict`` through them,
-run the same stages under ``autodiff.no_grad``: they return bitwise the
-same values but build no graph, so each activation is freed once the next
-layer has read it.
+gradient checks. The ``*_forward`` methods and ``predict`` run the same
+stages under ``autodiff.no_grad`` (``predict`` on images it prepares once
+for all its stages): they return bitwise the same values but build no
+graph, so each activation is freed once the next layer has read it.
 """
 
 from __future__ import annotations
@@ -294,7 +294,9 @@ class TwoViewNet:
 
     def bootstrap_tensors(self, img1, img2):
         """Graph outputs of the bootstrap stage for a batch of samples."""
-        i1, i2 = self._prep_images(img1, img2)
+        return self._bootstrap(*self._prep_images(img1, img2))
+
+    def _bootstrap(self, i1, i2) -> dict:
         return self._dm_stage(self.boot_dm, i1, i2,
                               self._flow_stage(self.boot_flow, [i1, i2]))
 
@@ -326,7 +328,9 @@ class TwoViewNet:
         proposal triangulated from the fresh flow with the previous
         motion. A degenerate previous motion falls back to zero proposals.
         """
-        i1, i2 = self._prep_images(img1, img2)
+        return self._iterative(*self._prep_images(img1, img2), prev, K)
+
+    def _iterative(self, i1, i2, prev, K) -> dict:
         flow_out = self._iterative_flow(i1, i2, prev, K)
         flow_np = flow_out["flow"].data
         N, _, H, W = flow_np.shape
@@ -412,11 +416,14 @@ class TwoViewNet:
         """
         if n_iters is None:
             n_iters = self.cfg.iterations
-        preds = self.bootstrap_forward(img1, img2)
-        history = [preds]
-        for _ in range(n_iters):
-            preds = self.iterative_forward(img1, img2, preds, K)
-            history.append(preds)
+        i1, i2 = self._prep_images(img1, img2)
+        with ad.no_grad():
+            preds = self.tensors_to_predictions(self._bootstrap(i1, i2))
+            history = [preds]
+            for _ in range(n_iters):
+                preds = self.tensors_to_predictions(
+                    self._iterative(i1, i2, preds, K))
+                history.append(preds)
         if img1_full is not None:
             refined = self.refine_forward(img1_full, preds)
             for p, rx in zip(preds, refined):

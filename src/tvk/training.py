@@ -64,10 +64,12 @@ activations and gradients of each layer once it has passed it (see
 ``autodiff``). The step then drops its outputs, so the next forward runs
 neither beside them nor beside a subgraph no ``backward`` walked (p1b's and
 p1d's frozen flow net). Phase 3's full-resolution refinement step sets the
-peak: at batch 8 with the default ``NetConfig``, traced numpy memory rises
-about 114 MiB above its level at the phase's start, against 59 MiB in
-phase 2 (its new replay entries live through the step's backward) and at
-most 31 MiB in phase 1.
+peak. Traced numpy memory (``tracemalloc``) rises above its level at the
+phase's start by about 114 MiB in phase 3, 59 MiB in phase 2 (its new
+replay entries live through the step's backward) and 42 MiB in phase 1
+(44 MiB with 3 steps per net), at batch 8 with the default ``NetConfig``,
+12 samples, 1/2/1 steps per phase, ``grad_loss_start=0`` and the dataset,
+net and training seeds all 601, 602 or 603.
 
 A phase-1 phase whose loss weights are all zero (``use_flow_loss=False``
 leaves p1a and p1c nothing to train on) is skipped and logs nothing.

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tvk.autodiff import Tensor, backward
+from tvk.autodiff import Tensor, _conv, _pad4, backward
 from tvk.baseline import (EstimationError, RefineResult, _ba_residuals,
                           _front_depths)
 from tvk.geometry import (CameraMotion, angle_axis_from_rotation,
@@ -396,6 +396,24 @@ def conv_dw_direct(x, dy, stride, padding, kshape):
             patch = xp[:, :, y * sh:y * sh + kh, x_ * sw:x_ * sw + kw]
             dw += np.einsum("no,ncij->ocij", dy[:, :, y, x_], patch)
     return dw
+
+
+def upconv_phases_reference(x, wf):
+    """The x2 upconv forward lowered as four ``_conv`` calls, one 2x2 conv
+    per output phase over its window of the once-padded ``x``, each
+    scattered into the output by a strided write. ``wf`` is
+    ``autodiff._phase_kernels`` of the kernel. It shares ``_conv``'s tiles
+    with the package, so the package's one-walk forward must match it
+    bitwise."""
+    N, _, H, W = x.shape
+    xp = _pad4(x, 1, 1, 1, 1)
+    out = np.empty((N, wf.shape[2], 2 * H, 2 * W), dtype=x.dtype)
+    for u in (0, 1):
+        for v in (0, 1):
+            window = xp[:, :, u:u + H + 1, v:v + W + 1]
+            out[:, :, u::2, v::2] = _conv(window, wf[u, v].shape, (1, 1),
+                                          (0, 0), w=wf[u, v])[0]
+    return out
 
 
 # --- the scale-invariant gradient loss as first written ----------------------

@@ -12,6 +12,7 @@ from oracles import (
     gradcheck_vjp,
     leaky_relu,
     upconv_direct,
+    upconv_phases_reference,
 )
 
 
@@ -130,6 +131,41 @@ class TestUpconv:
         assert x.grad.tobytes() == c.data.tobytes()
         assert wt.grad.tobytes() == w_conv.grad.tobytes()
 
+    @pytest.mark.parametrize("tiled", [False, True], ids=["whole", "tiled"])
+    def test_forward_is_the_four_phase_convs_bitwise(self, tiled,
+                                                     monkeypatch):
+        # one walk with four GEMMs per tile and one interleave give the bits
+        # of four phase convs and four strided scatters: with one tile per
+        # sample, several, and (tiled) one output row per tile
+        if tiled:
+            monkeypatch.setattr(ad, "_TILE_LIMIT", 64)
+        rng = RNG(13)
+        for dtype in (np.float32, np.float64):
+            for xshape, wshape in (((2, 8, 5, 6), (8, 4, 4, 4)),
+                                   ((2, 128, 12, 16), (128, 8, 4, 4))):
+                x = rng.normal(size=xshape).astype(dtype)
+                w = rng.normal(size=wshape).astype(dtype)
+                got = ad.upconv2d(Tensor(x), Tensor(w)).data
+                ref = upconv_phases_reference(x, ad._phase_kernels(w))
+                assert got.dtype == dtype and got.tobytes() == ref.tobytes()
+
+    def test_tiles_never_span_samples(self):
+        # as for conv2d: the forward is bitwise batch invariant with several
+        # tiles per sample, and when the whole batch's patch matrix of a
+        # phase would fit one tile
+        rng = RNG(14)
+        for xshape, wshape, one_tile in (
+                ((6, 128, 12, 16), (128, 16, 4, 4), False),
+                ((4, 8, 3, 4), (8, 16, 4, 4), True)):
+            N, O, H, W = xshape  # a phase's patch matrix is 4 O by H W
+            assert (N * 4 * O * H * W <= ad._TILE_LIMIT) == one_tile
+            x = rng.normal(size=xshape).astype(np.float32)
+            w = Tensor(rng.normal(size=wshape).astype(np.float32))
+            batch = ad.upconv2d(Tensor(x), w).data
+            alone = [ad.upconv2d(Tensor(x[n:n + 1]), w).data
+                     for n in range(N)]
+            assert batch.tobytes() == np.concatenate(alone).tobytes()
+
     def test_backward_pads_the_output_gradient_once(self, monkeypatch):
         # dx and dw come from one im2col walk over one padded copy of g
         rng = RNG(11)
@@ -219,6 +255,17 @@ class TestKernelReference:
                      for n in range(N)]
             assert batch.tobytes() == np.concatenate(alone).tobytes()
 
+
+    @pytest.mark.parametrize("padding", [(1, 1), (0, 0)],
+                             ids=["padded", "unpadded"])
+    def test_patch_view_is_read_only(self, padding):
+        # unpadded, the view is built on the caller's own array
+        x = RNG(15).normal(size=(2, 3, 6, 7))
+        for a in (x, x.transpose(0, 1, 3, 2), ad._readonly(x.copy())):
+            view = ad._im2col(a, (4, 3, 3, 3), (1, 1), padding)
+            with pytest.raises(ValueError):
+                view[0, 0, 0, 0, 0, 0] = 1.0
+        assert x.tobytes() == RNG(15).normal(size=(2, 3, 6, 7)).tobytes()
 
 def _widened(case):
     """A KERNEL_CASES entry with 8 output channels, one per special bias."""

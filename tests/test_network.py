@@ -172,8 +172,13 @@ class TestInferenceMode:
             assert rx.tobytes() == refined.data[n, 0].astype(
                 np.float64).tobytes(), n
             p.refined_xi = rx
+        calls = []  # predict prepares the images once for all its stages
+        prep = model._prep_images
+        monkeypatch.setattr(model, "_prep_images", lambda a, b: (
+            calls.append(1) or prep(a, b)))
         history = model.predict(img1, img2, K_TINY, img1_full=full,
                                 keep_history=True)
+        assert len(calls) == 1
         for it, (got, want) in enumerate(zip(history, chain, strict=True)):
             assert_same_predictions(got, want, f"predict iteration {it}")
 
