@@ -476,13 +476,11 @@ def exp(x: Tensor) -> Tensor:
 
 def concat_channels(tensors: list[Tensor]) -> Tensor:
     """Concatenate (N,C,H,W) tensors along the channel axis."""
-    datas = [t.data for t in tensors]
-    out = np.concatenate(datas, axis=1)
-    sizes = [d.shape[1] for d in datas]
-    offsets = np.cumsum([0] + sizes)
+    out = np.concatenate([t.data for t in tensors], axis=1)
 
-    def vjp(g):
-        return tuple(g[:, offsets[i]:offsets[i + 1]] for i in range(len(sizes)))
+    def vjp(g):  # the offsets only a backward reads
+        offsets = np.cumsum([0] + [t.data.shape[1] for t in tensors])
+        return tuple(g[:, a:b] for a, b in zip(offsets[:-1], offsets[1:]))
 
     return _op(out, tuple(tensors), vjp)
 

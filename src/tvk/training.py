@@ -20,7 +20,8 @@ pool as soon as it has them; nothing reads the pool before the next forward.
 ``_PHASES`` holds each phase's batch seed and loss terms. A non-finite
 output the loss reads (checked before the loss runs), loss value or trained
 parameter's gradient raises ``NonFiniteError``, which names the phase, the
-step and the tensor.
+step and the tensor; a scale output ``s`` that is not positive raises its
+subclass ``CollapsedScaleError``.
 
 Losses bridge into the graph as seed gradients: ``_batch_loss`` runs
 ``losses.total_loss`` per sample on the detached outputs and injects the
@@ -167,9 +168,17 @@ class NonFiniteError(FloatingPointError):
     """A training step produced a NaN or an infinity in ``tensor``: an
     output key, ``"loss"`` or the name of a trained parameter's gradient."""
 
+    what = "finite"
+
     def __init__(self, phase: str, step: int, tensor: str):
-        super().__init__(f"{phase}, step {step}: {tensor} is not finite")
+        super().__init__(f"{phase}, step {step}: {tensor} is not {self.what}")
         self.phase, self.step, self.tensor = phase, step, tensor
+
+
+class CollapsedScaleError(NonFiniteError):
+    """The scale output ``s`` is not positive (its ``exp`` underflowed)."""
+
+    what = "positive"
 
 
 def intrinsics_from_meta(meta: dict) -> Intrinsics:
@@ -366,6 +375,8 @@ class Trainer:
             tensors, gts = forward(batch, idx)
             _require_finite(phase, step, {k: tensors[k].data
                                           for k in _LOSS_NAMES if k in tensors})
+            if "s" in tensors and not (tensors["s"].data > 0).all():
+                raise CollapsedScaleError(phase, step, "s")
             value, seeds = _batch_loss(self._weights_for(phase, step),
                                        tensors, gts)
             _require_finite(phase, step, {"loss": value})

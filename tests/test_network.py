@@ -172,13 +172,20 @@ class TestInferenceMode:
             assert rx.tobytes() == refined.data[n, 0].astype(
                 np.float64).tobytes(), n
             p.refined_xi = rx
-        calls = []  # predict prepares the images once for all its stages
-        prep = model._prep_images
-        monkeypatch.setattr(model, "_prep_images", lambda a, b: (
-            calls.append(1) or prep(a, b)))
+        calls = []  # predict runs each stage through its public method
+
+        def spy(name):
+            method = getattr(model, name)
+            return lambda *a: calls.append(name) or method(*a)
+
+        for name in ("bootstrap_tensors", "iterative_tensors",
+                     "refine_tensors"):
+            monkeypatch.setattr(model, name, spy(name))
         history = model.predict(img1, img2, K_TINY, img1_full=full,
                                 keep_history=True)
-        assert len(calls) == 1
+        assert calls == (["bootstrap_tensors"]
+                         + ["iterative_tensors"] * TINY.iterations
+                         + ["refine_tensors"])
         for it, (got, want) in enumerate(zip(history, chain, strict=True)):
             assert_same_predictions(got, want, f"predict iteration {it}")
 

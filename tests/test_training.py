@@ -13,9 +13,10 @@ from tvk.synthdata import SynthConfig, generate_dataset, load_dataset
 from tvk.metrics import (endpoint_error, l1_inv, l1_rel,
                          motion_angular_errors, sc_inv)
 from tvk import training
-from tvk.training import (MissingFieldError, NonFiniteError, TrainConfig,
-                          Trainer, _batch_loss, evaluate_iterations,
-                          load_checkpoint, save_checkpoint)
+from tvk.training import (CollapsedScaleError, MissingFieldError,
+                          NonFiniteError, TrainConfig, Trainer, _batch_loss,
+                          evaluate_iterations, load_checkpoint,
+                          save_checkpoint)
 
 TINY = NetConfig(width=16, height=16, channels=(2, 4))
 K_TINY = Intrinsics(fx=0.89, fy=1.19, cx=0.5, cy=0.5, width=16, height=16)
@@ -373,6 +374,25 @@ def test_nan_output_is_named_before_the_loss_runs(tiny_samples, tmp_path):
     err = info.value
     assert (err.phase, err.step, err.tensor) == ("p1a_boot_flow", 0, "flow")
     assert trainer.loss_log == []
+
+
+def test_collapsed_scale_is_named_before_the_loss_runs(tiny_samples,
+                                                       tmp_path):
+    model = TwoViewNet(TINY, seed=1)
+    bias = model.params["boot_dm.fc2.b"]
+    new = bias.data.copy()
+    new[6] = -1e4  # the scale entry: exp underflows to 0
+    new.setflags(write=False)
+    bias.data = new
+    trainer = Trainer(model, tiny_samples, K_TINY, GUARD_CONFIG, str(tmp_path))
+    with pytest.raises(CollapsedScaleError,
+                       match="p1b_boot_dm, step 0: s is not positive"
+                       ) as info:
+        trainer.train()
+    err = info.value
+    assert isinstance(err, NonFiniteError)
+    assert (err.phase, err.step, err.tensor) == ("p1b_boot_dm", 0, "s")
+    assert [row["phase"] for row in trainer.loss_log] == ["p1a_boot_flow"]
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
