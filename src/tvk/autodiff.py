@@ -30,9 +30,13 @@ depended on the batch (the depth proposal amplifies it). With both, a
 batch predicts bitwise what its samples predict one by one.
 
 Kernel layouts are memoized on the weight ``Tensor``, for its current
-``data`` only: assigning ``data`` drops them. They are used only while that
-array is read-only and owns its memory, so it can neither change nor be
-changed through another array. ``ParameterStore.add``,
+``data`` only: assigning ``data`` drops them. The memo serves
+``upconv2d``'s forward, whose phase kernels inference reads again and
+again; ``conv2d``'s input gradient lays its flipped kernel out on every
+call, since ``Adam.step`` replaces each trained weight before a later
+backward could reuse it. A layout is used only while its array is
+read-only and owns its memory, so it can neither change nor be changed
+through another array. ``ParameterStore.add``,
 ``ParameterStore.load_state_dict`` and ``Adam.step`` leave parameter arrays
 read-only: an update replaces the array, and an in-place write raises
 ``ValueError``. A writeable array (a tensor built from a caller's array)
@@ -326,11 +330,6 @@ def _phase_kernels(w):
                                 .transpose(3, 5, 1, 0, 2, 4))
 
 
-def _flipped(w):
-    """(O, C, kh, kw) -> (C, O, kh, kw), flipped in both spatial axes."""
-    return np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-
-
 def _upconv_phases(x, wf):
     """Stride-2, 4x4, pad-1 transposed conv of ``x`` by output phases.
 
@@ -359,17 +358,18 @@ def _upconv_phases(x, wf):
     return out
 
 
-def _conv_dx(dy, w: Tensor, stride, padding, x_hw):
-    """Gradient w.r.t. the input of ``conv2d``."""
+def _conv_dx(dy, w, stride, padding, x_hw):
+    """Gradient w.r.t. the input of ``conv2d`` with the kernel array ``w``."""
     sh, sw = stride
-    O, _, kh, kw = w.data.shape
+    O, _, kh, kw = w.shape
     N, _, Ho, Wo = dy.shape
     pt, pl = kh - 1 - padding[0], kw - 1 - padding[1]
     # zero-stuffed (stride > 1) and padded in one strided write; the bottom
     # and right padding are at least pt and pl
     dyp = np.zeros((N, O, x_hw[0] + kh - 1, x_hw[1] + kw - 1), dtype=dy.dtype)
     dyp[:, :, pt:pt + (Ho - 1) * sh + 1:sh, pl:pl + (Wo - 1) * sw + 1:sw] = dy
-    wf = _layout(w, _flipped)
+    # (O, C, kh, kw) -> (C, O, kh, kw), flipped in both spatial axes
+    wf = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
     return _conv(dyp, wf.shape, (1, 1), (0, 0), w=wf)[0]
 
 
@@ -422,7 +422,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
                          f"for kernel {kshape[2:]}")
 
     def grads(g, gx, gw):
-        return (_conv_dx(g, w, stride, padding, x_hw) if gx else None,
+        return (_conv_dx(g, w.data, stride, padding, x_hw) if gx else None,
                 _conv(x.data, kshape, stride, padding, dy=g)[1]
                 if gw else None)
 
@@ -557,6 +557,9 @@ class ParameterStore:
         return {name: t.data.copy() for name, t in self._params.items()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        unknown = sorted(set(state) - set(self._params))
+        if unknown:
+            raise KeyError(f"checkpoint has unknown parameters {unknown}")
         for name, t in self._params.items():
             if name not in state:
                 raise KeyError(f"checkpoint is missing parameter {name!r}")

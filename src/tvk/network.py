@@ -25,6 +25,12 @@ each activation is freed once the next layer has read it. ``predict``, the
 trainer and its frozen memo all go through these methods, so ``predict``
 prepares a pair once per stage: 4 times with 3 iterations, about 32 us
 each at batch 1 against about 44 ms for the whole call (0.3 %).
+
+The stages run on (N, C, H, W) batches; images, proposals, ``Prediction``
+and the losses hold one (H, W, C) sample. Every crossing goes through
+``per_sample``, a view whose item n is sample n, for reading and writing;
+``OUTPUT_FIELDS`` names each graph output's ``Prediction`` field, which is
+also its ``losses.total_loss`` name.
 """
 
 from __future__ import annotations
@@ -106,6 +112,8 @@ class NetConfig:
 class Prediction:
     """Network outputs for one image pair (numpy, image layout H x W x C).
 
+    Each field but ``refined_xi`` is sample n, read through ``per_sample``
+    in float64, of the graph output that ``OUTPUT_FIELDS`` maps to it.
     ``xi`` is the raw depth-head output; geometric consumers clamp it to
     be nonnegative via ``inverse_depth``. ``t`` is unit norm and ``s`` is
     positive by construction.
@@ -224,12 +232,37 @@ class EncoderDecoder:
         return out, motion
 
 
-# --- batched numpy helpers (constant inputs, no gradients) -----------------
+# --- the crossing between batches and samples --------------------------------
+
+# graph output key -> its ``Prediction`` field, also its ``total_loss`` name
+OUTPUT_FIELDS = {"flow": "flow", "conf": "flow_confidence", "xi": "xi",
+                 "normals": "normals", "r": "r", "t": "t", "s": "s"}
+
+
+def per_sample(batch: np.ndarray) -> np.ndarray:
+    """Writable view of ``batch`` whose item n is sample n in per-sample
+    layout: an (N, C, H, W) map gives (H, W, C), an (N, C) vector (C,),
+    and a single channel drops its axis (xi (H, W), s a scalar)."""
+    if batch.shape[1] == 1:
+        return batch[:, 0]
+    return batch.transpose(0, 2, 3, 1) if batch.ndim == 4 else batch
+
+
+def sample_fields(tensors: dict, n: int) -> dict:
+    """Sample ``n`` of the graph outputs in ``tensors`` as float64
+    ``Prediction`` fields (``s`` a float), keyed by field name."""
+    return {OUTPUT_FIELDS[k]: float(v) if k == "s" else v.astype(np.float64)
+            for k in OUTPUT_FIELDS if k in tensors
+            for v in (per_sample(tensors[k].data)[n],)}
+
 
 def centred_nchw(imgs: list[np.ndarray], dtype) -> np.ndarray:
     """List of (H, W, C) images in [0, 1] -> (N, C, H, W) minus 0.5."""
-    arr = np.stack([np.asarray(im) for im in imgs]).transpose(0, 3, 1, 2)
-    return np.ascontiguousarray(arr).astype(dtype) - np.asarray(0.5, dtype)
+    h, w, c = np.shape(imgs[0])
+    out = np.empty((len(imgs), c, h, w), dtype)
+    for item, im in zip(per_sample(out), imgs):
+        item[...] = np.asarray(im).astype(dtype) - np.asarray(0.5, dtype)
+    return out
 
 
 class TwoViewNet:
@@ -282,13 +315,11 @@ class TwoViewNet:
         """The prepared images and the flow proposal rendered from each
         previous depth and motion: the inputs of the iterative flow net."""
         i1, i2 = self._prep_images(img1, img2)
-        dt = self.cfg.np_dtype
         flow_prop = np.zeros_like(i1[:, :2])
         for n, p in enumerate(prev):
             prop, valid = flow_from_depth_motion(
                 p.inverse_depth(), p.motion(), K)
-            w = np.where(valid[..., None], prop.w, 0.0)
-            flow_prop[n] = w.transpose(2, 0, 1).astype(dt)
+            per_sample(flow_prop)[n] = np.where(valid[..., None], prop.w, 0.0)
         return [i1, i2, flow_prop]
 
     # --- forward passes -------------------------------------------------
@@ -325,14 +356,13 @@ class TwoViewNet:
         i1, i2, flow_prop = self._iterative_flow_inputs(img1, img2, prev, K)
         flow_out = self._flow_stage(self.iter_flow, [i1, i2, flow_prop])
         flow_np = flow_out["flow"].data
-        dt = self.cfg.np_dtype
         depth_prop = np.zeros_like(flow_np[:, :1])
         for n, p in enumerate(prev):
             try:
-                w = flow_np[n].transpose(1, 2, 0).astype(np.float64)
+                w = per_sample(flow_np)[n].astype(np.float64)
                 dep, valid = depth_from_flow_motion(
                     FlowField(w), p.motion().normalized(), K)
-                depth_prop[n, 0] = np.where(valid, dep.xi, 0.0).astype(dt)
+                per_sample(depth_prop)[n] = np.where(valid, dep.xi, 0.0)
             except DegenerateMotionError:
                 pass  # zero proposal
         return self._dm_stage(self.iter_dm, i1, i2, flow_out, depth_prop)
@@ -342,31 +372,19 @@ class TwoViewNet:
         dt = self.cfg.np_dtype
         f = self.cfg.refine_factor
         i1 = centred_nchw(img1_full, dt)
-        N = i1.shape[0]
-        H, W = self.cfg.height, self.cfg.width
-        low = np.zeros((N, 4, H, W), dtype=dt)
+        low = np.zeros((len(i1), 4, self.cfg.height, self.cfg.width), dt)
         for n, p in enumerate(predictions):
-            low[n, 0] = np.clip(p.xi * p.s, 0.0, None).astype(dt)
-            low[n, 1:4] = p.normals.transpose(2, 0, 1).astype(dt)
+            per_sample(low[:, :1])[n] = np.clip(p.xi * p.s, 0.0, None)
+            per_sample(low[:, 1:])[n] = p.normals
         up = np.repeat(np.repeat(low, f, axis=2), f, axis=3)
-        x = Tensor(np.concatenate([i1, up], axis=1))
-        out, _ = self.refine.forward(x)
+        out, _ = self.refine.forward(Tensor(np.concatenate([i1, up], axis=1)))
         return out
 
     @staticmethod
     def tensors_to_predictions(t: dict) -> list[Prediction]:
         """Detach batched graph outputs into per-sample predictions."""
-        flow, conf, xi, normals, r, tt, s = (
-            t[k].data for k in ("flow", "conf", "xi", "normals", "r", "t", "s"))
-        return [Prediction(
-            flow=flow[n].transpose(1, 2, 0).astype(np.float64),
-            flow_confidence=conf[n].transpose(1, 2, 0).astype(np.float64),
-            xi=xi[n, 0].astype(np.float64),
-            normals=normals[n].transpose(1, 2, 0).astype(np.float64),
-            r=r[n].astype(np.float64),
-            t=tt[n].astype(np.float64),
-            s=float(s[n, 0]),
-        ) for n in range(flow.shape[0])]
+        return [Prediction(**sample_fields(t, n))
+                for n in range(len(t["s"].data))]
 
     # --- inference API ----------------------------------------------------
 
@@ -385,7 +403,7 @@ class TwoViewNet:
                        predictions: list[Prediction]) -> list[np.ndarray]:
         with ad.no_grad():
             out = self.refine_tensors(img1_full, predictions).data
-        return [out[n, 0].astype(np.float64) for n in range(out.shape[0])]
+        return [xi.astype(np.float64) for xi in per_sample(out)]
 
     def predict(self, img1, img2, K: Intrinsics, n_iters: int | None = None,
                 img1_full=None, keep_history: bool = False):

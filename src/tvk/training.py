@@ -25,7 +25,8 @@ subclass ``CollapsedScaleError``.
 
 Losses bridge into the graph as seed gradients: ``_batch_loss`` runs
 ``losses.total_loss`` per sample on the detached outputs and injects the
-batch-mean analytic gradients into the output tensors that received one.
+batch-mean analytic gradients into the output tensors that received one;
+``network.per_sample`` and ``network.OUTPUT_FIELDS`` do both crossings.
 It stays a per-sample loop: one batched pass over phase 3's
 full-resolution depth raised peak memory and took longer.
 
@@ -99,7 +100,8 @@ from .metrics import (
     motion_angular_errors,
     sc_inv,
 )
-from .network import NetConfig, Prediction, TwoViewNet, XI_FLOOR
+from .network import (OUTPUT_FIELDS, XI_FLOOR, NetConfig, Prediction,
+                      TwoViewNet, per_sample, sample_fields)
 from .synthdata import SamplePair, SynthConfig
 
 _FLOW = ("flow", "flow_confidence", "grad_flow")
@@ -190,21 +192,11 @@ def intrinsics_from_meta(meta: dict) -> Intrinsics:
         if k in cfg}).intrinsics()
 
 
-# network output -> the name of its prediction in ``total_loss``
-_LOSS_NAMES = {"flow": "flow", "conf": "flow_confidence", "xi": "xi",
-               "normals": "normals", "r": "r", "t": "t", "s": "s"}
-_MAPS = ("flow", "conf", "normals")  # (N, C, H, W); (H, W, C) in the loss
-
 # phase -> (key of its batch draws, the loss terms it trains on)
 _PHASES = {"p1a_boot_flow": (11, _FLOW), "p1b_boot_dm": (12, _DEPTH_MOTION),
            "p1c_iter_flow": (13, _FLOW), "p1d_iter_dm": (14, _DEPTH_MOTION),
            "p2_iterative": (2, _FLOW + _DEPTH_MOTION),
            "p3_refine": (3, ("depth", "grad_depth"))}
-
-
-def _at(key: str, k: int):
-    """Index of sample k in output ``key``; xi and s keep a channel axis."""
-    return (k, 0) if key in ("xi", "s") else k
 
 
 def _images(samples: list[SamplePair]) -> tuple[list, list]:
@@ -221,36 +213,24 @@ def _batch_loss(weights: LossWeights, tensors: dict,
                 gts: list[dict]) -> tuple[float, dict]:
     """Mean per-sample ``total_loss`` of a batch and its seed gradients.
 
-    ``tensors`` holds batched graph outputs under the keys of
-    ``_LOSS_NAMES``; a missing ``s`` counts as 1. ``gts`` holds one
-    ground-truth dict per sample. Seeds are returned, in ``_LOSS_NAMES``
-    order, only for the outputs that received a gradient, so a flow-only
-    loss never backpropagates through the depth-motion net.
+    ``tensors`` holds batched graph outputs under keys of
+    ``network.OUTPUT_FIELDS``; a missing ``s`` counts as 1. ``gts`` holds
+    one ground-truth dict per sample. Seeds are returned, in
+    ``OUTPUT_FIELDS`` order, only for the outputs that received a gradient,
+    so a flow-only loss never backpropagates through the depth-motion net.
     """
-    data = {k: tensors[k].data for k in _LOSS_NAMES if k in tensors}
     acc: dict[str, np.ndarray] = {}
     value = 0.0
-    for k, gt in enumerate(gts):
-        pred = {"s": 1.0}
-        for key, a in data.items():
-            a = a[_at(key, k)]
-            if key in _MAPS:
-                a = a.transpose(1, 2, 0)
-            a = a.astype(np.float64)
-            pred[_LOSS_NAMES[key]] = float(a) if key == "s" else a
-        out = total_loss(pred, gt, weights)
+    for n, gt in enumerate(gts):
+        out = total_loss({"s": 1.0, **sample_fields(tensors, n)}, gt, weights)
         value += out.value
-        for key, a in data.items():
-            if _LOSS_NAMES[key] not in out.grads:
-                continue
-            g = np.asarray(out.grads[_LOSS_NAMES[key]])
-            if key in _MAPS:
-                g = g.transpose(2, 0, 1)
-            if key not in acc:
-                acc[key] = np.zeros_like(a)
-            acc[key][_at(key, k)] += g.astype(a.dtype)
+        for key, field in OUTPUT_FIELDS.items():
+            if key in tensors and field in out.grads:
+                if key not in acc:
+                    acc[key] = np.zeros_like(tensors[key].data)
+                per_sample(acc[key])[n] += out.grads[field]
     scale = 1.0 / len(gts)  # losses are pixel sums; average over the batch
-    return value * scale, {k: acc[k] * scale for k in data if k in acc}
+    return value * scale, {k: a * scale for k, a in acc.items()}
 
 
 def _only(weights: LossWeights, *terms: str) -> LossWeights:
@@ -275,7 +255,8 @@ class Trainer:
         os.makedirs(out_dir, exist_ok=True)
         rng = np.random.Generator(np.random.Philox(key=config.seed))
         order = rng.permutation(len(samples))
-        n_val = max(1, int(round(config.val_fraction * len(samples))))
+        n_val = (max(1, int(round(config.val_fraction * len(samples))))
+                 if config.val_fraction else 0)
         self.val = [samples[i] for i in order[:n_val]]
         self.train_set = [samples[i] for i in order[n_val:]]
         if not self.train_set:
@@ -373,8 +354,8 @@ class Trainer:
                 self._batches(_PHASES[phase][0], steps)):
             opt.lr = self._lr_at(step, steps)
             tensors, gts = forward(batch, idx)
-            _require_finite(phase, step, {k: tensors[k].data
-                                          for k in _LOSS_NAMES if k in tensors})
+            _require_finite(phase, step, {k: tensors[k].data for k in
+                                          OUTPUT_FIELDS if k in tensors})
             if "s" in tensors and not (tensors["s"].data > 0).all():
                 raise CollapsedScaleError(phase, step, "s")
             value, seeds = _batch_loss(self._weights_for(phase, step),

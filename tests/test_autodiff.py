@@ -587,6 +587,13 @@ class TestParameterStore:
         ps.load_state_dict(state)
         assert np.allclose(ps["a"].data, [0, 1, 2])
 
+    def test_unknown_name_is_named_and_nothing_loads(self):
+        ps = ParameterStore()
+        ps.add("a", np.arange(3.0))
+        with pytest.raises(KeyError, match="typo"):
+            ps.load_state_dict({"a": np.zeros(3), "typo": np.ones(2)})
+        assert ps["a"].data.tolist() == [0, 1, 2]
+
 
 class TestAdam:
     def test_zero_grad_zero_decay_keeps_params(self):

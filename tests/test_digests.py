@@ -21,14 +21,14 @@ def test_classical_line_matches_the_golden_file():
 
 def test_trimmed_lines_match_the_golden_file():
     lines = dict(digests.trimmed_lines())
-    assert len(lines) == 3
+    assert len(lines) == 4
     golden = digests.read_golden()
     assert digests.differences({k: golden.get(k) for k in lines}, lines) == []
 
 
 def test_golden_file_holds_every_line_once():
     golden = digests.read_golden()
-    assert len(golden) == 17
+    assert len(golden) == 18
     assert "render octaves=3 include_full=False" in golden
     assert all(len(v) == 16 for v in golden.values())
 

@@ -6,7 +6,7 @@ import pytest
 from tvk import autodiff as ad
 from tvk.autodiff import backward
 from tvk.geometry import Intrinsics
-from tvk.network import NetConfig, TwoViewNet
+from tvk.network import NetConfig, TwoViewNet, per_sample
 
 TINY = NetConfig(width=16, height=16, channels=(2, 4), dtype="float64")
 K_TINY = Intrinsics(fx=0.89, fy=1.19, cx=0.5, cy=0.5, width=16, height=16)
@@ -32,6 +32,23 @@ class TestNetConfig:
                       refine_channels=(2, 4, 8))
         NetConfig(width=20, height=20, channels=(2,), refine_factor=2,
                   refine_channels=(2, 4, 8))  # 40x40 can
+
+
+class TestPerSample:
+    def test_items_are_samples_and_writing_them_fills_the_batch(self):
+        rng = np.random.default_rng(2)
+        for shape, item in (((2, 3, 4, 5), (4, 5, 3)), ((2, 1, 4, 5), (4, 5)),
+                            ((2, 3), (3,)), ((2, 1), ())):
+            batch = rng.normal(size=shape)
+            view = per_sample(batch)
+            assert view.shape == (2,) + item
+            filled = np.zeros_like(batch)
+            for n in range(2):
+                assert np.shape(view[n]) == item
+                per_sample(filled)[n] = view[n]
+            assert np.array_equal(filled, batch)
+            assert np.array_equal(np.moveaxis(batch, 1, -1).reshape(
+                (2,) + item), view)
 
 
 class TestMotionHead:

@@ -217,6 +217,15 @@ def test_train_config_rejects_a_value_that_fails_late_or_does_nothing(
     assert getattr(config(**{field: edge}), field) == edge
 
 
+@pytest.mark.parametrize("fraction, n_val", [(0.0, 0), (0.01, 1), (0.5, 2)])
+def test_val_fraction_zero_holds_out_no_sample(tiny_samples, tmp_path,
+                                               fraction, n_val):
+    trainer = Trainer(TwoViewNet(TINY), tiny_samples, K_TINY,
+                      TrainConfig(val_fraction=fraction), str(tmp_path))
+    assert len(trainer.val) == n_val
+    assert len(trainer.train_set) == len(tiny_samples) - n_val
+
+
 def test_seeded_training_writes_identical_files(tiny_samples, tmp_path):
     config = TrainConfig(seed=4, batch_size=2, phase1_steps=2, phase2_steps=2,
                          phase3_steps=2, grad_loss_start=1, log_every=1)

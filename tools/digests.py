@@ -2,7 +2,7 @@
 
 Run from anywhere::
 
-    python tools/digests.py          # print the 17 lines (about 10 s)
+    python tools/digests.py          # print the 18 lines (about 10 s)
     python tools/digests.py --check  # also compare them with digests.txt
 
 ``--check`` names every line that differs from the golden file
@@ -35,13 +35,13 @@ Two trees that print the same lines give bitwise the same outputs for:
 * ``classical``: the motions ``estimate_motion_from_flow`` gives on seeds
   0-19 x 12 pairs of ground-truth flow plus N(0, 5e-4) noise (a pair that
   raises contributes its exception's type name);
-* ``trimmed dataset``, ``trimmed predict float32 b1``, ``trimmed train``:
-  a trimmed set that is quick enough for every test run
-  (``trimmed_lines``, about 1 s): the seed-7, 4-pair dataset file of the
-  default ``SynthConfig``; batch-1 ``predict`` as above on its first 2
-  pairs; and the four files of a seed-3 ``Trainer.train()`` of the
-  default net on it (batch 2, steps 1/2/1, ``grad_loss_start=0``,
-  ``log_every=1``), hashed in one line.
+* ``trimmed dataset``, ``trimmed predict float32 b1``, ``trimmed predict
+  float64 b1``, ``trimmed train``: a trimmed set that is quick enough for
+  every test run (``trimmed_lines``, about 1 s): the seed-7, 4-pair dataset
+  file of the default ``SynthConfig``; batch-1 ``predict`` as above on its
+  first 2 pairs, in each dtype; and the four files of a seed-3
+  ``Trainer.train()`` of the default net on it (batch 2, steps 1/2/1,
+  ``grad_loss_start=0``, ``log_every=1``), hashed in one line.
 
 The classical line changes whenever the last bits of a motion do;
 ``classical_motions`` returns the motions themselves, for comparing two
@@ -209,8 +209,9 @@ def trimmed_lines():
         yield "trimmed dataset", file_digest(data)
         samples, meta = synthdata.load_dataset(data)
         K = training.intrinsics_from_meta(meta)
-        yield "trimmed predict float32 b1", predict_digest(
-            samples[:TRIMMED_PREDICT_PAIRS], K, "float32", 1)
+        for dtype in ("float32", "float64"):
+            yield f"trimmed predict {dtype} b1", predict_digest(
+                samples[:TRIMMED_PREDICT_PAIRS], K, dtype, 1)
         paths = train_run(samples, K, os.path.join(tmp, "run"), batch_size=2,
                           phase1_steps=1, phase2_steps=2, phase3_steps=1,
                           grad_loss_start=0)
