@@ -29,18 +29,19 @@ differently from a single row, and the motion head's rounding then
 depended on the batch (the depth proposal amplifies it). With both, a
 batch predicts bitwise what its samples predict one by one.
 
-Kernel layouts are memoized on the weight ``Tensor``, for its current
-``data`` only: assigning ``data`` drops them. The memo serves
+One validity rule covers every value computed from a weight: it is used
+while its array ``is`` the weight's current one and is ``immutable``
+(read-only and owning its memory, so it can neither change nor be changed
+through another array), and it keeps that array alive. ``ParameterStore``
+and ``Adam.step`` leave parameter arrays read-only: an update replaces the
+array, an in-place write raises ``ValueError``, and ``state_dict`` returns
+the arrays themselves. Under this rule a weight ``Tensor`` memoizes its
+kernel layouts as ``(array, {layout fn: kernel})``, so a replaced weight's
+old array lives until that weight's next layout. The memo serves
 ``upconv2d``'s forward, whose phase kernels inference reads again and
 again; ``conv2d``'s input gradient lays its flipped kernel out on every
 call, since ``Adam.step`` replaces each trained weight before a later
-backward could reuse it. A layout is used only while its array is
-read-only and owns its memory, so it can neither change nor be changed
-through another array. ``ParameterStore.add``,
-``ParameterStore.load_state_dict`` and ``Adam.step`` leave parameter arrays
-read-only: an update replaces the array, and an in-place write raises
-``ValueError``. A writeable array (a tensor built from a caller's array)
-is laid out on every call. An array made writeable again must not be written
+backward could reuse it. An array made writeable again must not be written
 and then made read-only again; assign a new array instead.
 
 Gradients accumulate into ``Tensor.grad``. The graph is built eagerly by
@@ -89,26 +90,18 @@ __all__ = [
 class Tensor:
     """A value node: numpy data plus the recipe to push gradients back."""
 
-    __slots__ = ("_data", "_layouts", "grad", "requires_grad", "name",
+    __slots__ = ("data", "_layouts", "grad", "requires_grad", "name",
                  "_parents", "_vjp")
 
     def __init__(self, data, requires_grad=False, name=None,
                  _parents=(), _vjp=None):
         self.data = np.asarray(data)
+        self._layouts = (None, None)  # (array, {layout fn: kernel}): _layout
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self.name = name
         self._parents = _parents
         self._vjp = _vjp  # fn(grad) -> tuple of parent grads (or None)
-
-    @property
-    def data(self) -> np.ndarray:
-        return self._data
-
-    @data.setter
-    def data(self, value):
-        self._data = value
-        self._layouts = None  # {layout fn: kernel} of this array, see _layout
 
     @property
     def shape(self):
@@ -307,16 +300,19 @@ def immutable(a: np.ndarray) -> bool:
 
 
 def _layout(w: Tensor, make) -> np.ndarray:
-    """``make(w.data)``, memoized on ``w`` if ``w.data`` is ``immutable``;
-    any other array is laid out on every call."""
+    """``make(w.data)``, memoized on ``w`` while ``w.data`` is the array the
+    memo was made for and is ``immutable``; any other array is laid out on
+    every call."""
     a = w.data
     if not immutable(a):
         return make(a)
-    if w._layouts is None:
-        w._layouts = {}
-    if make not in w._layouts:
-        w._layouts[make] = _readonly(make(a))
-    return w._layouts[make]
+    held, layouts = w._layouts
+    if held is not a:
+        layouts = {}
+        w._layouts = (a, layouts)
+    if make not in layouts:
+        layouts[make] = _readonly(make(a))
+    return layouts[make]
 
 
 def _phase_kernels(w):
@@ -554,7 +550,7 @@ class ParameterStore:
         return self._params.values()
 
     def state_dict(self) -> dict[str, np.ndarray]:
-        return {name: t.data.copy() for name, t in self._params.items()}
+        return {name: t.data for name, t in self._params.items()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
         unknown = sorted(set(state) - set(self._params))
@@ -619,6 +615,18 @@ class Adam:
         return out
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        """Load what ``state_dict`` gave. Before anything loads, an unknown
+        or missing entry raises ``KeyError`` and a moment whose shape is not
+        its parameter's raises ``ValueError``."""
+        moments = {f"adam.{mv}.{name}": p.data.shape
+                   for name, p in self.params.items() for mv in "mv"}
+        unknown = sorted(set(state) - {"adam.t", *moments})
+        if unknown:
+            raise KeyError(f"optimizer state has unknown entries {unknown}")
+        for key, shape in moments.items():  # a missing key raises here
+            if np.shape(state[key]) != shape:
+                raise ValueError(f"optimizer state {key!r}: shape "
+                                 f"{np.shape(state[key])}, parameter {shape}")
         self.t = int(state["adam.t"])
         for name in self.params:
             self.m[name] = np.array(state[f"adam.m.{name}"])

@@ -3,6 +3,20 @@
 Depth metrics consume metric depth z; for network outputs the evaluator
 converts via z = 1/(s*xi) on valid pixels first. All reductions are
 means over the intersection of the supplied validity masks.
+
+``depth_error_report`` is the one depth-error kernel: it masks a pair
+once, checks once that both depths are positive there and computes
+L1-inv, sc-inv (Eigen et al., NIPS 2014) and L1-rel from the same masked
+pixels. ``l1_inv``, ``sc_inv`` and ``l1_rel`` each return one field of it.
+
+A report row is a dict from error names to floats: the schema's names
+(``CSV_FIELDS`` after ``dataset`` and ``method``) are read and any other
+key is ignored, so an ``evaluate_iterations`` row and
+``{**asdict(depth), **asdict(motion), "epe": e}`` both fit.
+``csv_row(dataset, method, errors)`` formats one to 9 significant digits,
+leaving an error the dict lacks empty. ``write_csv`` is the package's one
+CSV writer: rows under a header of ``fields``, returned as text and
+written to ``path`` when one is given.
 """
 
 from __future__ import annotations
@@ -50,41 +64,35 @@ def _masked(z, z_gt, mask):
     return z[mask], z_gt[mask]
 
 
-def sc_inv(z, z_gt, mask=None) -> float:
-    """Scale-invariant log-depth error: std of log z - log z_gt."""
+def depth_error_report(z, z_gt, mask=None) -> DepthErrorReport:
+    """All depth errors of one pair, from one masking (module docstring)."""
     zv, gv = _masked(z, z_gt, mask)
     if np.any(zv <= 0) or np.any(gv <= 0):
         raise ValueError("depths must be positive on valid pixels")
     d = np.log(zv) - np.log(gv)
     n = d.size
-    val = float(np.sum(d * d) / n - (np.sum(d) / n) ** 2)
-    return float(np.sqrt(max(val, 0.0)))
+    var = float(np.sum(d * d) / n - (np.sum(d) / n) ** 2)
+    return DepthErrorReport(
+        l1_inv=float(np.mean(np.abs(1.0 / zv - 1.0 / gv))),
+        sc_inv=float(np.sqrt(max(var, 0.0))),
+        l1_rel=float(np.mean(np.abs(zv - gv) / gv)),
+        n_valid=int(n),
+    )
+
+
+def sc_inv(z, z_gt, mask=None) -> float:
+    """Scale-invariant log-depth error: std of log z - log z_gt."""
+    return depth_error_report(z, z_gt, mask).sc_inv
 
 
 def l1_rel(z, z_gt, mask=None) -> float:
     """Mean absolute depth error relative to the ground truth depth."""
-    zv, gv = _masked(z, z_gt, mask)
-    if np.any(gv <= 0):
-        raise ValueError("ground-truth depths must be positive")
-    return float(np.mean(np.abs(zv - gv) / gv))
+    return depth_error_report(z, z_gt, mask).l1_rel
 
 
 def l1_inv(z, z_gt, mask=None) -> float:
     """Mean absolute inverse-depth error."""
-    zv, gv = _masked(z, z_gt, mask)
-    if np.any(zv <= 0) or np.any(gv <= 0):
-        raise ValueError("depths must be positive on valid pixels")
-    return float(np.mean(np.abs(1.0 / zv - 1.0 / gv)))
-
-
-def depth_error_report(z, z_gt, mask=None) -> DepthErrorReport:
-    zv, _ = _masked(z, z_gt, mask)
-    return DepthErrorReport(
-        l1_inv=l1_inv(z, z_gt, mask),
-        sc_inv=sc_inv(z, z_gt, mask),
-        l1_rel=l1_rel(z, z_gt, mask),
-        n_valid=int(zv.size),
-    )
+    return depth_error_report(z, z_gt, mask).l1_inv
 
 
 def endpoint_error(flow, flow_gt, mask=None) -> float:
@@ -106,33 +114,23 @@ def motion_angular_errors(pred: CameraMotion, gt: CameraMotion) -> MotionErrorRe
     return MotionErrorReport(rot_deg=rot_deg, trans_deg=trans_deg)
 
 
-def csv_row(dataset: str, method: str, depth: DepthErrorReport | None,
-            motion: MotionErrorReport | None, epe: float | None) -> dict:
-    """One row of the shared report schema; missing parts stay empty."""
-    row = {k: "" for k in CSV_FIELDS}
-    row["dataset"] = dataset
-    row["method"] = method
-    if depth is not None:
-        row["l1_inv"] = f"{depth.l1_inv:.9g}"
-        row["sc_inv"] = f"{depth.sc_inv:.9g}"
-        row["l1_rel"] = f"{depth.l1_rel:.9g}"
-    if motion is not None:
-        row["rot_deg"] = f"{motion.rot_deg:.9g}"
-        row["trans_deg"] = f"{motion.trans_deg:.9g}"
-    if epe is not None:
-        row["epe"] = f"{epe:.9g}"
+def csv_row(dataset: str, method: str, errors: dict) -> dict:
+    """One row of the shared report schema (module docstring)."""
+    row = {"dataset": dataset, "method": method}
+    for k in CSV_FIELDS[2:]:
+        row[k] = f"{errors[k]:.9g}" if k in errors else ""
     return row
 
 
-def write_csv(rows: list[dict], path: str | None = None) -> str:
+def write_csv(rows: list[dict], path: str | None = None,
+              fields: list[str] = CSV_FIELDS) -> str:
     """Serialize rows; returns the CSV text (and writes it when given a path)."""
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_FIELDS, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     text = buf.getvalue()
     if path is not None:
-        with open(path, "w") as f:
+        with open(path, "w", newline="") as f:
             f.write(text)
     return text

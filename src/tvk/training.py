@@ -46,15 +46,14 @@ phase 3 (key 0) or of phase 3 (the final key). Draws that do not repeat cost
 what recomputing costs.
 
 Each key holds one snapshot, the weight arrays of the stages it reads, and
-its entries are valid while each array of the snapshot ``is`` the current
-one and is ``autodiff.immutable``; otherwise the key starts again empty.
-Parameter arrays are read-only and every update replaces them, and since
-the snapshot keeps the old arrays alive their ids cannot be reused. An
-array that is writeable or a view (one assigned from outside) could change
-in place, so a key whose snapshot holds one is emptied on every lookup. All
-misses of a lookup are computed in one batch. Because every op is batch
-invariant (see ``autodiff``), an entry equals a fresh prediction of that
-sample, in any batch, bitwise, so training writes what recomputing would.
+its entries follow ``autodiff``'s one validity rule for values computed
+from weights: they are valid while each array of the snapshot ``is`` the
+current one and is ``autodiff.immutable``; otherwise the key starts again
+empty. So a key whose snapshot holds a writeable array or a view (one
+assigned from outside) is emptied on every lookup. All misses of a lookup
+are computed in one batch. Because every op is batch invariant (see
+``autodiff``), an entry equals a fresh prediction of that sample, in any
+batch, bitwise, so training writes what recomputing would.
 
 The memo holds at most one bootstrap and one final entry per training
 sample, each about 197 KB (a float64 ``Prediction`` at 64x48): at most
@@ -83,7 +82,6 @@ without the net's resolution raises ``FieldShapeError``.
 from __future__ import annotations
 
 import collections
-import csv
 import os
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -93,13 +91,8 @@ from . import container
 from .autodiff import Adam, backward, immutable
 from .geometry import Intrinsics, check_field_types
 from .losses import LossWeights, total_loss
-from .metrics import (
-    endpoint_error,
-    l1_inv,
-    l1_rel,
-    motion_angular_errors,
-    sc_inv,
-)
+from .metrics import (CSV_FIELDS, depth_error_report, endpoint_error,
+                      motion_angular_errors, write_csv)
 from .network import (OUTPUT_FIELDS, XI_FLOOR, NetConfig, Prediction,
                       TwoViewNet, per_sample, sample_fields)
 from .synthdata import SamplePair, SynthConfig
@@ -462,12 +455,7 @@ class Trainer:
 
     def write_loss_csv(self):
         path = os.path.join(self.out_dir, "loss_curves.csv")
-        with open(path, "w", newline="") as f:
-            writer = csv.DictWriter(f, fieldnames=["phase", "step", "loss"],
-                                    lineterminator="\n")
-            writer.writeheader()
-            for row in self.loss_log:
-                writer.writerow(row)
+        write_csv(self.loss_log, path, ["phase", "step", "loss"])
         return path
 
 
@@ -496,7 +484,8 @@ def evaluate_iterations(model: TwoViewNet, samples: list[SamplePair],
     Depth metrics are computed on z = 1/(s*xi) against the ground truth,
     restricted to pixels visible in both images; the endpoint error uses
     the same mask; motion errors compare unit translations and angle-axis
-    rotations.
+    rotations. A row holds the report schema's error names, so
+    ``metrics.csv_row`` takes it as it is (``iteration`` is not written).
     """
     accum = [collections.defaultdict(list) for _ in range(n_iters + 1)]
     for start in range(0, len(samples), batch_size):
@@ -511,18 +500,11 @@ def evaluate_iterations(model: TwoViewNet, samples: list[SamplePair],
                     continue
                 z = pred.metric_depth()
                 z_gt = 1.0 / np.clip(sample.xi, XI_FLOOR, None)
-                a = accum[it]
-                a["l1_inv"].append(l1_inv(z, z_gt, mask))
-                a["sc_inv"].append(sc_inv(z, z_gt, mask))
-                a["l1_rel"].append(l1_rel(z, z_gt, mask))
-                a["epe"].append(endpoint_error(pred.flow, sample.flow, mask))
-                err = motion_angular_errors(pred.motion().normalized(),
-                                            sample.motion())
-                a["rot_deg"].append(err.rot_deg)
-                a["trans_deg"].append(err.trans_deg)
-    rows = []
-    for it, a in enumerate(accum):
-        row = {"iteration": it}
-        row.update({k: float(np.mean(v)) for k, v in a.items()})
-        rows.append(row)
-    return rows
+                errors = {**asdict(depth_error_report(z, z_gt, mask)),
+                          **asdict(motion_angular_errors(
+                              pred.motion().normalized(), sample.motion())),
+                          "epe": endpoint_error(pred.flow, sample.flow, mask)}
+                for k in CSV_FIELDS[2:]:
+                    accum[it][k].append(errors[k])
+    return [{"iteration": it, **{k: float(np.mean(v)) for k, v in a.items()}}
+            for it, a in enumerate(accum)]

@@ -677,6 +677,31 @@ class TestAdam:
         assert opt2.t == 1
         assert np.allclose(opt2.m["p"], opt.m["p"])
 
+    @staticmethod
+    def stepped():
+        ps = ParameterStore()
+        p = ps.add("w", np.array([1.0, 2.0, 3.0]))
+        opt = Adam(ps, lr=0.01)
+        p.grad = np.array([0.1, -0.2, 0.3])
+        opt.step()
+        return ps, opt
+
+    def test_unknown_state_entry_is_named_and_nothing_loads(self):
+        ps, opt = self.stepped()
+        state = opt.state_dict()
+        fresh = Adam(ps, lr=0.01)
+        with pytest.raises(KeyError, match="adam.m.typo"):
+            fresh.load_state_dict({**state, "adam.m.typo": np.zeros(3)})
+        assert fresh.t == 0 and not fresh.m["w"].any()
+
+    def test_moment_shape_mismatch_is_named_and_nothing_loads(self):
+        ps, opt = self.stepped()
+        state = opt.state_dict()
+        fresh = Adam(ps, lr=0.01)
+        with pytest.raises(ValueError, match="adam.v.w"):
+            fresh.load_state_dict({**state, "adam.v.w": np.ones(5)})
+        assert fresh.t == 0 and not fresh.m["w"].any()
+
 
 class TestLayoutMemo:
     """Kernel layouts memoized on a parameter follow each of its updates."""

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,10 @@ class TestL1Rel:
             z, z_gt, mask = random_depths(rng)
             assert abs(l1_rel(z, z_gt, mask)
                        - l1_rel_bruteforce(z, z_gt, mask)) < 1e-10
+
+    def test_nonpositive_prediction_rejected(self):
+        with pytest.raises(ValueError, match="positive"):
+            l1_rel(np.array([[-1.0, 2.0]]), np.array([[2.0, 4.0]]))
 
 
 class TestL1Inv:
@@ -175,16 +181,34 @@ class TestReports:
         assert rep.n_valid == int(mask.sum())
         assert rep.l1_inv >= 0 and rep.sc_inv >= 0 and rep.l1_rel >= 0
 
+    def test_depth_report_values_are_pinned(self):
+        # the four values the three separate metric passes gave, bit for bit
+        rng = np.random.default_rng(5)
+        z, z_gt = rng.uniform(0.5, 5.0, (2, 48, 64))
+        rep = depth_error_report(z, z_gt, rng.uniform(size=(48, 64)) > 0.3)
+        assert (rep.l1_inv.hex(), rep.sc_inv.hex(), rep.l1_rel.hex(),
+                rep.n_valid) == ("0x1.719f25907dee6p-2", "0x1.a618b1a1b9c98p-1",
+                                 "0x1.aa591b3872ba5p-1", 2182)
+
     def test_csv_schema(self):
         rng = np.random.default_rng(14)
         z, z_gt, mask = random_depths(rng)
         rep = depth_error_report(z, z_gt, mask)
         mot = motion_angular_errors(CameraMotion([0.1, 0, 0], [0, 0, 1.0]),
                                     CameraMotion([0, 0, 0], [0, 0, 1.0]))
-        row = csv_row("synthetic", "base-oracle", rep, mot, 0.01)
+        row = csv_row("synthetic", "base-oracle",
+                      {**asdict(rep), **asdict(mot), "epe": 0.01})
         text = write_csv([row])
         lines = text.strip().split("\n")
         assert lines[0] == ",".join(CSV_FIELDS)
         assert lines[1].startswith("synthetic,base-oracle,")
         parsed = lines[1].split(",")
         assert float(parsed[2]) == pytest.approx(rep.l1_inv, rel=1e-6)
+
+    def test_write_csv_fields_and_file(self, tmp_path):
+        path = str(tmp_path / "loss.csv")
+        rows = [{"phase": "p1a", "step": 0, "loss": 1.5}]
+        text = write_csv(rows, path, ["phase", "step", "loss"])
+        assert text == "phase,step,loss\np1a,0,1.5\n"
+        with open(path, newline="") as f:
+            assert f.read() == text

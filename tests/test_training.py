@@ -1,3 +1,4 @@
+import csv
 import weakref
 from dataclasses import asdict, replace
 
@@ -10,8 +11,8 @@ from tvk.geometry import Intrinsics
 from tvk.losses import DEFAULT_SPACINGS, LossWeights, total_loss
 from tvk.network import XI_FLOOR, NetConfig, TwoViewNet
 from tvk.synthdata import SynthConfig, generate_dataset, load_dataset
-from tvk.metrics import (endpoint_error, l1_inv, l1_rel,
-                         motion_angular_errors, sc_inv)
+from tvk.metrics import (CSV_FIELDS, csv_row, endpoint_error, l1_inv,
+                         l1_rel, motion_angular_errors, sc_inv, write_csv)
 from tvk import training
 from tvk.training import (CollapsedScaleError, MissingFieldError,
                           NonFiniteError, TrainConfig, Trainer, _batch_loss,
@@ -649,6 +650,25 @@ def test_evaluate_iterations_matches_per_sample_metrics(tiny_samples):
     one = evaluate_iterations(model, samples, K_TINY, n_iters=2, batch_size=1)
     assert [np.array(list(r.values())).tobytes() for r in one] == \
         [np.array(list(r.values())).tobytes() for r in rows]
+
+
+def test_evaluate_iterations_rows_round_trip_through_the_csv(tiny_samples,
+                                                            tmp_path):
+    model = TwoViewNet(replace(TINY, dtype="float64"), seed=2)
+    rows = evaluate_iterations(model, tiny_samples[:2], K_TINY, n_iters=1)
+    del rows[1]["epe"]  # an error the row lacks stays empty
+    path = str(tmp_path / "eval.csv")
+    write_csv([csv_row("tiny", f"it{r['iteration']}", r) for r in rows], path)
+    with open(path, newline="") as f:
+        read = list(csv.DictReader(f))
+    assert [list(r) for r in read] == [CSV_FIELDS] * 2
+    for row, back in zip(rows, read):
+        assert back["method"] == f"it{row['iteration']}"
+        for k in CSV_FIELDS[2:]:  # 9 significant digits, or empty
+            if k in row:
+                assert float(back[k]) == pytest.approx(row[k], rel=5e-9)
+            else:
+                assert back[k] == ""
 
 
 def test_intrinsics_from_meta_reads_the_dataset_config(tmp_path):
