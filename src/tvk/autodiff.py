@@ -35,14 +35,14 @@ while its array ``is`` the weight's current one and is ``immutable``
 through another array), and it keeps that array alive. ``ParameterStore``
 and ``Adam.step`` leave parameter arrays read-only: an update replaces the
 array, an in-place write raises ``ValueError``, and ``state_dict`` returns
-the arrays themselves. Under this rule a weight ``Tensor`` memoizes its
-kernel layouts as ``(array, {layout fn: kernel})``, so a replaced weight's
-old array lives until that weight's next layout. The memo serves
-``upconv2d``'s forward, whose phase kernels inference reads again and
-again; ``conv2d``'s input gradient lays its flipped kernel out on every
-call, since ``Adam.step`` replaces each trained weight before a later
-backward could reuse it. An array made writeable again must not be written
-and then made read-only again; assign a new array instead.
+the arrays themselves. Under this rule a weight ``Tensor`` memoizes the
+phase kernels of ``upconv2d``'s forward, which inference reads again and
+again, as ``(array, phase kernels)``, so a replaced weight's old array
+lives until that weight's next upconv; ``conv2d``'s input gradient lays
+its flipped kernel out on every call, since ``Adam.step`` replaces each
+trained weight before a later backward could reuse it. An array made
+writeable again must not be written and then made read-only again; assign
+a new array instead.
 
 Gradients accumulate into ``Tensor.grad``. The graph is built eagerly by
 the ops: an op's output records its parents and its VJP closure whenever
@@ -90,13 +90,13 @@ __all__ = [
 class Tensor:
     """A value node: numpy data plus the recipe to push gradients back."""
 
-    __slots__ = ("data", "_layouts", "grad", "requires_grad", "name",
+    __slots__ = ("data", "_phases", "grad", "requires_grad", "name",
                  "_parents", "_vjp")
 
     def __init__(self, data, requires_grad=False, name=None,
                  _parents=(), _vjp=None):
         self.data = np.asarray(data)
-        self._layouts = (None, None)  # (array, {layout fn: kernel}): _layout
+        self._phases = (None, None)  # (array, phase kernels): _phase_layout
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self.name = name
@@ -299,20 +299,16 @@ def immutable(a: np.ndarray) -> bool:
     return not a.flags.writeable and a.flags.owndata
 
 
-def _layout(w: Tensor, make) -> np.ndarray:
-    """``make(w.data)``, memoized on ``w`` while ``w.data`` is the array the
-    memo was made for and is ``immutable``; any other array is laid out on
-    every call."""
+def _phase_layout(w: Tensor) -> np.ndarray:
+    """``_phase_kernels(w.data)``, memoized on ``w`` while ``w.data`` is the
+    array the memo was made for and is ``immutable``; any other array is
+    laid out on every call."""
     a = w.data
     if not immutable(a):
-        return make(a)
-    held, layouts = w._layouts
-    if held is not a:
-        layouts = {}
-        w._layouts = (a, layouts)
-    if make not in layouts:
-        layouts[make] = _readonly(make(a))
-    return layouts[make]
+        return _phase_kernels(a)
+    if w._phases[0] is not a:
+        w._phases = (a, _readonly(_phase_kernels(a)))
+    return w._phases[1]
 
 
 def _phase_kernels(w):
@@ -448,7 +444,7 @@ def upconv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
         return _conv(g, kshape, (2, 2), (1, 1), w.data if gx else None,
                      x.data if gw else None)
 
-    return _linear(_upconv_phases(x.data, _layout(w, _phase_kernels)),
+    return _linear(_upconv_phases(x.data, _phase_layout(w)),
                    x, w, b, grads, leaky)
 
 
@@ -505,10 +501,10 @@ def global_avg_pool(x: Tensor) -> Tensor:
     return _op(out, (x,), vjp)
 
 
-def l2_normalize_rows(x: Tensor, eps: float = 1e-12) -> Tensor:
-    """Normalize each row of (N, K) to unit L2 norm."""
+def l2_normalize_rows(x: Tensor) -> Tensor:
+    """Normalize each row of (N, K) to unit L2 norm (at least 1e-12)."""
     n = np.linalg.norm(x.data, axis=1, keepdims=True)
-    n = np.maximum(n, eps)
+    n = np.maximum(n, 1e-12)
     y = x.data / n
 
     def vjp(g):
@@ -565,16 +561,17 @@ class ParameterStore:
             t.data = _readonly(arr.copy())
 
 
+_ADAM_BETAS = (0.9, 0.999)
+_ADAM_EPS = 1e-8
+
+
 class Adam:
     """Adam with bias correction followed by decoupled weight decay."""
 
-    def __init__(self, params: ParameterStore | dict, lr=1e-4, beta1=0.9,
-                 beta2=0.999, eps=1e-8, weight_decay=0.0004):
+    def __init__(self, params: ParameterStore | dict, lr=1e-4,
+                 weight_decay=0.0004):
         self.params = dict(params.items()) if hasattr(params, "items") else params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
@@ -586,7 +583,7 @@ class Adam:
 
     def step(self):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = _ADAM_BETAS
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
         for name in self.params:
@@ -601,7 +598,7 @@ class Adam:
             v *= b2
             v += (1 - b2) * np.square(g)
             step = (self.lr * (m / bc1)
-                    / (np.sqrt(v / bc2) + self.eps)).astype(p.data.dtype)
+                    / (np.sqrt(v / bc2) + _ADAM_EPS)).astype(p.data.dtype)
             if self.weight_decay:
                 step = step + (self.lr * self.weight_decay
                                * p.data).astype(p.data.dtype)

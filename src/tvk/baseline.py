@@ -6,8 +6,8 @@ reprojection error. RANSAC solves and scores its hypotheses in blocks
 (one stacked 8-point solve and one batched Sampson pass each) whose sizes
 double from 8 up to ``_RANSAC_BLOCK``, drawing a block's minimal samples at
 its start, in the order of one draw per hypothesis; ``eight_point`` and
-``sampson_distance`` are batch-of-one calls of the same helpers, so blocks
-of any sizes give bitwise the results of scoring one hypothesis at a time.
+``_sampson(E[None], ...)`` are batch-of-one calls of the same helpers, so
+blocks of any sizes give bitwise the results of one hypothesis at a time.
 RANSAC stops after the first block in which a hypothesis counts every
 match as an inlier. The stop is exact wherever a block ends, because the
 returned E and mask depend only on the winning mask, and any later winner
@@ -82,6 +82,7 @@ class Correspondences:
 # stop comes, without larger (block, n, 3) temporaries. Any schedule gives
 # the one-at-a-time result, so the sizes change speed only.
 _RANSAC_BLOCK = 50
+_LM_ITERS = 100  # iteration cap of ``refine_motion``
 
 
 def _hartley_normalize(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -155,11 +156,6 @@ def eight_point(corr: Correspondences) -> np.ndarray:
     if not len(E):
         raise EstimationError("degenerate configuration (rank-deficient system)")
     return E[0]
-
-
-def sampson_distance(E: np.ndarray, corr: Correspondences) -> np.ndarray:
-    """First-order squared epipolar distance per match."""
-    return _sampson(E[None], _homogeneous(corr.x1), _homogeneous(corr.x2))[0]
 
 
 def ransac_essential(corr: Correspondences, threshold: float = 1e-4,
@@ -340,8 +336,7 @@ def _sym3_inverse(M):
 
 
 def refine_motion(motion: CameraMotion, corr: Correspondences,
-                  inliers: np.ndarray | None = None,
-                  max_iters: int = 100) -> RefineResult:
+                  inliers: np.ndarray | None = None) -> RefineResult:
     """Levenberg-Marquardt over (r, t on the unit sphere) and the points.
 
     Two-frame bundle adjustment: each point is parameterized by its
@@ -350,8 +345,8 @@ def refine_motion(motion: CameraMotion, corr: Correspondences,
     eliminated by a Schur complement, so each step solves a 5x5 system.
     The translation stays unit norm via 2D tangent-plane updates. Stops
     when no gradient component exceeds 1e-10 in magnitude, on step norm
-    < 1e-12 or at the iteration cap; if no improving step exists the input
-    is returned with ``no_progress``.
+    < 1e-12 or after ``_LM_ITERS`` iterations; if no improving step exists
+    the input is returned with ``no_progress``.
     Matches that triangulate behind either camera under the starting
     motion are left out: their inverse depth has no valid start, and a
     few of them can dominate the cost and pull the motion away.
@@ -377,7 +372,7 @@ def refine_motion(motion: CameraMotion, corr: Correspondences,
     lam = 1e-6
     accepted_any = stalled = False
     iters = 0
-    for iters in range(1, max_iters + 1):
+    for iters in range(1, _LM_ITERS + 1):
         B = _tangent_basis(t)
         # (column, row, point) layout: every product below runs over N
         J = _ba_jacobian(R, t, xi, Q, B).transpose(2, 1, 0)

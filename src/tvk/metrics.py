@@ -6,8 +6,9 @@ means over the intersection of the supplied validity masks.
 
 ``depth_error_report`` is the one depth-error kernel: it masks a pair
 once, checks once that both depths are positive there and computes
-L1-inv, sc-inv (Eigen et al., NIPS 2014) and L1-rel from the same masked
-pixels. ``l1_inv``, ``sc_inv`` and ``l1_rel`` each return one field of it.
+L1-inv (mean absolute inverse-depth error), sc-inv (the standard deviation
+of log z - log z_gt; Eigen et al., NIPS 2014) and L1-rel (mean absolute
+depth error relative to the ground truth) from the same masked pixels.
 
 A report row is a dict from error names to floats: the schema's names
 (``CSV_FIELDS`` after ``dataset`` and ``method``) are read and any other
@@ -78,21 +79,6 @@ def depth_error_report(z, z_gt, mask=None) -> DepthErrorReport:
         l1_rel=float(np.mean(np.abs(zv - gv) / gv)),
         n_valid=int(n),
     )
-
-
-def sc_inv(z, z_gt, mask=None) -> float:
-    """Scale-invariant log-depth error: std of log z - log z_gt."""
-    return depth_error_report(z, z_gt, mask).sc_inv
-
-
-def l1_rel(z, z_gt, mask=None) -> float:
-    """Mean absolute depth error relative to the ground truth depth."""
-    return depth_error_report(z, z_gt, mask).l1_rel
-
-
-def l1_inv(z, z_gt, mask=None) -> float:
-    """Mean absolute inverse-depth error."""
-    return depth_error_report(z, z_gt, mask).l1_inv
 
 
 def endpoint_error(flow, flow_gt, mask=None) -> float:

@@ -152,7 +152,6 @@ class EncoderDecoder:
         self.prefix = prefix
         self.cfg = cfg
         self.in_channels = in_channels
-        self.out_channels = out_channels
         self.channels = channels
         self.first_kernel = first_kernel
         self.motion_head = motion_head

@@ -416,6 +416,95 @@ def upconv_phases_reference(x, wf):
     return out
 
 
+
+# --- the bootstrap stage by direct summation ---------------------------------
+# The architecture the ``network`` module docstring states, rebuilt from the
+# direct convolutions above and per-pixel bilinear sampling. Weights are
+# read by name from ``TwoViewNet.state_dict()``; levels and kernel sizes
+# come from their shapes.
+
+def _leaky(x):
+    return np.where(x > 0, x, LEAKY_SLOPE * x)
+
+
+def encoder_decoder_reference(params, prefix, x):
+    """(output map, (r, t, s) or None) of one encoder-decoder on (N, C, H, W)
+    ``x``: per level a 1 x k conv of stride (1, 2) and a k x 1 conv of
+    stride (2, 1), then per level back up a 4x4 stride-2 upconv, a skip
+    concat and a 3x3 merge conv; then an upconv and two 3x3 head convs, the
+    last without the leaky ReLU. A motion head (global average pool and 3
+    fully connected layers) gives r, the unit-norm t and s = exp(.)."""
+    def wb(name):
+        return (params[f"{prefix}.{name}.w"].astype(np.float64),
+                params[f"{prefix}.{name}.b"].astype(np.float64))
+
+    def conv(h, name, stride=(1, 1), padding=(1, 1), leaky=True):
+        w, b = wb(name)
+        out = conv_direct(h, w, stride, padding) + b[:, None, None]
+        return _leaky(out) if leaky else out
+
+    def up(h, name):
+        w, b = wb(name)
+        H, W = h.shape[2:]
+        return _leaky(upconv_direct(h, w, (2, 2), (1, 1), (2 * H, 2 * W))
+                      + b[:, None, None])
+
+    levels = sum(k.startswith(f"{prefix}.enc") and k.endswith(".x.w")
+                 for k in params)
+    skips, h = [], x
+    for i in range(levels):
+        k = params[f"{prefix}.enc{i}.x.w"].shape[3]
+        h = conv(h, f"enc{i}.x", (1, 2), (0, k // 2))
+        h = conv(h, f"enc{i}.y", (2, 1), (k // 2, 0))
+        skips.append(h)
+    bottleneck = h
+    for i in range(levels - 1, 0, -1):
+        h = conv(np.concatenate([up(h, f"up{i}"), skips[i - 1]], axis=1),
+                 f"merge{i}")
+    out = conv(conv(up(h, "up0"), "head0"), "head1", leaky=False)
+    if f"{prefix}.fc0.w" not in params:
+        return out, None
+    g = bottleneck.mean(axis=(2, 3))
+    for i in range(3):
+        w, b = wb(f"fc{i}")
+        g = g @ w + b
+        g = _leaky(g) if i < 2 else g
+    t = g[:, 3:6] / np.linalg.norm(g[:, 3:6], axis=1, keepdims=True)
+    return out, (g[:, :3], t, np.exp(g[:, 6:7]))
+
+
+def warp_reference(img, flow):
+    """(C, H, W) ``img`` sampled at pixel + ``flow`` (2, H, W, in image
+    widths and heights), one pixel at a time; 0 outside the image."""
+    C, H, W = img.shape
+    hwc = img.transpose(1, 2, 0)
+    out = np.zeros_like(img)
+    for y in range(H):
+        for x in range(W):
+            v = bilinear_sample_scalar(hwc, x + flow[0, y, x] * W,
+                                       y + flow[1, y, x] * H)
+            if v is not None:
+                out[:, y, x] = v
+    return out
+
+
+def bootstrap_reference(params, img1, img2):
+    """The bootstrap stage's graph outputs (batch of one, float64) for one
+    pair of (H, W, 3) images in [0, 1]: the flow net sees both images minus
+    0.5 and gives flow and its confidence; the depth-motion net sees those,
+    both images and image 2 warped by the flow, and gives inverse depth,
+    normals and the motion."""
+    i1, i2 = ((np.asarray(im, np.float64) - 0.5).transpose(2, 0, 1)[None]
+              for im in (img1, img2))
+    f, _ = encoder_decoder_reference(params, "boot_flow",
+                                     np.concatenate([i1, i2], axis=1))
+    flow, conf = f[:, :2], f[:, 2:]
+    warped = warp_reference(i2[0], flow[0])[None]
+    d, (r, t, s) = encoder_decoder_reference(
+        params, "boot_dm", np.concatenate([flow, conf, i1, i2, warped], 1))
+    return {"flow": flow, "conf": conf, "xi": d[:, :1], "normals": d[:, 1:],
+            "r": r, "t": t, "s": s}
+
 # --- the scale-invariant gradient loss as first written ----------------------
 # Interleaved (H, W, 2) gradients, recomputed in the backward; the package's
 # grad_loss must match it bitwise.

@@ -14,7 +14,6 @@ from tvk.baseline import (
     ransac_essential,
     refine_motion,
     sample_correspondences,
-    sampson_distance,
 )
 from tvk.geometry import (
     CameraMotion,
@@ -26,7 +25,7 @@ from tvk.geometry import (
     flow_from_depth_motion,
     rotation_from_angle_axis,
 )
-from tvk.metrics import l1_inv, motion_angular_errors
+from tvk.metrics import depth_error_report, motion_angular_errors
 from tvk.synthdata import SynthConfig, generate_scene, render_pair
 
 from oracles import (
@@ -268,9 +267,10 @@ class TestBlockScoring:
             E = eight_point(corr)
             assert np.array_equal(E, eight_point_loop(corr.x1, corr.x2))
             E_any = rng.normal(size=(3, 3))
-            assert np.array_equal(sampson_distance(E_any, corr),
-                                  sampson_distance_loop(E_any, corr.x1,
-                                                        corr.x2))
+            d = baseline._sampson(E_any[None], baseline._homogeneous(corr.x1),
+                                  baseline._homogeneous(corr.x2))[0]
+            assert np.array_equal(d, sampson_distance_loop(E_any, corr.x1,
+                                                           corr.x2))
 
 
 class TestEarlyExit:
@@ -483,8 +483,8 @@ class TestRefine:
                     xi + dp[:, 2])
 
         monkeypatch.setattr(baseline, "_ba_residuals", spy)
-        refine_motion(CameraMotion(R_TEST + 0.01, T_TEST + 0.02), corr,
-                      max_iters=2)
+        monkeypatch.setattr(baseline, "_LM_ITERS", 2)
+        refine_motion(CameraMotion(R_TEST + 0.01, T_TEST + 0.02), corr)
         (base, cost), lam, accepted = evaluated[0], 1e-6, 0
         for trial, trial_cost in evaluated[1:]:
             for got, want, was in zip(trial, dense_step(*base, lam), base):
@@ -644,7 +644,7 @@ class TestBaselineDepth:
         both = valid & dvalid & (xi > 0)
         z = 1.0 / depth.xi[both]
         z_gt = 1.0 / xi[both]
-        assert l1_inv(z, z_gt) < 1e-4
+        assert depth_error_report(z, z_gt).l1_inv < 1e-4
 
     def test_rotation_only_raises(self):
         flow = FlowField(np.zeros((K_BASE.height, K_BASE.width, 2)))
@@ -660,7 +660,8 @@ class TestBaselineDepth:
                                                   size=flow.w.shape))
             depth, dvalid = depth_from_flow_motion(noisy, m, K_BASE)
             both = valid & dvalid & (xi > 0)
-            errs.append(l1_inv(1.0 / depth.xi[both], 1.0 / xi[both]))
+            errs.append(depth_error_report(1.0 / depth.xi[both],
+                                           1.0 / xi[both]).l1_inv)
         assert errs[0] < errs[1] < errs[2]
 
 

@@ -1,8 +1,8 @@
 """``tools/digests.py`` against its golden file ``tools/digests.txt``.
 
-The ``classical`` line (a few seconds) and the trimmed lines (about 1 s)
-are recomputed here; the full set runs as ``python tools/digests.py
---check``.
+The ``classical`` line (a few seconds), the two ``render`` lines (about
+0.2 s) and the trimmed lines (about 1 s) are recomputed here; the full set
+runs as ``python tools/digests.py --check``.
 """
 
 import importlib.util
@@ -17,6 +17,13 @@ _spec.loader.exec_module(digests)
 
 def test_classical_line_matches_the_golden_file():
     assert digests.classical_digest() == digests.read_golden()["classical"]
+
+
+def test_render_lines_match_the_golden_file():
+    lines = dict(digests.render_lines())
+    assert len(lines) == 2
+    golden = digests.read_golden()
+    assert digests.differences({k: golden.get(k) for k in lines}, lines) == []
 
 
 def test_trimmed_lines_match_the_golden_file():

@@ -10,10 +10,7 @@ from tvk.metrics import (
     csv_row,
     depth_error_report,
     endpoint_error,
-    l1_inv,
-    l1_rel,
     motion_angular_errors,
-    sc_inv,
     write_csv,
 )
 
@@ -38,63 +35,68 @@ def random_depths(rng, shape=(16, 12)):
 class TestScInv:
     def test_exact_zero(self):
         z = np.full((4, 4), 2.0)
-        assert sc_inv(z, z) == 0.0
+        assert depth_error_report(z, z).sc_inv == 0.0
 
     def test_global_scale_invariance(self):
         rng = np.random.default_rng(0)
         z, z_gt, mask = random_depths(rng)
-        base = sc_inv(z, z_gt, mask)
+        base = depth_error_report(z, z_gt, mask).sc_inv
         for alpha in (0.1, 1.0, 7.3, 123.0):
-            assert abs(sc_inv(alpha * z, z_gt, mask) - base) < 1e-10
+            scaled = depth_error_report(alpha * z, z_gt, mask).sc_inv
+            assert abs(scaled - base) < 1e-10
 
     def test_hand_value_ln2(self):
-        val = sc_inv(np.array([[1.0, 2.0]]), np.array([[2.0, 1.0]]))
+        val = depth_error_report(np.array([[1.0, 2.0]]),
+                                 np.array([[2.0, 1.0]])).sc_inv
         assert abs(val - np.log(2.0)) < 1e-12
 
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
             z, z_gt, mask = random_depths(rng)
-            assert abs(sc_inv(z, z_gt, mask)
+            assert abs(depth_error_report(z, z_gt, mask).sc_inv
                        - sc_inv_bruteforce(z, z_gt, mask)) < 1e-10
 
     def test_nonpositive_rejected(self):
         z = np.array([[1.0, -1.0]])
         with pytest.raises(ValueError):
-            sc_inv(z, np.abs(z))
+            depth_error_report(z, np.abs(z))
 
 
 class TestL1Rel:
     def test_hand_value(self):
         assert np.isclose(
-            l1_rel(np.array([[1.0, 2.0]]), np.array([[2.0, 4.0]])), 0.5)
+            depth_error_report(np.array([[1.0, 2.0]]),
+                               np.array([[2.0, 4.0]])).l1_rel, 0.5)
 
     def test_ratio_invariance(self):
         rng = np.random.default_rng(2)
         z, z_gt, mask = random_depths(rng)
-        assert np.isclose(l1_rel(z, z_gt, mask), l1_rel(2 * z, 2 * z_gt, mask))
+        assert np.isclose(depth_error_report(z, z_gt, mask).l1_rel,
+                          depth_error_report(2 * z, 2 * z_gt, mask).l1_rel)
 
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
             z, z_gt, mask = random_depths(rng)
-            assert abs(l1_rel(z, z_gt, mask)
+            assert abs(depth_error_report(z, z_gt, mask).l1_rel
                        - l1_rel_bruteforce(z, z_gt, mask)) < 1e-10
 
     def test_nonpositive_prediction_rejected(self):
         with pytest.raises(ValueError, match="positive"):
-            l1_rel(np.array([[-1.0, 2.0]]), np.array([[2.0, 4.0]]))
+            depth_error_report(np.array([[-1.0, 2.0]]), np.array([[2.0, 4.0]]))
 
 
 class TestL1Inv:
     def test_hand_value(self):
-        assert np.isclose(l1_inv(np.array([[1.0]]), np.array([[2.0]])), 0.5)
+        assert np.isclose(depth_error_report(np.array([[1.0]]),
+                                             np.array([[2.0]])).l1_inv, 0.5)
 
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(4)
         for _ in range(100):
             z, z_gt, mask = random_depths(rng)
-            assert abs(l1_inv(z, z_gt, mask)
+            assert abs(depth_error_report(z, z_gt, mask).l1_inv
                        - l1_inv_bruteforce(z, z_gt, mask)) < 1e-10
 
     def test_consistent_with_depth_loss(self):
@@ -102,7 +104,8 @@ class TestL1Inv:
         z, z_gt, mask = random_depths(rng)
         n = int(mask.sum())
         from_loss = l1_loss(1.0 / z, 1.0 / z_gt, mask).value / n
-        assert np.isclose(l1_inv(z, z_gt, mask), from_loss, rtol=1e-12)
+        assert np.isclose(depth_error_report(z, z_gt, mask).l1_inv, from_loss,
+                          rtol=1e-12)
 
 
 class TestEPE:

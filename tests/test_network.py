@@ -8,6 +8,8 @@ from tvk.autodiff import backward
 from tvk.geometry import Intrinsics
 from tvk.network import NetConfig, TwoViewNet, per_sample
 
+from oracles import bootstrap_reference
+
 TINY = NetConfig(width=16, height=16, channels=(2, 4), dtype="float64")
 K_TINY = Intrinsics(fx=0.89, fy=1.19, cx=0.5, cy=0.5, width=16, height=16)
 
@@ -73,6 +75,27 @@ class TestMotionHead:
                 assert np.isclose(grad[6], out["s"].data.sum(), rtol=1e-12)
         assert np.allclose(np.linalg.norm(out["t"].data, axis=1), 1.0)
         assert np.all(out["s"].data > 0)
+
+
+class TestBootstrapOracle:
+    def test_outputs_match_the_direct_summation_reference(self):
+        # three levels, so the decoder merges a skip twice; nonzero biases,
+        # so each layer's bias is checked too; flows of about a pixel, so
+        # the warp interpolates inside image 2
+        model = TwoViewNet(NetConfig(width=16, height=16, channels=(4, 8, 16),
+                                     dtype="float64"), seed=4)
+        rng = np.random.default_rng(6)
+        model.load_state_dict({
+            k: v + rng.normal(0, 0.05, v.shape) if k.endswith(".b") else v
+            for k, v in model.state_dict().items()})
+        img1, img2 = rng.uniform(size=(2, 16, 16, 3))
+        got = model.bootstrap_tensors([img1], [img2])
+        want = bootstrap_reference(model.state_dict(), img1, img2)
+        assert set(got) == set(want)
+        for key, ref in want.items():
+            a = got[key].data
+            assert a.shape == ref.shape, key
+            assert np.max(np.abs(a - ref)) <= 1e-9 * np.max(np.abs(ref)), key
 
 
 class TestLayoutMemo:

@@ -1,18 +1,21 @@
 import csv
+import hashlib
+import os
 import weakref
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
-from tvk.autodiff import Tensor
+from tvk.autodiff import Tensor, no_grad
 from tvk.container import save_arrays
 from tvk.geometry import Intrinsics
 from tvk.losses import DEFAULT_SPACINGS, LossWeights, total_loss
-from tvk.network import XI_FLOOR, NetConfig, TwoViewNet
-from tvk.synthdata import SynthConfig, generate_dataset, load_dataset
-from tvk.metrics import (CSV_FIELDS, csv_row, endpoint_error, l1_inv,
-                         l1_rel, motion_angular_errors, sc_inv, write_csv)
+from tvk.network import XI_FLOOR, NetConfig, TwoViewNet, per_sample
+from tvk.synthdata import (SynthConfig, generate_dataset, generate_scene,
+                           load_dataset, render_pair)
+from tvk.metrics import (CSV_FIELDS, csv_row, depth_error_report,
+                         endpoint_error, motion_angular_errors, write_csv)
 from tvk import training
 from tvk.training import (CollapsedScaleError, MissingFieldError,
                           NonFiniteError, TrainConfig, Trainer, _batch_loss,
@@ -23,6 +26,11 @@ TINY = NetConfig(width=16, height=16, channels=(2, 4))
 K_TINY = Intrinsics(fx=0.89, fy=1.19, cx=0.5, cy=0.5, width=16, height=16)
 FIELDS = ("flow", "flow_confidence", "xi", "normals", "r", "t", "s",
           "refined_xi")
+# a version-1 file of save_checkpoint(path, TwoViewNet(NetConfig(width=16,
+# height=16, channels=(4, 8), refine_channels=(4,)), seed=0)); every later
+# version must load it and predict the same, bitwise
+V1_CHECKPOINT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                             "data", "checkpoint_v1.tvk")
 
 
 def predict_tiny(model):
@@ -46,6 +54,23 @@ class TestCheckpoint:
             a = np.asarray(getattr(before, field))
             b = np.asarray(getattr(after, field))
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+
+    def test_committed_version_1_file_predicts_its_digest(self):
+        model, meta = load_checkpoint(V1_CHECKPOINT)
+        assert meta["kind"] == "checkpoint-v1"
+        assert model.cfg == NetConfig(width=16, height=16, channels=(4, 8),
+                                      refine_channels=(4,))
+        rng = np.random.default_rng(41)
+        h = hashlib.sha256()
+        for _ in range(2):  # batch-1 predict of two pairs
+            img1, img2 = rng.uniform(size=(2, 16, 16, 3))
+            full = rng.uniform(size=(64, 64, 3))
+            for (p,) in model.predict([img1], [img2], K_TINY, n_iters=3,
+                                      img1_full=[full], keep_history=True):
+                for field in FIELDS:
+                    if getattr(p, field) is not None:
+                        h.update(np.ascontiguousarray(getattr(p, field)))
+        assert h.hexdigest()[:16] == "b51f37d04ee07807"
 
     def test_unknown_net_config_key_is_named(self, tmp_path):
         path = str(tmp_path / "bad.tvk")
@@ -631,9 +656,10 @@ def per_sample_rows(model, samples, n_iters):
         for it, (p,) in enumerate(history):
             z = 1.0 / np.clip(p.xi * p.s, XI_FLOOR, None)
             err = motion_angular_errors(p.motion().normalized(), s.motion())
+            depth = depth_error_report(z, z_gt, mask)
             per_it[it].append({
-                "l1_inv": l1_inv(z, z_gt, mask), "sc_inv": sc_inv(z, z_gt, mask),
-                "l1_rel": l1_rel(z, z_gt, mask),
+                "l1_inv": depth.l1_inv, "sc_inv": depth.sc_inv,
+                "l1_rel": depth.l1_rel,
                 "epe": endpoint_error(p.flow, s.flow, mask),
                 "rot_deg": err.rot_deg, "trans_deg": err.trans_deg})
     return [{"iteration": it, **{k: float(np.mean([r[k] for r in rows]))
@@ -679,3 +705,33 @@ def test_intrinsics_from_meta_reads_the_dataset_config(tmp_path):
     _, meta = load_dataset(path)
     assert training.intrinsics_from_meta(meta) == cfg.intrinsics()
     assert training.intrinsics_from_meta({}) == SynthConfig().intrinsics()
+
+
+# --- the flow net learns (ROADMAP item 1) ------------------------------------
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: with today's loss "
+                   "weights p1a ends above the zero-flow EPE held out")
+def test_p1a_beats_zero_flow_on_held_out_pairs(tmp_path):
+    # the 5 % margin: today's weights give 1.19x the zero-flow EPE here
+    # (0.1456 against 0.1223) and flow-only weights 0.911x
+    cfg = SynthConfig(width=32, height=24, include_full=False)
+
+    def pairs(seed, n):
+        return [render_pair(generate_scene(seed, cfg, index=i), cfg, i)
+                for i in range(n)]
+
+    train, held = pairs(3, 128), pairs(4, 32)
+    model = TwoViewNet(NetConfig(width=32, height=24, channels=(8, 16)),
+                       seed=0)
+    trainer = Trainer(model, train, cfg.intrinsics(),
+                      TrainConfig(seed=0, val_fraction=0), str(tmp_path))
+    trainer._train_component(
+        "p1a_boot_flow", "boot_flow", lambda batch, idx:
+        model.bootstrap_flow_tensors(*training._images(batch)), 400)
+    with no_grad():
+        flow = model.bootstrap_flow_tensors(*training._images(held))["flow"]
+    epe = np.mean([endpoint_error(w, s.flow, s.valid_flow)
+                   for w, s in zip(per_sample(flow.data), held)])
+    zero = np.mean([endpoint_error(0 * s.flow, s.flow, s.valid_flow)
+                    for s in held])
+    assert epe <= 0.95 * zero

@@ -45,7 +45,8 @@ Two trees that print the same lines give bitwise the same outputs for:
 
 The classical line changes whenever the last bits of a motion do;
 ``classical_motions`` returns the motions themselves, for comparing two
-trees numerically.
+trees numerically. Tier-1 recomputes the ``classical``, ``render`` and
+trimmed lines (``tests/test_digests.py``).
 """
 
 from __future__ import annotations
@@ -179,12 +180,7 @@ def digest_lines():
         yield "dataset", file_digest(data)
         for part, value in zip(("records", "meta"), dataset_digests(data)):
             yield f"dataset {part}", value
-        for config in (synthdata.SynthConfig(texture_octaves=3,
-                                              include_full=False),
-                       synthdata.SynthConfig()):
-            yield (f"render octaves={config.texture_octaves} "
-                   f"include_full={config.include_full}",
-                   render_digest(config))
+        yield from render_lines()
         samples, meta = synthdata.load_dataset(data)
         K = training.intrinsics_from_meta(meta)
         for dtype in ("float32", "float64"):
@@ -198,6 +194,15 @@ def digest_lines():
             yield os.path.basename(path), file_digest(path)
     yield "classical", classical_digest()
     yield from trimmed_lines()
+
+
+def render_lines():
+    """Yield (name, digest) for the two render lines, in the printed order."""
+    for config in (synthdata.SynthConfig(texture_octaves=3,
+                                          include_full=False),
+                   synthdata.SynthConfig()):
+        yield (f"render octaves={config.texture_octaves} "
+               f"include_full={config.include_full}", render_digest(config))
 
 
 def trimmed_lines():
