@@ -32,13 +32,13 @@ batch predicts bitwise what its samples predict one by one.
 One validity rule covers every value computed from a weight: it is used
 while its array ``is`` the weight's current one and is ``immutable``
 (read-only and owning its memory, so it can neither change nor be changed
-through another array), and it keeps that array alive. ``ParameterStore``
+through another array), and it keeps that array alive. ``Tensor.parameter``
 and ``Adam.step`` leave parameter arrays read-only: an update replaces the
-array, an in-place write raises ``ValueError``, and ``state_dict`` returns
-the arrays themselves. Under this rule a weight ``Tensor`` memoizes the
-phase kernels of ``upconv2d``'s forward, which inference reads again and
-again, as ``(array, phase kernels)``, so a replaced weight's old array
-lives until that weight's next upconv; ``conv2d``'s input gradient lays
+array, an in-place write raises ``ValueError``, and a net's ``state_dict``
+returns the arrays themselves. Under this rule a weight ``Tensor``
+memoizes the phase kernels of ``upconv2d``'s forward, which inference reads
+again and again, as ``(array, phase kernels)``, so a replaced weight's old
+array lives until that weight's next upconv; ``conv2d``'s input gradient lays
 its flipped kernel out on every call, since ``Adam.step`` replaces each
 trained weight before a later backward could reuse it. An array made
 writeable again must not be written and then made read-only again; assign
@@ -80,7 +80,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "Tensor", "ParameterStore", "Adam", "backward", "conv2d", "upconv2d",
+    "Tensor", "Adam", "backward", "conv2d", "upconv2d",
     "fully_connected", "exp", "concat_channels", "slice_channels",
     "global_avg_pool", "l2_normalize_rows", "fanin_uniform", "immutable",
     "no_grad",
@@ -102,6 +102,11 @@ class Tensor:
         self.name = name
         self._parents = _parents
         self._vjp = _vjp  # fn(grad) -> tuple of parent grads (or None)
+
+    @classmethod
+    def parameter(cls, data, name: str) -> "Tensor":
+        """A trainable leaf holding an ``immutable`` copy of ``data``."""
+        return cls(_readonly(np.array(data)), requires_grad=True, name=name)
 
     @property
     def shape(self):
@@ -523,44 +528,6 @@ def fanin_uniform(rng: np.random.Generator, shape, fan_in: int,
     return rng.uniform(-a, a, size=shape).astype(dtype)
 
 
-class ParameterStore:
-    """Registry of named trainable tensors; names must be unique."""
-
-    def __init__(self):
-        self._params: dict[str, Tensor] = {}
-
-    def add(self, name: str, data: np.ndarray) -> Tensor:
-        if name in self._params:
-            raise ValueError(f"duplicate parameter name {name!r}")
-        t = Tensor(_readonly(np.array(data)), requires_grad=True, name=name)
-        self._params[name] = t
-        return t
-
-    def __getitem__(self, name: str) -> Tensor:
-        return self._params[name]
-
-    def items(self):
-        return self._params.items()
-
-    def values(self):
-        return self._params.values()
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return {name: t.data for name, t in self._params.items()}
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        unknown = sorted(set(state) - set(self._params))
-        if unknown:
-            raise KeyError(f"checkpoint has unknown parameters {unknown}")
-        for name, t in self._params.items():
-            if name not in state:
-                raise KeyError(f"checkpoint is missing parameter {name!r}")
-            arr = np.asarray(state[name], dtype=t.data.dtype)
-            if arr.shape != t.data.shape:
-                raise ValueError(f"parameter {name!r}: shape mismatch")
-            t.data = _readonly(arr.copy())
-
-
 _ADAM_BETAS = (0.9, 0.999)
 _ADAM_EPS = 1e-8
 
@@ -568,9 +535,9 @@ _ADAM_EPS = 1e-8
 class Adam:
     """Adam with bias correction followed by decoupled weight decay."""
 
-    def __init__(self, params: ParameterStore | dict, lr=1e-4,
+    def __init__(self, params: dict[str, Tensor], lr=1e-4,
                  weight_decay=0.0004):
-        self.params = dict(params.items()) if hasattr(params, "items") else params
+        self.params = dict(params)
         self.lr = lr
         self.weight_decay = weight_decay
         self.t = 0

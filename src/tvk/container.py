@@ -16,7 +16,8 @@ with the dtype stated in the header. The writer is given the record count up
 front and writes the header once, ahead of the body. Only the dtypes listed
 in ``_ALLOWED_DTYPES`` are storable: a bool field raises (store a mask as
 uint8). The reader allows whitespace after the header JSON: datasets written
-before the count went into the header up front end it with pad spaces.
+before the count went into the header up front end it with pad spaces. Once
+the last record is read, any byte after it raises ``TrailingBytesError``.
 """
 
 from __future__ import annotations
@@ -55,6 +56,10 @@ class TruncatedError(ContainerError):
 
 class ChecksumError(ContainerError):
     """Chunk payload does not match its CRC32."""
+
+
+class TrailingBytesError(ContainerError):
+    """File goes on after its last record."""
 
 
 @dataclass(frozen=True)
@@ -210,6 +215,9 @@ class ContainerReader:
         self._f.seek(self._body_start)
         for _ in range(self.n_records):
             yield {fs.name: self._read_chunk(fs) for fs in self.fields}
+        extra = os.fstat(self._f.fileno()).st_size - self._f.tell()
+        if extra:
+            raise TrailingBytesError(f"{self.path}: {extra} bytes after the last record")
 
 
 def read_all(path: str) -> tuple[list[dict[str, np.ndarray]], dict]:
@@ -225,7 +233,7 @@ def save_arrays(path: str, arrays: dict[str, np.ndarray], meta: dict | None = No
 
 def load_arrays(path: str) -> tuple[dict[str, np.ndarray], dict]:
     with ContainerReader(path) as r:
-        records = list(r)
-        if len(records) != 1:
-            raise ContainerError(f"{path}: {len(records)} records, expected 1")
-        return records[0], r.meta
+        if r.n_records != 1:
+            raise ContainerError(f"{path}: {r.n_records} records, expected 1")
+        (record,) = r
+        return record, r.meta

@@ -17,6 +17,11 @@ its motion head runs with its bias and leaky ReLU fused into the op
 (``leaky=True``, see ``autodiff``), so a training graph keeps one array and
 one node per layer.
 
+``TwoViewNet.params`` is the one name -> ``Tensor`` dict: weights drawn
+from ``seed`` and zero biases, or copies of ``state`` (as ``state_dict``
+gives). Before any is made, a name in ``state`` that is unknown or missing
+raises ``KeyError`` and a wrong shape ``ValueError``, each naming it.
+
 One method per stage: ``bootstrap_tensors``, ``iterative_tensors``,
 ``refine_tensors`` and the flow-only ``*_flow_tensors`` each prepare their
 images once and return graph outputs. A ``*_forward`` method runs one of
@@ -41,7 +46,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ParameterStore, Tensor
+from .autodiff import Tensor
 from .geometry import (
     CameraMotion,
     DegenerateMotionError,
@@ -143,50 +148,52 @@ class Prediction:
 
 
 class EncoderDecoder:
-    """Encoder-decoder over 1D convolution pairs with skip connections."""
+    """Encoder-decoder over 1D convolution pairs with skip connections. It
+    reads the net's ``params``; ``shapes``: name -> (shape, fan-in or None)."""
 
-    def __init__(self, params: ParameterStore, prefix: str, in_channels: int,
-                 out_channels: int, channels: tuple[int, ...],
-                 first_kernel: int, cfg: NetConfig,
-                 rng: np.random.Generator, motion_head: bool = False):
+    def __init__(self, prefix: str, in_channels: int, out_channels: int,
+                 channels: tuple[int, ...], first_kernel: int, cfg: NetConfig,
+                 params: dict, motion_head: bool = False):
+        self.params = params
         self.prefix = prefix
         self.cfg = cfg
         self.in_channels = in_channels
         self.channels = channels
         self.first_kernel = first_kernel
         self.motion_head = motion_head
-        self.p: dict[str, Tensor] = {}
-        dt = cfg.np_dtype
+        self.shapes: dict[str, tuple] = {}
 
-        def param(name, shape, out_axis=0):
+        def layer(name, shape, out_axis=0):
             # fan-in: the weight's size over all but its output axis. The
             # output is axis 0 of a conv kernel and axis 1 of a fully
             # connected (in, out) matrix and of a transposed-conv kernel,
             # which keeps the conv layout (input channels first).
             n_out = shape[out_axis]
-            self.p[name + ".w"] = params.add(
-                f"{prefix}.{name}.w",
-                ad.fanin_uniform(rng, shape, math.prod(shape) // n_out, dt))
-            self.p[name + ".b"] = params.add(
-                f"{prefix}.{name}.b", np.zeros(n_out, dtype=dt))
+            self.shapes[f"{prefix}.{name}.w"] = (shape,
+                                                 math.prod(shape) // n_out)
+            self.shapes[f"{prefix}.{name}.b"] = ((n_out,), None)
 
         chans = channels
         c_prev = in_channels
         for i, c in enumerate(chans):
             k = first_kernel if i == 0 else cfg.kernel
-            param(f"enc{i}.x", (c, c_prev, 1, k))
-            param(f"enc{i}.y", (c, c, k, 1))
+            layer(f"enc{i}.x", (c, c_prev, 1, k))
+            layer(f"enc{i}.y", (c, c, k, 1))
             c_prev = c
         for i in range(len(chans) - 1, 0, -1):
-            param(f"up{i}", (chans[i], chans[i - 1], 4, 4), out_axis=1)
-            param(f"merge{i}", (chans[i - 1], 2 * chans[i - 1], 3, 3))
-        param("up0", (chans[0], chans[0], 4, 4), out_axis=1)
-        param("head0", (chans[0], chans[0], 3, 3))
-        param("head1", (out_channels, chans[0], 3, 3))
+            layer(f"up{i}", (chans[i], chans[i - 1], 4, 4), out_axis=1)
+            layer(f"merge{i}", (chans[i - 1], 2 * chans[i - 1], 3, 3))
+        layer("up0", (chans[0], chans[0], 4, 4), out_axis=1)
+        layer("head0", (chans[0], chans[0], 3, 3))
+        layer("head1", (out_channels, chans[0], 3, 3))
         if motion_head:
             for name, f_in, f_out in (("fc0", chans[-1], 64), ("fc1", 64, 32),
                                       ("fc2", 32, 7)):
-                param(name, (f_in, f_out), out_axis=1)
+                layer(name, (f_in, f_out), out_axis=1)
+
+    def _wb(self, layer: str) -> tuple[Tensor, Tensor]:
+        name = f"{self.prefix}.{layer}"
+        return self.params[name + ".w"], self.params[name + ".b"]
 
     def forward(self, x: Tensor):
         """Returns (output map Tensor (N,out,H,W), motion tuple or None)."""
@@ -199,31 +206,27 @@ class EncoderDecoder:
         h = x
         for i in range(len(self.channels)):
             k = self.first_kernel if i == 0 else cfg.kernel
-            h = ad.conv2d(h, self.p[f"enc{i}.x.w"], self.p[f"enc{i}.x.b"],
-                          stride=(1, 2), padding=(0, k // 2), leaky=True)
-            h = ad.conv2d(h, self.p[f"enc{i}.y.w"], self.p[f"enc{i}.y.b"],
-                          stride=(2, 1), padding=(k // 2, 0), leaky=True)
+            h = ad.conv2d(h, *self._wb(f"enc{i}.x"), stride=(1, 2),
+                          padding=(0, k // 2), leaky=True)
+            h = ad.conv2d(h, *self._wb(f"enc{i}.y"), stride=(2, 1),
+                          padding=(k // 2, 0), leaky=True)
             skips.append(h)
 
         bottleneck = h
         for i in range(len(self.channels) - 1, 0, -1):
-            h = ad.upconv2d(h, self.p[f"up{i}.w"], self.p[f"up{i}.b"],
-                            leaky=True)
+            h = ad.upconv2d(h, *self._wb(f"up{i}"), leaky=True)
             h = ad.concat_channels([h, skips[i - 1]])
-            h = ad.conv2d(h, self.p[f"merge{i}.w"], self.p[f"merge{i}.b"],
-                          stride=1, padding=1, leaky=True)
-        h = ad.upconv2d(h, self.p["up0.w"], self.p["up0.b"], leaky=True)
-        h = ad.conv2d(h, self.p["head0.w"], self.p["head0.b"],
-                      stride=1, padding=1, leaky=True)
-        out = ad.conv2d(h, self.p["head1.w"], self.p["head1.b"],
-                        stride=1, padding=1)
+            h = ad.conv2d(h, *self._wb(f"merge{i}"), stride=1, padding=1,
+                          leaky=True)
+        h = ad.upconv2d(h, *self._wb("up0"), leaky=True)
+        h = ad.conv2d(h, *self._wb("head0"), stride=1, padding=1, leaky=True)
+        out = ad.conv2d(h, *self._wb("head1"), stride=1, padding=1)
 
         motion = None
         if self.motion_head:
             g = ad.global_avg_pool(bottleneck)
             for i in range(3):
-                g = ad.fully_connected(g, self.p[f"fc{i}.w"],
-                                       self.p[f"fc{i}.b"], leaky=i < 2)
+                g = ad.fully_connected(g, *self._wb(f"fc{i}"), leaky=i < 2)
             r = ad.slice_channels(g, 0, 3)
             t = ad.l2_normalize_rows(ad.slice_channels(g, 3, 6))
             s = ad.exp(ad.slice_channels(g, 6, 7))
@@ -267,20 +270,38 @@ def centred_nchw(imgs: list[np.ndarray], dtype) -> np.ndarray:
 class TwoViewNet:
     """Bootstrap + weight-shared iterative + refinement networks."""
 
-    def __init__(self, cfg: NetConfig, seed: int = 0):
+    def __init__(self, cfg: NetConfig, seed: int = 0,
+                 state: dict[str, np.ndarray] | None = None):
         self.cfg = cfg
-        self.params = ParameterStore()
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        low = (cfg.channels, cfg.first_kernel, cfg, rng)
-        self.boot_flow = EncoderDecoder(self.params, "boot_flow", 6, 4, *low)
-        self.boot_dm = EncoderDecoder(self.params, "boot_dm", 13, 4, *low,
-                                      motion_head=True)
-        self.iter_flow = EncoderDecoder(self.params, "iter_flow", 8, 4, *low)
-        self.iter_dm = EncoderDecoder(self.params, "iter_dm", 14, 4, *low,
-                                      motion_head=True)
+        self.params: dict[str, Tensor] = {}
+        low = (cfg.channels, cfg.first_kernel, cfg, self.params)
+        self.boot_flow = EncoderDecoder("boot_flow", 6, 4, *low)
+        self.boot_dm = EncoderDecoder("boot_dm", 13, 4, *low, motion_head=True)
+        self.iter_flow = EncoderDecoder("iter_flow", 8, 4, *low)
+        self.iter_dm = EncoderDecoder("iter_dm", 14, 4, *low, motion_head=True)
         # full-res image + upsampled depth and normals -> refined depth
-        self.refine = EncoderDecoder(self.params, "refine", 7, 1,
-                                     cfg.refine_channels, cfg.kernel, cfg, rng)
+        self.refine = EncoderDecoder("refine", 7, 1, cfg.refine_channels,
+                                     cfg.kernel, cfg, self.params)
+        stages = (self.boot_flow, self.boot_dm, self.iter_flow, self.iter_dm,
+                  self.refine)
+        shapes = {k: v for ed in stages for k, v in ed.shapes.items()}
+        dt = cfg.np_dtype
+        if state is None:
+            rng = np.random.Generator(np.random.Philox(key=seed))
+            arrays = ((name, np.zeros(shape, dt) if fan_in is None else
+                       ad.fanin_uniform(rng, shape, fan_in, dt))
+                      for name, (shape, fan_in) in shapes.items())
+        else:
+            unknown = sorted(set(state) - set(shapes))
+            if unknown:
+                raise KeyError(f"checkpoint has unknown parameters {unknown}")
+            for name, (shape, _) in shapes.items():  # KeyError if missing
+                if np.shape(state[name]) != shape:
+                    raise ValueError(f"parameter {name!r}: shape "
+                                     f"{np.shape(state[name])}, net {shape}")
+            arrays = ((name, np.asarray(state[name], dt)) for name in shapes)
+        self.params.update((name, Tensor.parameter(a, name))
+                           for name, a in arrays)
 
     # --- input assembly -----------------------------------------------
 
@@ -426,14 +447,8 @@ class TwoViewNet:
     # --- persistence ------------------------------------------------------
 
     def component_parameters(self, component: str) -> dict[str, Tensor]:
-        ed = {"boot_flow": self.boot_flow, "boot_dm": self.boot_dm,
-              "iter_flow": self.iter_flow, "iter_dm": self.iter_dm,
-              "refine": self.refine}[component]
-        return {f"{ed.prefix}.{k}": p for k, p in ed.p.items()}
+        stage = getattr(self, component)
+        return {name: self.params[name] for name in stage.shapes}
 
     def state_dict(self) -> dict[str, np.ndarray]:
-        return self.params.state_dict()
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        self.params.load_state_dict(state)
-
+        return {name: t.data for name, t in self.params.items()}

@@ -159,6 +159,10 @@ class FieldShapeError(ValueError):
     """A dataset field or ``K`` does not have the net's resolution."""
 
 
+class CheckpointKindError(ValueError):
+    """A file given to ``load_checkpoint`` has another meta ``kind``."""
+
+
 class NonFiniteError(FloatingPointError):
     """A training step produced a NaN or an infinity in ``tensor``: an
     output key, ``"loss"`` or the name of a trained parameter's gradient."""
@@ -468,10 +472,14 @@ def save_checkpoint(path: str, model: TwoViewNet,
 
 
 def load_checkpoint(path: str) -> tuple[TwoViewNet, dict]:
+    """(net, meta) of a ``save_checkpoint`` file; the net is built from the
+    file's arrays once its ``kind`` has been checked."""
     arrays, meta = container.load_arrays(path)
-    model = TwoViewNet(NetConfig.from_dict(meta.get("net_config", {})), seed=0)
-    model.load_state_dict(arrays)
-    return model, meta
+    if meta.get("kind") != "checkpoint-v1":
+        raise CheckpointKindError(f"{path}: kind {meta.get('kind')!r}, "
+                                  "expected 'checkpoint-v1'")
+    cfg = NetConfig.from_dict(meta.get("net_config", {}))
+    return TwoViewNet(cfg, state=arrays), meta
 
 
 # --- evaluation --------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tvk import autodiff as ad
-from tvk.autodiff import Adam, ParameterStore, Tensor, backward
+from tvk.autodiff import Adam, Tensor, backward
 
 from oracles import (
     conv_direct,
@@ -571,44 +571,27 @@ class TestNoGrad:
         assert graph.grad is None and graph._parents[1].grad is None
 
 
-class TestParameterStore:
-    def test_unique_names(self):
-        ps = ParameterStore()
-        ps.add("w", np.zeros(3))
-        with pytest.raises(ValueError):
-            ps.add("w", np.zeros(3))
-
-    def test_state_dict_round_trip(self):
-        ps = ParameterStore()
-        ps.add("a", np.arange(3.0))
-        ps.add("b", np.ones((2, 2)))
-        state = ps.state_dict()
-        ps["a"].data = np.zeros(3)
-        ps.load_state_dict(state)
-        assert np.allclose(ps["a"].data, [0, 1, 2])
-
-    def test_unknown_name_is_named_and_nothing_loads(self):
-        ps = ParameterStore()
-        ps.add("a", np.arange(3.0))
-        with pytest.raises(KeyError, match="typo"):
-            ps.load_state_dict({"a": np.zeros(3), "typo": np.ones(2)})
-        assert ps["a"].data.tolist() == [0, 1, 2]
+class TestParameter:
+    def test_an_immutable_trainable_copy(self):
+        src = np.frombuffer(np.arange(3.0).tobytes())  # a read-only view
+        p = Tensor.parameter(src, "w")
+        assert ad.immutable(p.data) and not np.shares_memory(p.data, src)
+        assert p.requires_grad and p.name == "w"
+        assert p.data.tolist() == [0, 1, 2]
 
 
 class TestAdam:
     def test_zero_grad_zero_decay_keeps_params(self):
-        ps = ParameterStore()
-        p = ps.add("p", np.array([1.0, -2.0]))
-        opt = Adam(ps, lr=0.1, weight_decay=0.0)
+        p = Tensor.parameter(np.array([1.0, -2.0]), "p")
+        opt = Adam({"p": p}, lr=0.1, weight_decay=0.0)
         p.grad = np.zeros(2)
         opt.step()
         assert np.allclose(p.data, [1.0, -2.0])
 
     def test_first_step_matches_reference(self):
         # scripted reference: m=0.1, v=1e-3, mhat=1, vhat=1 -> step ~ lr
-        ps = ParameterStore()
-        p = ps.add("p", np.array([1.0]))
-        opt = Adam(ps, lr=0.1, weight_decay=0.0)
+        p = Tensor.parameter(np.array([1.0]), "p")
+        opt = Adam({"p": p}, lr=0.1, weight_decay=0.0)
         p.grad = np.array([1.0])
         opt.step()
         expected = 1.0 - 0.1 * 1.0 / (1.0 + 1e-8)
@@ -619,9 +602,8 @@ class TestAdam:
         # independent scripted Adam over several steps
         rng = RNG(20)
         grads = [rng.normal(size=3) for _ in range(10)]
-        ps = ParameterStore()
-        p = ps.add("p", np.ones(3))
-        opt = Adam(ps, lr=0.05, weight_decay=0.0)
+        p = Tensor.parameter(np.ones(3), "p")
+        opt = Adam({"p": p}, lr=0.05, weight_decay=0.0)
         for g in grads:
             p.grad = g.copy()
             opt.step()
@@ -638,18 +620,16 @@ class TestAdam:
         assert np.allclose(p.data, theta, atol=1e-12)
 
     def test_decoupled_weight_decay(self):
-        ps = ParameterStore()
-        p = ps.add("p", np.array([2.0]))
-        opt = Adam(ps, lr=0.1, weight_decay=0.01)
+        p = Tensor.parameter(np.array([2.0]), "p")
+        opt = Adam({"p": p}, lr=0.1, weight_decay=0.01)
         p.grad = np.array([0.0])
         opt.step()
         assert np.isclose(p.data[0], 2.0 - 0.1 * 0.01 * 2.0)
 
     def test_quadratic_bowl_converges(self):
-        ps = ParameterStore()
-        p = ps.add("p", np.array([3.0, -2.0]))
+        p = Tensor.parameter(np.array([3.0, -2.0]), "p")
         target = np.array([0.5, 1.5])
-        opt = Adam(ps, lr=0.05, weight_decay=0.0)
+        opt = Adam({"p": p}, lr=0.05, weight_decay=0.0)
         for _ in range(2000):
             p.grad = 2 * (p.data - target)
             opt.step()
@@ -658,45 +638,42 @@ class TestAdam:
         assert np.abs(p.data - target).max() < 1e-6
 
     def test_missing_grad_with_decay_only(self):
-        ps = ParameterStore()
-        p = ps.add("p", np.array([1.0]))
-        opt = Adam(ps, lr=0.1, weight_decay=0.0)
+        p = Tensor.parameter(np.array([1.0]), "p")
+        opt = Adam({"p": p}, lr=0.1, weight_decay=0.0)
         opt.step()  # no gradient at all
         assert np.allclose(p.data, [1.0])
 
     def test_state_round_trip(self):
-        ps = ParameterStore()
-        p = ps.add("p", np.array([1.0, 2.0]))
-        opt = Adam(ps, lr=0.01)
+        p = Tensor.parameter(np.array([1.0, 2.0]), "p")
+        opt = Adam({"p": p}, lr=0.01)
         p.grad = np.array([0.1, -0.2])
         opt.step()
         state = opt.state_dict()
-        opt2 = Adam(ps, lr=0.01)
+        opt2 = Adam({"p": p}, lr=0.01)
         opt2.load_state_dict(state)
         assert opt2.t == 1
         assert np.allclose(opt2.m["p"], opt.m["p"])
 
     @staticmethod
     def stepped():
-        ps = ParameterStore()
-        p = ps.add("w", np.array([1.0, 2.0, 3.0]))
-        opt = Adam(ps, lr=0.01)
-        p.grad = np.array([0.1, -0.2, 0.3])
+        params = {"w": Tensor.parameter(np.array([1.0, 2.0, 3.0]), "w")}
+        opt = Adam(params, lr=0.01)
+        params["w"].grad = np.array([0.1, -0.2, 0.3])
         opt.step()
-        return ps, opt
+        return params, opt
 
     def test_unknown_state_entry_is_named_and_nothing_loads(self):
-        ps, opt = self.stepped()
+        params, opt = self.stepped()
         state = opt.state_dict()
-        fresh = Adam(ps, lr=0.01)
+        fresh = Adam(params, lr=0.01)
         with pytest.raises(KeyError, match="adam.m.typo"):
             fresh.load_state_dict({**state, "adam.m.typo": np.zeros(3)})
         assert fresh.t == 0 and not fresh.m["w"].any()
 
     def test_moment_shape_mismatch_is_named_and_nothing_loads(self):
-        ps, opt = self.stepped()
+        params, opt = self.stepped()
         state = opt.state_dict()
-        fresh = Adam(ps, lr=0.01)
+        fresh = Adam(params, lr=0.01)
         with pytest.raises(ValueError, match="adam.v.w"):
             fresh.load_state_dict({**state, "adam.v.w": np.ones(5)})
         assert fresh.t == 0 and not fresh.m["w"].any()
@@ -708,10 +685,10 @@ class TestLayoutMemo:
     @staticmethod
     def store():
         rng = RNG(30)
-        ps = ParameterStore()
-        ps.add("up", rng.normal(size=(4, 3, 4, 4)).astype(np.float32))
-        ps.add("conv", rng.normal(size=(4, 3, 1, 7)).astype(np.float32))
-        return ps
+        return {name: Tensor.parameter(
+                    rng.normal(size=shape).astype(np.float32), name)
+                for name, shape in (("up", (4, 3, 4, 4)),
+                                    ("conv", (4, 3, 1, 7)))}
 
     @staticmethod
     def upconv_and_conv_dx(up, conv):
@@ -742,10 +719,11 @@ class TestLayoutMemo:
         opt.step()
         self.assert_matches_fresh_copies(ps)
 
-    def test_after_load_state_dict(self):
+    def test_after_the_array_is_replaced(self):
         ps = self.store()
         self.assert_matches_fresh_copies(ps)
-        ps.load_state_dict({name: -p.data for name, p in ps.items()})
+        for name, p in ps.items():  # as a reload in place would
+            p.data = Tensor.parameter(-p.data, name).data
         self.assert_matches_fresh_copies(ps)
 
     def test_laid_out_once_per_array(self):
@@ -762,7 +740,7 @@ class TestLayoutMemo:
         Adam(ps).step()
         with pytest.raises(ValueError):
             ps["up"].data[0] = 0
-        ps.load_state_dict(ps.state_dict())
+        ps["conv"].data = Tensor.parameter(ps["conv"].data, "conv").data
         with pytest.raises(ValueError):
             ps["conv"].data += 1
 
@@ -771,10 +749,9 @@ class TestDeterminism:
     @staticmethod
     def run_once(seed):
         rng = np.random.default_rng(seed)
-        ps = ParameterStore()
-        w = ps.add("w", ad.fanin_uniform(rng, (4, 2, 3, 3), 18))
-        b = ps.add("b", np.zeros(4))
-        opt = Adam(ps, lr=1e-3)
+        w = Tensor.parameter(ad.fanin_uniform(rng, (4, 2, 3, 3), 18), "w")
+        b = Tensor.parameter(np.zeros(4), "b")
+        opt = Adam({"w": w, "b": b}, lr=1e-3)
         x = Tensor(rng.normal(size=(2, 2, 6, 6)))
         for _ in range(20):
             opt.zero_grad()

@@ -13,6 +13,7 @@ from tvk.container import (
     ChecksumError,
     ContainerError,
     ContainerReader,
+    TrailingBytesError,
     TruncatedError,
     VersionError,
     load_arrays,
@@ -216,6 +217,24 @@ def test_load_arrays_needs_exactly_one_record(tmp_path):
     write_container(path, make_records(2, np.random.default_rng(5)), 2)
     with pytest.raises(ContainerError, match="2 records, expected 1"):
         load_arrays(path)
+
+
+def test_bytes_after_the_last_record_raise_naming_their_count(tmp_path):
+    one, two = str(tmp_path / "one.tvk"), str(tmp_path / "two.tvk")
+    save_arrays(one, {"w": np.arange(6.0)})
+    write_container(two, make_records(2, np.random.default_rng(6)), 2)
+    for path in (one, two):
+        with open(path, "ab") as f:
+            f.write(bytes(70))
+    with pytest.raises(TrailingBytesError, match="70 bytes after"):
+        load_arrays(one)
+    with pytest.raises(TrailingBytesError, match="70 bytes after"):
+        read_all(two)
+    with ContainerReader(two) as r:  # streaming: raised after the last one
+        it = iter(r)
+        assert [int(next(it)["idx"]) for _ in range(2)] == [0, 1]
+        with pytest.raises(TrailingBytesError):
+            next(it)
 
 
 def test_checkpoint_arrays(tmp_path):

@@ -1,12 +1,15 @@
 """``tools/digests.py`` against its golden file ``tools/digests.txt``.
 
 The ``classical`` line (a few seconds), the two ``render`` lines (about
-0.2 s) and the trimmed lines (about 1 s) are recomputed here; the full set
-runs as ``python tools/digests.py --check``.
+0.2 s), the two batch-8 ``predict`` lines (about 1.4 s) and the trimmed
+lines (about 1 s) are recomputed here; the full set runs as
+``python tools/digests.py --check``.
 """
 
 import importlib.util
 import os
+
+from tvk import synthdata, training
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _spec = importlib.util.spec_from_file_location(
@@ -31,6 +34,21 @@ def test_trimmed_lines_match_the_golden_file():
     assert len(lines) == 4
     golden = digests.read_golden()
     assert digests.differences({k: golden.get(k) for k in lines}, lines) == []
+
+
+def test_batch_8_predict_lines_match_the_golden_file(tmp_path):
+    # equal to the b1 lines, so this checks bitwise batch invariance
+    data = str(tmp_path / "data.tvk")
+    synthdata.generate_dataset(data, digests.DATA_SEED, digests.PREDICT_PAIRS,
+                               synthdata.SynthConfig())
+    samples, meta = synthdata.load_dataset(data)
+    K = training.intrinsics_from_meta(meta)
+    golden = digests.read_golden()
+    for dtype in ("float32", "float64"):
+        name = f"predict {dtype} b{digests.PREDICT_PAIRS}"
+        assert golden[name] == golden[f"predict {dtype} b1"]
+        assert digests.predict_digest(samples, K, dtype,
+                                      digests.PREDICT_PAIRS) == golden[name]
 
 
 def test_golden_file_holds_every_line_once():

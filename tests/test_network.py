@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -82,12 +83,12 @@ class TestBootstrapOracle:
         # three levels, so the decoder merges a skip twice; nonzero biases,
         # so each layer's bias is checked too; flows of about a pixel, so
         # the warp interpolates inside image 2
-        model = TwoViewNet(NetConfig(width=16, height=16, channels=(4, 8, 16),
-                                     dtype="float64"), seed=4)
+        cfg = NetConfig(width=16, height=16, channels=(4, 8, 16),
+                        dtype="float64")
         rng = np.random.default_rng(6)
-        model.load_state_dict({
+        model = TwoViewNet(cfg, state={
             k: v + rng.normal(0, 0.05, v.shape) if k.endswith(".b") else v
-            for k, v in model.state_dict().items()})
+            for k, v in TwoViewNet(cfg, seed=4).state_dict().items()})
         img1, img2 = rng.uniform(size=(2, 16, 16, 3))
         got = model.bootstrap_tensors([img1], [img2])
         want = bootstrap_reference(model.state_dict(), img1, img2)
@@ -98,6 +99,60 @@ class TestBootstrapOracle:
             assert np.max(np.abs(a - ref)) <= 1e-9 * np.max(np.abs(ref)), key
 
 
+class TestParameters:
+    """The net's one name -> ``Tensor`` dict, drawn or built from a state."""
+
+    def test_default_net_keeps_its_names_order_dtypes_and_draws(self):
+        # pinned from the net before the parameters moved into it; a change
+        # here changes every checkpoint and Adam's parameter order
+        params = TwoViewNet(NetConfig(), seed=0).params
+        assert len(params) == 166
+        h = hashlib.sha256()
+        for name, t in params.items():
+            assert t.name == name and t.requires_grad and ad.immutable(t.data)
+            h.update(f"{name} {t.shape} {t.dtype}".encode())
+            h.update(t.data)
+        assert h.hexdigest()[:16] == "0b0eae706cbc35f4"
+
+    def test_component_parameters_split_the_dict_by_stage(self):
+        model = TwoViewNet(TINY, seed=0)
+        parts = [model.component_parameters(c) for c in
+                 ("boot_flow", "boot_dm", "iter_flow", "iter_dm", "refine")]
+        assert [n for part in parts for n in part] == list(model.params)
+        assert all(t is model.params[n] for part in parts
+                   for n, t in part.items())
+
+    def test_state_round_trip_draws_nothing(self, monkeypatch):
+        model = TwoViewNet(TINY, seed=3)
+        monkeypatch.setattr(ad, "fanin_uniform", None)  # a draw would raise
+        loaded = TwoViewNet(TINY, state=model.state_dict())
+        assert list(loaded.params) == list(model.params)
+        for name, t in loaded.params.items():
+            a = model.params[name].data
+            assert t.data is not a and ad.immutable(t.data)
+            assert t.dtype == a.dtype and t.data.tobytes() == a.tobytes()
+
+    def test_state_is_copied_in_the_config_dtype(self):
+        state = TwoViewNet(TINY, seed=3).state_dict()
+        f32 = TwoViewNet(replace(TINY, dtype="float32"), state=state)
+        assert all(t.dtype == np.float32 and ad.immutable(t.data)
+                   for t in f32.params.values())
+
+    @pytest.mark.parametrize("change, error, name", [
+        (lambda s: s.update(typo=np.ones(2)), KeyError, "typo"),
+        (lambda s: s.pop("refine.head1.b"), KeyError, "refine.head1.b"),
+        (lambda s: s.update({"refine.head1.b": np.ones(2)}), ValueError,
+         "refine.head1.b"),
+    ], ids=["unknown", "missing", "wrong shape"])
+    def test_bad_state_is_named_before_anything_is_built(
+            self, monkeypatch, change, error, name):
+        state = TwoViewNet(TINY, seed=3).state_dict()
+        change(state)
+        monkeypatch.setattr(ad.Tensor, "parameter", None)
+        with pytest.raises(error, match=name):
+            TwoViewNet(TINY, state=state)
+
+
 class TestLayoutMemo:
     def test_warm_predict_equals_freshly_loaded(self):
         model = TwoViewNet(TINY, seed=1)
@@ -105,7 +160,8 @@ class TestLayoutMemo:
         warm = predict_tiny(model)  # every kernel layout from the memo
         loaded = TwoViewNet(TINY, seed=2)
         predict_tiny(loaded)  # memo filled from the seed-2 weights
-        loaded.load_state_dict(model.state_dict())
+        for name, t in loaded.params.items():  # reloaded in place
+            t.data = model.params[name].data
         fresh = predict_tiny(loaded)
         for field in ("flow", "flow_confidence", "xi", "normals", "r", "t",
                       "s", "refined_xi"):

@@ -41,7 +41,7 @@ def test_autodiff_all_resolves_and_lists_every_public_function():
               if (inspect.isfunction(obj) or inspect.isclass(obj))
               and not name.startswith("_")
               and obj.__module__ == autodiff.__name__}
-    assert {"Tensor", "ParameterStore", "Adam", "no_grad"} <= public
+    assert {"Tensor", "Adam", "no_grad"} <= public
     unlisted = sorted(public - set(autodiff.__all__))
     assert not unlisted, unlisted
 

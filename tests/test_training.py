@@ -16,11 +16,11 @@ from tvk.synthdata import (SynthConfig, generate_dataset, generate_scene,
                            load_dataset, render_pair)
 from tvk.metrics import (CSV_FIELDS, csv_row, depth_error_report,
                          endpoint_error, motion_angular_errors, write_csv)
-from tvk import training
-from tvk.training import (CollapsedScaleError, MissingFieldError,
-                          NonFiniteError, TrainConfig, Trainer, _batch_loss,
-                          evaluate_iterations, load_checkpoint,
-                          save_checkpoint)
+from tvk import autodiff, training
+from tvk.training import (CheckpointKindError, CollapsedScaleError,
+                          MissingFieldError, NonFiniteError, TrainConfig,
+                          Trainer, _batch_loss, evaluate_iterations,
+                          load_checkpoint, save_checkpoint)
 
 TINY = NetConfig(width=16, height=16, channels=(2, 4))
 K_TINY = Intrinsics(fx=0.89, fy=1.19, cx=0.5, cy=0.5, width=16, height=16)
@@ -71,6 +71,46 @@ class TestCheckpoint:
                     if getattr(p, field) is not None:
                         h.update(np.ascontiguousarray(getattr(p, field)))
         assert h.hexdigest()[:16] == "b51f37d04ee07807"
+
+    def test_load_draws_nothing(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "tiny.tvk")
+        model = TwoViewNet(TINY, seed=3)
+        save_checkpoint(path, model)
+
+        def draw(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew a parameter")
+
+        monkeypatch.setattr(autodiff, "fanin_uniform", draw)
+        loaded, _ = load_checkpoint(path)
+        # read-only copies that own their memory, so the layout memo holds
+        assert all(autodiff.immutable(t.data) for t in loaded.params.values())
+        before, after = predict_tiny(model), predict_tiny(loaded)
+        for field in FIELDS:
+            a = np.asarray(getattr(before, field))
+            b = np.asarray(getattr(after, field))
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+
+    @pytest.mark.parametrize("change, error, name", [
+        (lambda s: s.update(typo=np.ones(2)), KeyError, "typo"),
+        (lambda s: s.pop("refine.head1.b"), KeyError, "refine.head1.b"),
+        (lambda s: s.update({"refine.head1.b": np.ones(2)}), ValueError,
+         "refine.head1.b"),
+    ], ids=["unknown", "missing", "wrong shape"])
+    def test_bad_parameter_is_named(self, tmp_path, change, error, name):
+        path = str(tmp_path / "bad.tvk")
+        state = TwoViewNet(TINY, seed=3).state_dict()
+        change(state)
+        meta = {"kind": "checkpoint-v1", "net_config": asdict(TINY)}
+        save_arrays(path, state, meta=meta)
+        with pytest.raises(error, match=name):
+            load_checkpoint(path)
+
+    def test_a_dataset_is_not_a_checkpoint(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "one.tvk")
+        generate_dataset(path, 3, 1, SynthConfig(include_full=False))
+        monkeypatch.setattr(training, "TwoViewNet", None)  # nothing is built
+        with pytest.raises(CheckpointKindError, match="kind .sample-pair-v1."):
+            load_checkpoint(path)
 
     def test_unknown_net_config_key_is_named(self, tmp_path):
         path = str(tmp_path / "bad.tvk")
